@@ -24,7 +24,7 @@ use pearl_core::{FaultConfig, NetworkBuilder, PearlPolicy};
 use pearl_noc::CoreType;
 use pearl_telemetry::{
     alloc_stats, reset_alloc_stats, write_trace_file, JsonValue, ProfileReport, RunManifest,
-    SharedRecorder, SharedSpanRecorder, SpanKind, TraceEvent, WorkCounters,
+    SharedRecorder, SharedSpanRecorder, SpanKind, TraceEvent,
 };
 use pearl_workloads::{BenchmarkPair, SyntheticPattern, SyntheticTraffic};
 
@@ -128,29 +128,25 @@ fn main() {
             .build_from_source(source(1));
         if profile {
             pearl_net.enable_profiling();
-            pearl_net.enable_work_counters();
         }
         let pearl = pearl_net.run(cycles);
         let prof = pearl_net.profile_report();
-        let work = pearl_net.work_counters().cloned();
         let mut cmesh_net = CmeshBuilder::new().seed(1).build_from_source(source(1));
         if profile {
             cmesh_net.enable_profiling();
-            cmesh_net.enable_work_counters();
         }
         let cmesh = cmesh_net.run(cycles);
         let cprof = cmesh_net.profile_report();
-        let cwork = cmesh_net.work_counters().cloned();
-        (pearl, cmesh, prof, work, cprof, cwork)
+        (pearl, cmesh, prof, cprof)
     });
     let mut rows = Vec::new();
     let mut profiles = Vec::new();
-    let mut observations = Vec::new();
-    for (&rate, (pearl, cmesh, prof, work, cprof, cwork)) in rates.iter().zip(&curve) {
+    let mut cmesh_profiles = Vec::new();
+    for (&rate, (pearl, cmesh, prof, cprof)) in rates.iter().zip(&curve) {
         if let Some(p) = prof {
             profiles.push((rate, p.clone()));
         }
-        observations.push((work.clone(), cprof.clone(), cwork.clone()));
+        cmesh_profiles.extend(cprof.clone());
         println!(
             "{rate:>10.2} {:>14.3} {:>12.1} {:>14.3} {:>12.1}",
             pearl.throughput_flits_per_cycle,
@@ -186,20 +182,14 @@ fn main() {
         let (_, last) = &profiles[profiles.len() - 1];
         report.insert("profile_last_rate", last.to_json());
 
-        // Hot-path observatory export: the sweep-merged profile, work
-        // counters and (with `--features alloc-count`) allocation
+        // Hot-path observatory export: the sweep-merged profile with its
+        // work counters and (with `--features alloc-count`) allocation
         // attribution, one artifact per network, gated by the same
         // invariants `report --hotpath` enforces.
         let merged_profile = ProfileReport::merged(profiles.iter().map(|(_, p)| p));
-        let mut merged_work = WorkCounters::new();
-        for (w, _, _) in &observations {
-            if let Some(w) = w {
-                merged_work.merge(w);
-            }
-        }
         println!("\n=== Hot-path counters (PEARL, merged over the sweep) ===");
-        print!("{merged_work}");
-        for (name, ratio) in merged_work.ratios().rows() {
+        print!("{}", merged_profile.work);
+        for (name, ratio) in merged_profile.work.ratios().rows() {
             let text = ratio.map_or_else(|| "-".to_string(), |r| format!("{r:.4}"));
             println!("  {name:<20} {text:>10}");
         }
@@ -208,20 +198,13 @@ fn main() {
             let (count, bytes) = stats.total();
             println!("  allocation attribution: {count} allocations, {bytes} bytes (see artifact)");
         }
-        let hotpath = Hotpath::new("loadcurve", merged_profile, merged_work, alloc);
+        let hotpath = Hotpath::new("loadcurve", merged_profile, alloc);
         hotpath.validate().expect("hotpath invariants hold on the PEARL observation");
         let (json_path, folded_path) = hotpath.write().expect("write hotpath artifacts");
         eprintln!("[wrote {} and {}]", json_path.display(), folded_path.display());
 
-        let cmesh_profile =
-            ProfileReport::merged(observations.iter().filter_map(|(_, p, _)| p.as_ref()));
-        let mut cmesh_work = WorkCounters::new();
-        for (_, _, w) in &observations {
-            if let Some(w) = w {
-                cmesh_work.merge(w);
-            }
-        }
-        let cmesh_hotpath = Hotpath::new("loadcurve_cmesh", cmesh_profile, cmesh_work, None);
+        let cmesh_hotpath =
+            Hotpath::new("loadcurve_cmesh", ProfileReport::merged(&cmesh_profiles), None);
         cmesh_hotpath.validate().expect("hotpath invariants hold on the CMESH observation");
         let (json_path, folded_path) = cmesh_hotpath.write().expect("write hotpath artifacts");
         eprintln!("[wrote {} and {}]", json_path.display(), folded_path.display());

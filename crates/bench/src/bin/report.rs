@@ -11,10 +11,9 @@
 //! Three observatory modes replace the trace-based report when passed:
 //! `--hotpath [HOTPATH.json]` validates and renders a wasted-work
 //! artifact from `loadcurve --profile` (reconciliation failure exits
-//! non-zero); `--bench-trend` renders the committed
-//! `results/BENCH_*.json` series as a throughput/waste time series;
-//! `--serve [SPOOL|PROGRESS.jsonl]` summarizes a pearl-serve progress
-//! stream into queueing metrics.
+//! non-zero); `--serve [SPOOL|PROGRESS.jsonl]` summarizes a pearl-serve
+//! progress stream into queueing metrics; `--flight ARTIFACT` renders a
+//! flight-recorder post-mortem.
 
 use pearl_bench::serve::summarize_progress;
 use pearl_bench::{Hotpath, Report, RESULTS_DIR};
@@ -121,9 +120,9 @@ fn hotpath_report(path: &str, report: &mut Report) {
     println!("=== Hot-path report: {} ({path}) ===", hotpath.source);
     print!("{}", hotpath.profile);
     println!();
-    print!("{}", hotpath.work);
+    print!("{}", hotpath.profile.work);
     println!("\n-- wasted-work ratios --");
-    for (name, ratio) in hotpath.work.ratios().rows() {
+    for (name, ratio) in hotpath.profile.work.ratios().rows() {
         let text =
             ratio.map_or_else(|| "- (machinery never ran)".to_string(), |r| format!("{r:.4}"));
         println!("  {name:<22} {text}");
@@ -155,95 +154,6 @@ fn hotpath_report(path: &str, report: &mut Report) {
     report.metric("hotpath.cycles", hotpath.profile.cycles as f64);
     report.metric("hotpath.cycles_per_sec", hotpath.profile.cycles_per_sec());
     report.insert("hotpath", hotpath.to_json());
-}
-
-/// Lists the committed `results/BENCH_*.json` series sorted by date and
-/// renders throughput plus wasted-work ratios per artifact. Exits
-/// non-zero when no artifact parses.
-fn bench_trend(report: &mut Report) {
-    let mut artifacts: Vec<(String, bool, JsonValue)> = Vec::new();
-    let entries = std::fs::read_dir(RESULTS_DIR).unwrap_or_else(|e| {
-        eprintln!("error: cannot list {RESULTS_DIR}: {e}");
-        std::process::exit(1);
-    });
-    for entry in entries.flatten() {
-        let file = entry.file_name().to_string_lossy().into_owned();
-        if !file.starts_with("BENCH_") || !file.ends_with(".json") {
-            continue;
-        }
-        let Ok(text) = std::fs::read_to_string(entry.path()) else {
-            eprintln!("warning: cannot read {file} — skipped");
-            continue;
-        };
-        match JsonValue::parse(&text) {
-            Ok(doc) => artifacts.push((file, file_is_baseline(&entry.file_name()), doc)),
-            Err(e) => eprintln!("warning: {file} does not parse ({e:?}) — skipped"),
-        }
-    }
-    if artifacts.is_empty() {
-        eprintln!("error: no parseable {RESULTS_DIR}/BENCH_*.json artifacts");
-        std::process::exit(1);
-    }
-    // Baseline sorts by its recorded date like everything else; ties
-    // put the baseline last so the blessed copy reads as the reference.
-    artifacts.sort_by_key(|(file, baseline, doc)| {
-        (doc.get("date").and_then(JsonValue::as_str).unwrap_or(file).to_string(), *baseline)
-    });
-
-    println!("=== BENCH trend ({} artifacts) ===", artifacts.len());
-    println!(
-        "{:<12} {:<9} {:<18} {:>12} {:>11} {:>10} {:>9} {:>10}",
-        "date", "kind", "row", "cycles/sec", "throughput", "idle_scan", "arb_loss", "iters/flit"
-    );
-    let mut trend_rows = Vec::new();
-    for (file, baseline, doc) in &artifacts {
-        let date = doc.get("date").and_then(JsonValue::as_str).unwrap_or("?").to_string();
-        let kind = if *baseline {
-            "baseline"
-        } else if matches!(doc.get("smoke"), Some(JsonValue::Bool(true))) {
-            "smoke"
-        } else {
-            "full"
-        };
-        let empty = Vec::new();
-        let rows = doc.get("rows").and_then(JsonValue::as_arr).unwrap_or(&empty);
-        for row in rows {
-            let name = row.get("name").and_then(JsonValue::as_str).unwrap_or("?");
-            let cps = row.get("cycles_per_sec").and_then(JsonValue::as_f64);
-            let tput = row
-                .get("metrics")
-                .and_then(|m| m.get("throughput_flits_per_cycle"))
-                .and_then(JsonValue::as_f64);
-            let waste =
-                |key: &str| row.get("waste").and_then(|w| w.get(key)).and_then(JsonValue::as_f64);
-            let fmt = |v: Option<f64>, decimals: usize| {
-                v.map_or_else(|| "-".to_string(), |x| format!("{x:.decimals$}"))
-            };
-            println!(
-                "{date:<12} {kind:<9} {name:<18} {:>12} {:>11} {:>10} {:>9} {:>10}",
-                fmt(cps, 0),
-                fmt(tput, 3),
-                fmt(waste("idle_scan"), 4),
-                fmt(waste("arb_loss"), 4),
-                fmt(waste("iterations_per_flit"), 2),
-            );
-            trend_rows.push(JsonValue::obj(vec![
-                ("file", JsonValue::str(file)),
-                ("date", JsonValue::str(&date)),
-                ("kind", JsonValue::str(kind)),
-                ("row", JsonValue::str(name)),
-                ("cycles_per_sec", cps.map_or(JsonValue::Null, JsonValue::Num)),
-                ("throughput_flits_per_cycle", tput.map_or(JsonValue::Null, JsonValue::Num)),
-                ("idle_scan", waste("idle_scan").map_or(JsonValue::Null, JsonValue::Num)),
-            ]));
-        }
-    }
-    println!(
-        "\n(throughput is simulated and deterministic; cycles/sec is wall-clock. Waste columns \
-         read \"-\" for schema-1 artifacts recorded before the observatory.)"
-    );
-    report.metric("bench_trend.artifacts", artifacts.len() as f64);
-    report.insert("bench_trend", JsonValue::Arr(trend_rows));
 }
 
 /// Renders one sealed `flightrec v1` post-mortem: the event/span
@@ -346,11 +256,6 @@ fn flight_report(path: &str, report: &mut Report) {
     );
 }
 
-/// True when the BENCH artifact file name is the blessed baseline.
-fn file_is_baseline(name: &std::ffi::OsStr) -> bool {
-    name.to_string_lossy() == "BENCH_baseline.json"
-}
-
 /// Summarizes a pearl-serve progress stream (a spool root or a direct
 /// `progress.jsonl` path) into queueing metrics.
 fn serve_report(path_arg: &str, report: &mut Report) {
@@ -425,7 +330,6 @@ fn main() {
         "--hotpath",
         "validate and render a wasted-work artifact (default: results/hotpath_loadcurve.json)",
     )
-    .flag("--bench-trend", "render the committed results/BENCH_*.json series")
     .flag("--serve", "summarize a pearl-serve progress stream (default: spool/)")
     .option("--flight", "ARTIFACT", "render a flightrec post-mortem (stall/panic black box)")
     .positional(
@@ -435,11 +339,7 @@ fn main() {
         2,
     )
     .parse();
-    if args.has("--hotpath")
-        || args.has("--bench-trend")
-        || args.has("--serve")
-        || args.value("--flight").is_some()
-    {
+    if args.has("--hotpath") || args.has("--serve") || args.value("--flight").is_some() {
         let mut report = Report::from_args("report");
         if let Some(path) = args.value("--flight") {
             flight_report(path, &mut report);
@@ -449,9 +349,6 @@ fn main() {
             let path =
                 if args.has("--serve") { None } else { args.positional() }.unwrap_or(&default);
             hotpath_report(path, &mut report);
-        }
-        if args.has("--bench-trend") {
-            bench_trend(&mut report);
         }
         if args.has("--serve") {
             let path =

@@ -1,7 +1,8 @@
 //! The hot-path wasted-work artifact: one instrumented run's merged
-//! self-profile, work counters and (when the `alloc-count` feature is
-//! on) allocation attribution, exported as `results/hotpath_<source>.json`
-//! plus a folded-stacks text file for `flamegraph.pl` / Perfetto.
+//! self-profile with its work counters and (when the `alloc-count`
+//! feature is on) allocation attribution, exported as
+//! `results/hotpath_<source>.json` plus a folded-stacks text file for
+//! `flamegraph.pl` / Perfetto.
 //!
 //! [`Hotpath::validate`] is the reconciliation gate `report --hotpath`
 //! enforces: the counter inequalities ([`WorkCounters::reconcile`]),
@@ -25,18 +26,18 @@ pub const HOTPATH_SCHEMA_VERSION: u64 = 1;
 /// section are not atomic with the section's own window.
 const TIME_EPSILON: Duration = Duration::from_millis(2);
 
-/// One run's hot-path observation: where the wall time went
-/// (`profile`), why it went there (`work`) and what it allocated
-/// (`alloc`, `None` unless built with `--features alloc-count`).
+/// One run's hot-path observation: where the wall time went and why
+/// (`profile`, whose `work` counters the artifact stores under `work`)
+/// and what it allocated (`alloc`, `None` unless built with
+/// `--features alloc-count`).
 #[derive(Debug, Clone)]
 pub struct Hotpath {
     /// Artifact stem: files land at `results/hotpath_<source>.json`
     /// and `results/hotpath_<source>.folded`.
     pub source: String,
-    /// Merged self-profile of the instrumented run(s).
+    /// Merged self-profile and work counters of the instrumented
+    /// run(s).
     pub profile: ProfileReport,
-    /// Merged work counters of the same run(s).
-    pub work: WorkCounters,
     /// Per-section allocation totals, when the counting allocator was
     /// compiled in.
     pub alloc: Option<AllocStats>,
@@ -47,10 +48,9 @@ impl Hotpath {
     pub fn new(
         source: impl Into<String>,
         profile: ProfileReport,
-        work: WorkCounters,
         alloc: Option<AllocStats>,
     ) -> Hotpath {
-        Hotpath { source: source.into(), profile, work, alloc }
+        Hotpath { source: source.into(), profile, alloc }
     }
 
     /// Path of the JSON artifact.
@@ -74,8 +74,8 @@ impl Hotpath {
             (
                 "work",
                 JsonValue::obj(vec![
-                    ("counters", self.work.to_json()),
-                    ("ratios", self.work.ratios().to_json()),
+                    ("counters", self.profile.work.to_json()),
+                    ("ratios", self.profile.work.ratios().to_json()),
                 ]),
             ),
             ("alloc", self.alloc.as_ref().map_or(JsonValue::Null, AllocStats::to_json)),
@@ -87,10 +87,11 @@ impl Hotpath {
         if v.get("name").and_then(JsonValue::as_str) != Some("hotpath") {
             return None;
         }
+        let mut profile = ProfileReport::from_json(v.get("profile")?)?;
+        profile.work = WorkCounters::from_json(v.get("work")?.get("counters")?)?;
         Some(Hotpath {
             source: v.get("source")?.as_str()?.to_string(),
-            profile: ProfileReport::from_json(v.get("profile")?)?,
-            work: WorkCounters::from_json(v.get("work")?.get("counters")?)?,
+            profile,
             alloc: v.get("alloc").and_then(AllocStats::from_json),
         })
     }
@@ -161,14 +162,12 @@ impl Hotpath {
     ///
     /// The first violated invariant, named.
     pub fn validate(&self) -> Result<(), String> {
-        self.work.reconcile()?;
-        if self.profile.cycles > 0
-            && self.work.cycles > 0
-            && self.profile.cycles != self.work.cycles
-        {
+        let work = &self.profile.work;
+        work.reconcile()?;
+        if self.profile.cycles > 0 && work.cycles > 0 && self.profile.cycles != work.cycles {
             return Err(format!(
                 "profiler covered {} cycles but work counters covered {}",
-                self.profile.cycles, self.work.cycles
+                self.profile.cycles, work.cycles
             ));
         }
         let attributed = self.profile.attributed();
@@ -217,6 +216,7 @@ impl Hotpath {
     /// wasted visits descending — the "top wasted loops" ranking.
     pub fn wasted_rows(&self) -> Vec<(&'static str, u64, u64, u64)> {
         let mut rows: Vec<_> = self
+            .profile
             .work
             .pairs()
             .into_iter()
@@ -237,7 +237,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(2));
         profiler.add(Section::Transport, t0);
         profiler.tick();
-        let work = WorkCounters {
+        *profiler.work_mut() = WorkCounters {
             cycles: 1,
             routers_scanned: 16,
             routers_with_work: 4,
@@ -247,7 +247,7 @@ mod tests {
             flits_moved: 10,
             ..WorkCounters::new()
         };
-        Hotpath::new("unit", profiler.report(), work, None)
+        Hotpath::new("unit", profiler.report(), None)
     }
 
     #[test]
@@ -257,7 +257,7 @@ mod tests {
         let doc = hp.to_json();
         let parsed = Hotpath::from_json(&JsonValue::parse(&doc.to_string()).unwrap()).unwrap();
         assert_eq!(parsed.source, "unit");
-        assert_eq!(parsed.work, hp.work);
+        assert_eq!(parsed.profile.work, hp.profile.work);
         assert_eq!(parsed.profile.cycles, hp.profile.cycles);
         parsed.validate().unwrap();
         // A document that is not a hotpath artifact is rejected.
@@ -267,11 +267,11 @@ mod tests {
     #[test]
     fn validate_names_the_violated_invariant() {
         let mut broken = sample();
-        broken.work.arb_grants = broken.work.arb_attempts + 1;
+        broken.profile.work.arb_grants = broken.profile.work.arb_attempts + 1;
         assert!(broken.validate().unwrap_err().contains("arbitration"));
 
         let mut skewed = sample();
-        skewed.work.cycles = skewed.profile.cycles + 5;
+        skewed.profile.work.cycles = skewed.profile.cycles + 5;
         assert!(skewed.validate().unwrap_err().contains("cycles"));
 
         let mut inflated = sample();

@@ -19,9 +19,7 @@
 //! Utility binaries ride alongside: `report` renders one instrumented
 //! run's telemetry artifacts (`--spans`/`--perfetto` for the causal
 //! span views), `loadcurve` sweeps injection rates and records the
-//! span trace (`--trace`), `bench_baseline` tracks simulated-metric
-//! and wall-clock regressions against a committed baseline, `chaos`
-//! kills runs at seeded random cycles and proves kill/resume
+//! span trace (`--trace`), `chaos` kills runs at seeded random cycles and proves kill/resume
 //! bit-identity from checkpoint files, and `pearl-serve` is the
 //! crash-tolerant batch experiment daemon over the [`serve`] module
 //! (spool-watching, supervised retries, deadlines and restart-safe
@@ -33,10 +31,12 @@
 //! Criterion microbenchmarks (`cargo bench`) cover the router pipeline,
 //! the DBA, ridge fitting and the CMESH switch allocation.
 //!
-//! The hot-path observatory rides on `loadcurve --profile` and
-//! `bench_baseline`: [`hotpath`] exports `results/hotpath_*.json` and a
-//! folded-stacks flamegraph file, and `report --hotpath` /
-//! `--bench-trend` / `--serve` render and gate them.
+//! The hot-path observatory rides on `loadcurve --profile`: [`hotpath`]
+//! exports `results/hotpath_*.json` and a folded-stacks flamegraph
+//! file, and `report --hotpath` renders and gates them. Performance is
+//! measured by the standalone benchmark package in `benchmark/` (see
+//! `benchmark/README.md`): end-to-end throughput, latency and set-up
+//! time per workload, with golden digests of every simulated run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -29,8 +29,6 @@ pub struct CmeshConfig {
     /// on-die SRAM macro talks to its router over a wide (512-bit) port,
     /// unlike a cluster's 128-bit core interface.
     pub l3_local_width: u32,
-    /// Packets ejected per local port per cycle.
-    pub ejection_packets_per_cycle: u32,
     /// Outstanding-miss window of a cluster's CPU cores.
     pub cpu_outstanding_limit: u32,
     /// Outstanding-miss window of a cluster's GPU CUs.
@@ -70,7 +68,6 @@ impl CmeshConfig {
             link_cycles_per_flit: 1,
             l3_nodes: [5, 10],
             l3_local_width: 4,
-            ejection_packets_per_cycle: 2,
             cpu_outstanding_limit: 8,
             gpu_outstanding_limit: 128,
             backlog_packets: 64,
@@ -108,7 +105,6 @@ impl CmeshConfig {
         assert_ne!(self.l3_nodes[0], self.l3_nodes[1], "L3 slices must differ");
         assert!(self.l3_local_width >= 1, "L3 local width must be ≥ 1");
         assert!(self.link_cycles_per_flit >= 1, "link rate must be ≥ 1 cycle per flit");
-        assert!(self.ejection_packets_per_cycle >= 1, "ejection rate must be ≥ 1");
         assert!(self.cpu_outstanding_limit >= 1 && self.gpu_outstanding_limit >= 1);
         assert!(self.stall_backlog <= self.backlog_packets);
     }

@@ -12,7 +12,7 @@ use crate::router::CmeshRouter;
 use crate::routing::{neighbor, xy_route, Direction, Port};
 use pearl_noc::{CoreType, Cycle, Flit, Grid, NetworkStats, NodeId, Packet, PacketKind};
 use pearl_telemetry::{
-    set_alloc_section, NullProbe, NullSink, Probe, ProfileReport, Section, SelfProfiler, Span,
+    set_alloc_section, NullSink, Phase, Probe, ProfileReport, Section, SelfProfiler, Span,
     SpanKind, SpanSink, SubSection, TraceEvent, WorkCounters,
 };
 use pearl_workloads::{BenchmarkPair, Destination, TrafficModel, TrafficSource};
@@ -182,20 +182,18 @@ pub struct CmeshNetwork {
     partial_eject: Vec<HashMap<u64, Packet>>,
     links: Vec<LinkFlit>,
     cycle_seconds: f64,
-    probe: Box<dyn Probe>,
-    probe_on: bool,
-    /// Causal span sink (see [`CmeshNetwork::attach_span_sink`]).
+    /// Telemetry sink (see [`CmeshNetwork::attach_probe`]); `None`
+    /// while no live probe is attached.
+    probe: Option<Box<dyn Probe>>,
+    /// Causal span sink (see [`CmeshNetwork::attach_span_sink`]),
+    /// called only while `span_tracker` exists.
     span_sink: Box<dyn SpanSink>,
-    /// Cached `!span_sink.is_null()`.
-    span_on: bool,
-    /// Span bookkeeping, allocated only while span tracking is on.
+    /// Span bookkeeping, present exactly while span tracking is on.
     span_tracker: Option<CmeshSpanTracker>,
-    /// Wall-clock self-profiler (see [`CmeshNetwork::enable_profiling`]).
+    /// Wall-clock self-profiler and the work counters it owns (see
+    /// [`CmeshNetwork::enable_profiling`]). Observer state: never
+    /// serialized, never hashed.
     profiler: Option<SelfProfiler>,
-    /// Wasted-work counters (see
-    /// [`CmeshNetwork::enable_work_counters`]). Observer state like the
-    /// profiler: never serialized, never hashed.
-    work: Option<Box<WorkCounters>>,
 }
 
 impl CmeshNetwork {
@@ -237,86 +235,72 @@ impl CmeshNetwork {
             partial_eject: vec![HashMap::new(); n],
             links: Vec::new(),
             cycle_seconds,
-            probe: Box::new(NullProbe),
-            probe_on: false,
+            probe: None,
             span_sink: Box::new(NullSink),
-            span_on: false,
             span_tracker: None,
             profiler: None,
-            work: None,
         }
     }
 
-    /// Turns on wall-clock self-profiling: subsequent [`step`]s run on
-    /// an instrumented path attributing time to step-loop phases
-    /// (mirroring `PearlNetwork::enable_profiling`).
+    /// Turns on wall-clock self-profiling and wasted-work accounting
+    /// (mirroring `PearlNetwork::enable_profiling`): subsequent
+    /// [`step`]s attribute their time to step-loop phases and count
+    /// switch-allocation and scan-loop visits vs. useful outcomes. Both
+    /// are observer state: the simulated state stream is bit-identical
+    /// either way. The mesh has no DBA or scaling windows, so those
+    /// counters stay zero and their ratios read as undefined.
     ///
     /// [`step`]: CmeshNetwork::step
     pub fn enable_profiling(&mut self) {
         self.profiler = Some(SelfProfiler::start());
     }
 
-    /// The self-profile accumulated since
+    /// The self-profile and work counters accumulated since
     /// [`enable_profiling`](CmeshNetwork::enable_profiling), if on.
     pub fn profile_report(&self) -> Option<ProfileReport> {
         self.profiler.as_ref().map(SelfProfiler::report)
     }
 
-    /// Turns on wasted-work accounting (mirroring
-    /// `PearlNetwork::enable_work_counters`): switch-allocation and
-    /// scan-loop sites start counting visits vs. useful outcomes.
-    /// Observer state under the probe/span overhead contract — the
-    /// simulated state stream is bit-identical either way. The mesh has
-    /// no DBA or scaling windows, so those counters stay zero and their
-    /// ratios read as undefined.
-    pub fn enable_work_counters(&mut self) {
-        self.work = Some(Box::new(WorkCounters::new()));
+    /// The work counters, while profiling is on.
+    #[inline]
+    fn work_mut(&mut self) -> Option<&mut WorkCounters> {
+        self.profiler.as_mut().map(SelfProfiler::work_mut)
     }
 
-    /// The wasted-work counters accumulated since
-    /// [`enable_work_counters`](CmeshNetwork::enable_work_counters), if
-    /// on.
-    pub fn work_counters(&self) -> Option<&WorkCounters> {
-        self.work.as_deref()
-    }
-
-    /// Attaches a telemetry probe. A [`NullProbe`] keeps the hot path on
-    /// its uninstrumented branch; any other probe receives
+    /// Attaches a telemetry probe. A null probe (such as
+    /// [`pearl_telemetry::NullProbe`]) is not stored, so the hot path
+    /// stays on its uninstrumented branch; any other probe receives
     /// [`TraceEvent::InjectionStall`] events as the mesh throttles
     /// sources (the only PEARL event kind with an electrical analogue).
     pub fn attach_probe(&mut self, probe: Box<dyn Probe>) {
-        self.probe_on = !probe.is_null();
-        self.probe = probe;
+        self.probe = (!probe.is_null()).then_some(probe);
     }
 
     /// True when a recording (non-null) probe is attached.
     pub fn probe_enabled(&self) -> bool {
-        self.probe_on
+        self.probe.is_some()
     }
 
-    /// Attaches a causal span sink. With the default [`NullSink`] every
-    /// site reduces to one cached-flag branch and the run is
-    /// bit-identical to an uninstrumented build; a live sink receives
-    /// the six-stage latency decomposition of every delivered packet
-    /// (VC wait mapped to `arbitration`, credit stalls to
+    /// Attaches a causal span sink. With the default [`NullSink`] no
+    /// tracker state is kept, every site reduces to one branch and the
+    /// run is bit-identical to an uninstrumented build; a live sink
+    /// receives the six-stage latency decomposition of every delivered
+    /// packet (VC wait mapped to `arbitration`, credit stalls to
     /// `reservation_wait`, mesh hops to `link_traversal`).
     pub fn attach_span_sink(&mut self, sink: Box<dyn SpanSink>) {
-        self.span_on = !sink.is_null();
-        self.span_sink = sink;
-        if self.span_on {
-            if self.span_tracker.is_none() {
-                self.span_tracker = Some(CmeshSpanTracker::default());
-            }
-        } else {
+        if sink.is_null() {
             self.span_tracker = None;
+        } else if self.span_tracker.is_none() {
+            self.span_tracker = Some(CmeshSpanTracker::default());
         }
+        self.span_sink = sink;
     }
 
     /// True when a live (non-null) span sink is attached (or span
     /// tracking was re-enabled by restoring a snapshot taken with
     /// spans on).
     pub fn span_enabled(&self) -> bool {
-        self.span_on
+        self.span_tracker.is_some()
     }
 
     /// The configuration in use.
@@ -327,26 +311,6 @@ impl CmeshNetwork {
     /// Accumulated statistics.
     pub fn stats(&self) -> &NetworkStats {
         &self.stats
-    }
-
-    /// One-line diagnostic snapshot (buffer/backlog/pending totals) for
-    /// debugging congestion.
-    pub fn diagnostics(&self) -> String {
-        let buffered: usize = self.routers.iter().map(|r| r.buffered_flits()).sum();
-        let backlog: usize = self.backlogs.iter().flatten().map(VecDeque::len).sum();
-        let pending: usize = self.pending_responses.iter().map(VecDeque::len).sum();
-        let outstanding: u32 = self.outstanding.iter().flatten().sum();
-        let links = self.links.len();
-        let p5 = self.pending_responses[5].len();
-        let p10 = self.pending_responses[10].len();
-        let s5 = self.inject_current[5].len();
-        let s10 = self.inject_current[10].len();
-        let free5 = self.routers[5].inputs[4].iter().filter(|c| c.is_free()).count();
-        let vclen5: Vec<usize> = self.routers[5].inputs[4].iter().map(|c| c.len()).collect();
-
-        format!(
-            "buffered={buffered} backlog={backlog} pending={pending} (L3: {p5}/{p10}) streams={s5}/{s10} free5={free5} vclen5={vclen5:?} outstanding={outstanding} links={links}"
-        )
     }
 
     fn fresh_id(&mut self) -> u64 {
@@ -382,98 +346,48 @@ impl CmeshNetwork {
         }
     }
 
-    /// Advances one network cycle.
+    /// Advances one network cycle, running each phase through
+    /// [`Self::timed`].
     pub fn step(&mut self) {
-        if self.profiler.is_some() {
-            self.step_profiled();
-        } else {
-            self.step_fast();
-        }
-    }
-
-    /// The unprofiled per-cycle path (the default).
-    fn step_fast(&mut self) {
         let now = self.now;
-        self.generate_traffic(now);
-        self.deliver_link_flits(now);
-        self.compute_routes();
-        self.switch_allocation(now);
-        self.inject_local_flits(now);
-        self.stats.electrical_energy_j +=
-            self.power.static_energy_per_cycle_j(self.routers.len(), self.cycle_seconds)
-                * self.config.static_power_fraction();
-        self.now += 1;
-        self.stats.tick();
-        if let Some(w) = self.work.as_deref_mut() {
-            w.cycles += 1;
+        self.timed(Section::Injection, |net| {
+            net.timed(SubSection::InjectTraffic, |net| net.generate_traffic(now));
+        });
+        self.timed(Section::Transport, |net| {
+            net.timed(SubSection::TransportLink, |net| net.deliver_link_flits(now));
+            net.timed(SubSection::TransportRoutes, CmeshNetwork::compute_routes);
+            net.timed(SubSection::TransportArbitration, |net| net.switch_allocation(now));
+        });
+        self.timed(Section::Injection, |net| {
+            net.timed(SubSection::InjectSerialize, |net| net.inject_local_flits(now));
+        });
+        self.timed(Section::Accounting, |net| {
+            net.stats.electrical_energy_j +=
+                net.power.static_energy_per_cycle_j(net.routers.len(), net.cycle_seconds)
+                    * net.config.static_power_fraction();
+            net.now += 1;
+            net.stats.tick();
+        });
+        if let Some(profiler) = self.profiler.as_mut() {
+            set_alloc_section(None);
+            profiler.tick();
         }
     }
 
-    /// The profiled per-cycle path: identical phase order, with wall
-    /// time attributed to [`Section`]s and [`SubSection`]s (timed
-    /// inside their section window, so sub sums stay ≤ the section) and
-    /// the allocation counter's thread-local section tagged per phase.
-    /// Kept separate from [`step_fast`](Self::step_fast) so unprofiled
-    /// runs never pay for `Instant::now`.
-    fn step_profiled(&mut self) {
-        let now = self.now;
-
-        set_alloc_section(Some(Section::Injection));
-        let t0 = Instant::now();
-        let t = Instant::now();
-        self.generate_traffic(now);
-        self.prof_add_sub(SubSection::InjectTraffic, t);
-        self.prof_add(Section::Injection, t0);
-
-        set_alloc_section(Some(Section::Transport));
-        let t0 = Instant::now();
-        let t = Instant::now();
-        self.deliver_link_flits(now);
-        self.prof_add_sub(SubSection::TransportLink, t);
-        let t = Instant::now();
-        self.compute_routes();
-        self.prof_add_sub(SubSection::TransportRoutes, t);
-        let t = Instant::now();
-        self.switch_allocation(now);
-        self.prof_add_sub(SubSection::TransportArbitration, t);
-        self.prof_add(Section::Transport, t0);
-
-        set_alloc_section(Some(Section::Injection));
-        let t0 = Instant::now();
-        let t = Instant::now();
-        self.inject_local_flits(now);
-        self.prof_add_sub(SubSection::InjectSerialize, t);
-        self.prof_add(Section::Injection, t0);
-
-        set_alloc_section(Some(Section::Accounting));
-        let t0 = Instant::now();
-        self.stats.electrical_energy_j +=
-            self.power.static_energy_per_cycle_j(self.routers.len(), self.cycle_seconds)
-                * self.config.static_power_fraction();
-        self.now += 1;
-        self.stats.tick();
-        self.prof_add(Section::Accounting, t0);
-        set_alloc_section(None);
-
-        if let Some(p) = self.profiler.as_mut() {
-            p.tick();
-        }
-        if let Some(w) = self.work.as_deref_mut() {
-            w.cycles += 1;
-        }
-    }
-
+    /// Runs one phase of [`Self::step`]. With profiling on, it also tags
+    /// the allocation counter with the phase's section and charges the
+    /// phase's wall time to its [`Section`] or [`SubSection`] (a sub is
+    /// timed inside its section, so sub sums stay ≤ the section).
+    /// Without profiling it costs a branch on the profiler's presence.
     #[inline]
-    fn prof_add(&mut self, section: Section, t0: Instant) {
-        if let Some(p) = self.profiler.as_mut() {
-            p.add(section, t0);
-        }
-    }
-
-    #[inline]
-    fn prof_add_sub(&mut self, sub: SubSection, t0: Instant) {
-        if let Some(p) = self.profiler.as_mut() {
-            p.add_sub(sub, t0);
+    fn timed(&mut self, phase: impl Phase, run: impl FnOnce(&mut Self)) {
+        let start = self.profiler.is_some().then(|| {
+            set_alloc_section(Some(phase.section()));
+            Instant::now()
+        });
+        run(self);
+        if let (Some(t0), Some(profiler)) = (start, self.profiler.as_mut()) {
+            phase.charge(profiler, t0);
         }
     }
 
@@ -550,8 +464,8 @@ impl CmeshNetwork {
             let lane = usize::from(req.core == CoreType::Gpu);
             if self.backlogs[req.cluster][lane].len() >= self.config.backlog_packets {
                 self.stats.record_injection_stall();
-                if self.probe_on {
-                    self.probe.record(&TraceEvent::InjectionStall {
+                if let Some(probe) = self.probe.as_mut() {
+                    probe.record(&TraceEvent::InjectionStall {
                         router: req.cluster,
                         at: now.as_u64(),
                         core: req.core,
@@ -565,9 +479,10 @@ impl CmeshNetwork {
     }
 
     fn deliver_link_flits(&mut self, now: Cycle) {
-        if let Some(w) = self.work.as_deref_mut() {
+        let sweep = self.links.len() as u64;
+        if let Some(w) = self.work_mut() {
             // One sweep visit per in-flight link flit, due or not.
-            w.loop_iterations += self.links.len() as u64;
+            w.loop_iterations += sweep;
         }
         let mut due = Vec::new();
         self.links.retain(|lf| {
@@ -584,10 +499,10 @@ impl CmeshNetwork {
     }
 
     fn compute_routes(&mut self) {
-        if let Some(w) = self.work.as_deref_mut() {
+        let channels = (self.routers.len() * Port::ALL.len() * self.config.vcs_per_port) as u64;
+        if let Some(w) = self.work_mut() {
             // The scan always visits every (router, port, vc) channel.
-            w.loop_iterations +=
-                (self.routers.len() * Port::ALL.len() * self.config.vcs_per_port) as u64;
+            w.loop_iterations += channels;
         }
         for i in 0..self.routers.len() {
             let here = NodeId(i);
@@ -613,7 +528,7 @@ impl CmeshNetwork {
         // at the end: the candidate loop is the simulator's hottest
         // path, and a per-iteration `Option` dereference is measurable
         // wall-clock overhead where a register increment is not.
-        let counting = self.work.is_some();
+        let counting = self.profiler.is_some();
         let (mut scanned, mut with_work, mut candidates, mut grants) = (0u64, 0u64, 0u64, 0u64);
         for i in 0..self.routers.len() {
             if counting {
@@ -674,7 +589,7 @@ impl CmeshNetwork {
                 grants += granted as u64;
             }
         }
-        if let Some(w) = self.work.as_deref_mut() {
+        if let Some(w) = self.work_mut() {
             w.routers_scanned += scanned;
             w.routers_with_work += with_work;
             w.loop_iterations += candidates;
@@ -699,7 +614,7 @@ impl CmeshNetwork {
     }
 
     fn grant_mesh(&mut self, i: usize, in_port: Port, vc: usize, dir: Direction, now: Cycle) {
-        if let Some(w) = self.work.as_deref_mut() {
+        if let Some(w) = self.work_mut() {
             w.flits_moved += 1;
         }
         self.routers[i].link_free_at[dir as usize] =
@@ -727,7 +642,7 @@ impl CmeshNetwork {
     }
 
     fn grant_local(&mut self, i: usize, in_port: Port, vc: usize, now: Cycle) {
-        if let Some(w) = self.work.as_deref_mut() {
+        if let Some(w) = self.work_mut() {
             w.flits_moved += 1;
         }
         let flit = self.pop_and_credit(i, in_port, vc);
@@ -748,9 +663,7 @@ impl CmeshNetwork {
 
     fn deliver(&mut self, i: usize, packet: Packet, now: Cycle) {
         self.stats.record_delivery(&packet, now);
-        if self.span_on {
-            self.emit_packet_spans(i, &packet, now);
-        }
+        self.emit_packet_spans(i, &packet, now);
         match packet.kind {
             PacketKind::Response => {
                 let lane = usize::from(packet.core == CoreType::Gpu);
@@ -844,7 +757,7 @@ impl CmeshNetwork {
             let mut states = std::mem::take(&mut self.inject_current[i]);
             states.retain_mut(|state| {
                 let vc = state.vc;
-                if let Some(w) = self.work.as_deref_mut() {
+                if let Some(w) = self.work_mut() {
                     // One visit per parallel stream, stalled or not.
                     w.loop_iterations += 1;
                 }
@@ -859,7 +772,7 @@ impl CmeshNetwork {
                 let flit = state.flits.pop_front().expect("inject state holds flits");
                 let (packet_id, is_tail) = (flit.packet_id, flit.kind.is_tail());
                 self.routers[i].accept_flit(Port::Local, vc, flit);
-                if let Some(w) = self.work.as_deref_mut() {
+                if let Some(w) = self.work_mut() {
                     w.flits_moved += 1;
                 }
                 if is_tail {
@@ -1022,14 +935,5 @@ mod tests {
         // we simply verify forward progress continues.
         n.run(5_000);
         assert!(n.stats().total_delivered_packets() > delivered_before);
-    }
-
-    #[test]
-    fn diagnostics_string_is_informative() {
-        let mut n = net(4);
-        n.run(100);
-        let d = n.diagnostics();
-        assert!(d.contains("buffered="));
-        assert!(d.contains("outstanding="));
     }
 }

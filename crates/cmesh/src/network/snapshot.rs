@@ -215,8 +215,7 @@ impl CmeshNetwork {
         // re-activates it, and a live sink on the restoring side keeps
         // tracking on even when the checkpoint predates span recording.
         self.span_tracker = span_tracker;
-        self.span_on = self.span_tracker.is_some() || !self.span_sink.is_null();
-        if self.span_on && self.span_tracker.is_none() {
+        if self.span_tracker.is_none() && !self.span_sink.is_null() {
             self.span_tracker = Some(CmeshSpanTracker::default());
         }
         Ok(())

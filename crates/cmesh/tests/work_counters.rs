@@ -20,7 +20,6 @@ fn counters_and_profiler_never_perturb_the_run() {
     let bare_summary = bare.run(CYCLES);
 
     let mut observed = build();
-    observed.enable_work_counters();
     observed.enable_profiling();
     let observed_summary = observed.run(CYCLES);
 
@@ -32,9 +31,9 @@ fn counters_and_profiler_never_perturb_the_run() {
 #[test]
 fn counters_reconcile_and_the_meshless_machinery_stays_zero() {
     let mut net = CmeshBuilder::new().seed(2).build(pair());
-    net.enable_work_counters();
+    net.enable_profiling();
     net.run(CYCLES);
-    let w = net.work_counters().expect("counters enabled").clone();
+    let w = net.profile_report().expect("profiling enabled").work;
     w.reconcile().expect("pair inequalities hold");
     assert_eq!(w.cycles, CYCLES);
     assert!(w.routers_scanned > 0 && w.routers_with_work > 0);
@@ -50,13 +49,6 @@ fn counters_reconcile_and_the_meshless_machinery_stays_zero() {
     assert_eq!(ratios.closed_windows, None);
     assert_eq!(ratios.power_noop, None);
     assert!(ratios.idle_scan.is_some() && ratios.arb_loss.is_some());
-
-    // The fast and profiled step paths count identically.
-    let mut profiled = CmeshBuilder::new().seed(2).build(pair());
-    profiled.enable_work_counters();
-    profiled.enable_profiling();
-    profiled.run(CYCLES);
-    assert_eq!(profiled.work_counters(), Some(&w));
 }
 
 #[test]
@@ -85,13 +77,13 @@ fn profiler_attributes_the_mesh_specific_sub_phases() {
 fn counters_are_excluded_from_snapshots_and_state_hashes() {
     let build = || CmeshBuilder::new().seed(6).build(pair());
     let mut counted = build();
-    counted.enable_work_counters();
+    counted.enable_profiling();
     counted.run(CYCLES);
     let checkpoint = counted.snapshot();
     let mut restored = build();
     restored.restore(&checkpoint).expect("checkpoint restores");
     assert_eq!(restored.state_hash(), counted.state_hash());
-    assert!(restored.work_counters().is_none());
+    assert!(restored.profile_report().is_none());
     let a = counted.run(1_000);
     let b = restored.run(1_000);
     assert_eq!(format!("{a:?}"), format!("{b:?}"));

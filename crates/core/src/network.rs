@@ -33,7 +33,7 @@ use pearl_photonics::{
     FaultConfig, FaultModel, FaultStats, PowerModel, StateResidency, WavelengthState,
 };
 use pearl_telemetry::{
-    set_alloc_section, NullProbe, NullSink, Probe, ProfileReport, Section, SelfProfiler, Span,
+    set_alloc_section, NullSink, Phase, Probe, ProfileReport, Section, SelfProfiler, Span,
     SpanKind, SpanSink, SubSection, TraceEvent, TransitionCause, WorkCounters,
 };
 use pearl_workloads::{BenchmarkPair, Destination, TrafficModel, TrafficSource};
@@ -279,30 +279,18 @@ pub struct PearlNetwork {
     /// actual for the ladder's accuracy monitor.
     pending_predictions: Vec<Option<f64>>,
     cycle_seconds: f64,
-    /// Telemetry sink (see [`PearlNetwork::attach_probe`]). The default
-    /// [`NullProbe`] is never called: every emission site is gated on
-    /// the cached `probe_on` flag.
-    probe: Box<dyn Probe>,
-    /// Cached `!probe.is_null()` — the one branch a disabled probe
-    /// costs per emission site.
-    probe_on: bool,
-    /// Causal span sink (see [`PearlNetwork::attach_span_sink`]). The
-    /// default [`NullSink`] is never called: every site is gated on the
-    /// cached `span_on` flag.
+    /// Telemetry sink (see [`PearlNetwork::attach_probe`]); `None`
+    /// while no live probe is attached.
+    probe: Option<Box<dyn Probe>>,
+    /// Causal span sink (see [`PearlNetwork::attach_span_sink`]),
+    /// called only while `span_tracker` exists.
     span_sink: Box<dyn SpanSink>,
-    /// Cached `!span_sink.is_null()`.
-    span_on: bool,
-    /// Span bookkeeping, allocated only while span tracking is on.
+    /// Span bookkeeping, present exactly while span tracking is on.
     span_tracker: Option<SpanTracker>,
-    /// Wall-clock self-profiler (see [`PearlNetwork::enable_profiling`]).
+    /// Wall-clock self-profiler and the work counters it owns (see
+    /// [`PearlNetwork::enable_profiling`]). Observer state: never
+    /// serialized, never hashed.
     profiler: Option<SelfProfiler>,
-    /// Wasted-work counters (see
-    /// [`PearlNetwork::enable_work_counters`]). Observer state like the
-    /// profiler: never serialized, never hashed.
-    work: Option<Box<WorkCounters>>,
-    /// Cached `work.is_some()` — the one branch a disabled counter site
-    /// costs, mirroring `probe_on`/`span_on`.
-    work_on: bool,
 }
 
 impl PearlNetwork {
@@ -380,59 +368,51 @@ impl PearlNetwork {
             ladder,
             pending_predictions: vec![None; endpoints],
             cycle_seconds,
-            probe: Box::new(NullProbe),
-            probe_on: false,
+            probe: None,
             span_sink: Box::new(NullSink),
-            span_on: false,
             span_tracker: None,
             profiler: None,
-            work: None,
-            work_on: false,
         }
     }
 
-    /// Attaches a telemetry sink. With the default [`NullProbe`] (or
-    /// any probe whose `is_null()` is true) every emission site reduces
-    /// to one cached-flag branch and the run is bit-identical to an
-    /// uninstrumented build — the overhead contract pinned by the
+    /// Attaches a telemetry sink. A probe whose `is_null()` is true
+    /// (such as [`pearl_telemetry::NullProbe`]) is not stored, so every
+    /// emission site reduces to one branch and the run is bit-identical
+    /// to an uninstrumented build — the overhead contract pinned by the
     /// `telemetry_null_probe_identity` property test.
     ///
     /// Attaching a live probe also enables the fault model's event log
     /// so structural λ/laser faults reach the trace.
     pub fn attach_probe(&mut self, probe: Box<dyn Probe>) {
-        self.probe_on = !probe.is_null();
-        self.probe = probe;
-        self.fault.set_event_log(self.probe_on);
+        self.probe = (!probe.is_null()).then_some(probe);
+        self.fault.set_event_log(self.probe.is_some());
     }
 
     /// True when a live (non-null) probe is attached.
     pub fn probe_enabled(&self) -> bool {
-        self.probe_on
+        self.probe.is_some()
     }
 
-    /// Attaches a causal span sink. With the default [`NullSink`] every
-    /// emission site reduces to one cached-flag branch, no tracker
-    /// state is kept, and the run is bit-identical to an
-    /// uninstrumented build — spans are derived observers, never
-    /// simulation state. Attaching a live sink allocates the tracker;
-    /// attaching a null sink drops it.
+    /// Attaches a causal span sink. With the default [`NullSink`] no
+    /// tracker state is kept, every emission site reduces to one
+    /// branch, and the run is bit-identical to an uninstrumented build
+    /// — spans are derived observers, never simulation state. Attaching
+    /// a live sink allocates the tracker; attaching a null sink drops
+    /// it.
     pub fn attach_span_sink(&mut self, sink: Box<dyn SpanSink>) {
-        self.span_on = !sink.is_null();
-        self.span_sink = sink;
-        if self.span_on {
-            if self.span_tracker.is_none() {
-                self.span_tracker = Some(SpanTracker::new(self.routers.len()));
-            }
-        } else {
+        if sink.is_null() {
             self.span_tracker = None;
+        } else if self.span_tracker.is_none() {
+            self.span_tracker = Some(SpanTracker::new(self.routers.len()));
         }
+        self.span_sink = sink;
     }
 
     /// True when a live (non-null) span sink is attached (or span
     /// tracking was re-enabled by restoring a snapshot taken with
     /// spans on).
     pub fn span_enabled(&self) -> bool {
-        self.span_on
+        self.span_tracker.is_some()
     }
 
     /// Causal parent (request packet id) of `packet`, if it is a
@@ -441,38 +421,29 @@ impl PearlNetwork {
         self.span_tracker.as_ref().and_then(|t| t.parent.get(&packet).copied())
     }
 
-    /// Turns on wall-clock self-profiling: subsequent [`step`]s run on
-    /// an instrumented path attributing time to step-loop phases.
+    /// Turns on wall-clock self-profiling and wasted-work accounting:
+    /// subsequent [`step`]s attribute their time to step-loop phases and
+    /// count hot-loop visits vs. useful outcomes into the profiler's
+    /// [`WorkCounters`]. Both are observer state: the simulated state
+    /// stream is bit-identical either way.
     ///
     /// [`step`]: PearlNetwork::step
     pub fn enable_profiling(&mut self) {
         self.profiler = Some(SelfProfiler::start());
     }
 
-    /// The self-profile accumulated since [`enable_profiling`], if on.
+    /// The self-profile and work counters accumulated since
+    /// [`enable_profiling`], if on.
     ///
     /// [`enable_profiling`]: PearlNetwork::enable_profiling
     pub fn profile_report(&self) -> Option<ProfileReport> {
         self.profiler.as_ref().map(SelfProfiler::report)
     }
 
-    /// Turns on wasted-work accounting: hot-loop sites start counting
-    /// visits vs. useful outcomes into a [`WorkCounters`]. Counters are
-    /// observer state under the probe/span overhead contract — disabled
-    /// sites cost one cached-flag branch and the simulated state stream
-    /// is bit-identical either way. They work on both the fast and the
-    /// profiled step path.
-    pub fn enable_work_counters(&mut self) {
-        self.work = Some(Box::new(WorkCounters::new()));
-        self.work_on = true;
-    }
-
-    /// The wasted-work counters accumulated since
-    /// [`enable_work_counters`], if on.
-    ///
-    /// [`enable_work_counters`]: PearlNetwork::enable_work_counters
-    pub fn work_counters(&self) -> Option<&WorkCounters> {
-        self.work.as_deref()
+    /// The work counters, while profiling is on.
+    #[inline]
+    fn work_mut(&mut self) -> Option<&mut WorkCounters> {
+        self.profiler.as_mut().map(SelfProfiler::work_mut)
     }
 
     /// The configuration in use.
@@ -564,140 +535,64 @@ impl PearlNetwork {
         }
     }
 
-    /// Advances the simulation by one network cycle.
+    /// Advances the simulation by one network cycle, running the phases
+    /// in the order the module docs list, each through [`Self::timed`].
     pub fn step(&mut self) {
-        if self.profiler.is_some() {
-            self.step_profiled();
-        } else {
-            self.step_fast();
-        }
-    }
-
-    /// The unprofiled per-cycle path (the default).
-    fn step_fast(&mut self) {
         let now = self.now;
-
-        self.fault.step();
-        if self.probe_on {
-            self.drain_fault_events(now);
-        }
-        self.inject_workload(now);
-        self.release_responses(now);
-        self.run_dba();
-        self.land_deliveries(now);
-        self.start_transfers(now);
-        if self.span_on {
-            self.classify_head_waits();
-        }
-        self.eject_and_serve(now);
-        self.sample_and_account(now);
-        self.scale_power(now);
-        self.sample_timeline(now);
-
-        self.now += 1;
-        self.stats.tick();
-        if let Some(w) = self.work.as_deref_mut() {
-            w.cycles += 1;
-        }
-    }
-
-    /// The profiled per-cycle path: identical phase order, with each
-    /// phase's wall time attributed to a [`Section`] (and sub-phases to
-    /// a [`SubSection`] — timed *inside* the section window, so sub
-    /// sums stay ≤ their section). Each phase also tags the allocation
-    /// counter's thread-local section; without `--features alloc-count`
-    /// those calls are empty inline stubs. Kept separate from
-    /// [`step_fast`](Self::step_fast) so unprofiled runs never pay for
-    /// `Instant::now`.
-    fn step_profiled(&mut self) {
-        let now = self.now;
-
-        set_alloc_section(Some(Section::Faults));
-        let t0 = Instant::now();
-        self.fault.step();
-        if self.probe_on {
-            self.drain_fault_events(now);
-        }
-        self.prof_add(Section::Faults, t0);
-
-        set_alloc_section(Some(Section::Injection));
-        let t0 = Instant::now();
-        let t = Instant::now();
-        self.inject_workload(now);
-        self.prof_add_sub(SubSection::InjectTraffic, t);
-        let t = Instant::now();
-        self.release_responses(now);
-        self.prof_add_sub(SubSection::InjectResponses, t);
-        self.prof_add(Section::Injection, t0);
-
-        set_alloc_section(Some(Section::Dba));
-        let t0 = Instant::now();
-        self.run_dba();
-        self.prof_add(Section::Dba, t0);
-
-        set_alloc_section(Some(Section::Transport));
-        let t0 = Instant::now();
-        let t = Instant::now();
-        self.land_deliveries(now);
-        self.prof_add_sub(SubSection::TransportLand, t);
-        let t = Instant::now();
-        self.start_transfers(now);
-        self.prof_add_sub(SubSection::TransportLaunch, t);
-        if self.span_on {
-            self.classify_head_waits();
-        }
-        self.prof_add(Section::Transport, t0);
-
-        set_alloc_section(Some(Section::Ejection));
-        let t0 = Instant::now();
-        self.eject_and_serve(now);
-        self.prof_add(Section::Ejection, t0);
-
-        set_alloc_section(Some(Section::Power));
-        let t0 = Instant::now();
-        let t = Instant::now();
-        self.sample_and_account(now);
-        self.prof_add_sub(SubSection::PowerSample, t);
-        let t = Instant::now();
-        self.scale_power(now);
-        self.prof_add_sub(SubSection::PowerScale, t);
-        self.prof_add(Section::Power, t0);
-
-        set_alloc_section(Some(Section::Accounting));
-        let t0 = Instant::now();
-        self.sample_timeline(now);
-        self.now += 1;
-        self.stats.tick();
-        self.prof_add(Section::Accounting, t0);
-        set_alloc_section(None);
-
-        if let Some(p) = self.profiler.as_mut() {
-            p.tick();
-        }
-        if let Some(w) = self.work.as_deref_mut() {
-            w.cycles += 1;
+        self.timed(Section::Faults, |net| {
+            net.fault.step();
+            net.drain_fault_events(now);
+        });
+        self.timed(Section::Injection, |net| {
+            net.timed(SubSection::InjectTraffic, |net| net.inject_workload(now));
+            net.timed(SubSection::InjectResponses, |net| net.release_responses(now));
+        });
+        self.timed(Section::Dba, PearlNetwork::run_dba);
+        self.timed(Section::Transport, |net| {
+            net.timed(SubSection::TransportLand, |net| net.land_deliveries(now));
+            net.timed(SubSection::TransportLaunch, |net| net.start_transfers(now));
+            net.classify_head_waits();
+        });
+        self.timed(Section::Ejection, |net| net.eject_and_serve(now));
+        self.timed(Section::Power, |net| {
+            net.timed(SubSection::PowerSample, |net| net.sample_and_account(now));
+            net.timed(SubSection::PowerScale, |net| net.scale_power(now));
+        });
+        self.timed(Section::Accounting, |net| {
+            net.sample_timeline(now);
+            net.now += 1;
+            net.stats.tick();
+        });
+        if let Some(profiler) = self.profiler.as_mut() {
+            set_alloc_section(None);
+            profiler.tick();
         }
     }
 
+    /// Runs one phase of [`Self::step`]. With profiling on, it also tags
+    /// the allocation counter with the phase's section and charges the
+    /// phase's wall time to its [`Section`] or [`SubSection`] (a sub is
+    /// timed inside its section, so sub sums stay ≤ the section).
+    /// Without profiling it costs a branch on the profiler's presence.
     #[inline]
-    fn prof_add(&mut self, section: Section, t0: Instant) {
-        if let Some(p) = self.profiler.as_mut() {
-            p.add(section, t0);
+    fn timed<T>(&mut self, phase: impl Phase, run: impl FnOnce(&mut Self) -> T) -> T {
+        let start = self.profiler.is_some().then(|| {
+            set_alloc_section(Some(phase.section()));
+            Instant::now()
+        });
+        let out = run(self);
+        if let (Some(t0), Some(profiler)) = (start, self.profiler.as_mut()) {
+            phase.charge(profiler, t0);
         }
-    }
-
-    #[inline]
-    fn prof_add_sub(&mut self, sub: SubSection, t0: Instant) {
-        if let Some(p) = self.profiler.as_mut() {
-            p.add_sub(sub, t0);
-        }
+        out
     }
 
     /// Forwards structural fault events logged by the fault model this
-    /// cycle to the probe (only called with a live probe attached).
+    /// cycle to the probe (the model logs only while one is attached).
     fn drain_fault_events(&mut self, now: Cycle) {
+        let Some(probe) = self.probe.as_mut() else { return };
         for (router, kind) in self.fault.drain_events() {
-            self.probe.record(&TraceEvent::Fault { router, at: now.as_u64(), kind });
+            probe.record(&TraceEvent::Fault { router, at: now.as_u64(), kind });
         }
     }
 
@@ -812,8 +707,8 @@ impl PearlNetwork {
                 Ok(()) => self.stats.record_injection(&for_stats),
                 Err(_) => {
                     self.stats.record_injection_stall();
-                    if self.probe_on {
-                        self.probe.record(&TraceEvent::InjectionStall {
+                    if let Some(probe) = self.probe.as_mut() {
+                        probe.record(&TraceEvent::InjectionStall {
                             router: req.cluster,
                             at: now.as_u64(),
                             core: req.core,
@@ -926,75 +821,54 @@ impl PearlNetwork {
         effective.serialization_cycles() as f64 / usable.serialization_cycles() as f64
     }
 
+    /// Algorithm 1's per-cycle DBA: every router's CPU share follows its
+    /// (fault-scaled) buffer occupancies. The discrete policy picks one
+    /// of the five splits and keeps it in `allocation`; the fine-grained
+    /// one sets the share directly. Each split has its own CPU share, so
+    /// a changed share is a changed allocation.
     fn run_dba(&mut self) {
-        match self.policy.bandwidth {
-            BandwidthPolicy::Dynamic(_) => {
-                for i in 0..self.routers.len() {
-                    let scale = self.fault_pressure_scale(i);
-                    let (beta_cpu, beta_gpu, changed, share) = {
-                        let router = &mut self.routers[i];
-                        let (beta_cpu, beta_gpu) = router.betas();
-                        let prev = router.allocation;
-                        router.allocation = self
-                            .dba
-                            .allocate((beta_cpu * scale).min(1.0), (beta_gpu * scale).min(1.0));
-                        router.cpu_share = router.allocation.share(CoreType::Cpu);
-                        (beta_cpu, beta_gpu, router.allocation != prev, router.cpu_share)
-                    };
-                    if let Some(w) = self.work.as_deref_mut() {
-                        w.dba_invocations += 1;
-                        w.dba_reallocs += u64::from(changed);
-                    }
-                    if self.probe_on && changed {
-                        self.probe.record(&TraceEvent::DbaRealloc {
-                            router: i,
-                            at: self.now.as_u64(),
-                            beta_cpu,
-                            beta_gpu,
-                            cpu_share: share,
-                        });
-                    }
+        if matches!(self.policy.bandwidth, BandwidthPolicy::Fcfs) {
+            return;
+        }
+        for i in 0..self.routers.len() {
+            let scale = self.fault_pressure_scale(i);
+            let router = &mut self.routers[i];
+            let (beta_cpu, beta_gpu) = router.betas();
+            let (cpu, gpu) = ((beta_cpu * scale).min(1.0), (beta_gpu * scale).min(1.0));
+            let prev = router.cpu_share;
+            router.cpu_share = match self.fine {
+                Some(fine) => fine.cpu_share(cpu, gpu),
+                None => {
+                    router.allocation = self.dba.allocate(cpu, gpu);
+                    router.allocation.share(CoreType::Cpu)
                 }
+            };
+            let cpu_share = router.cpu_share;
+            let changed = cpu_share != prev;
+            if let Some(w) = self.work_mut() {
+                w.dba_invocations += 1;
+                w.dba_reallocs += u64::from(changed);
             }
-            BandwidthPolicy::DynamicFine { .. } => {
-                let Some(fine) = self.fine else {
-                    // from_parts builds the allocator with the policy.
-                    debug_assert!(false, "fine allocator missing under DynamicFine");
-                    return;
-                };
-                for i in 0..self.routers.len() {
-                    let scale = self.fault_pressure_scale(i);
-                    let (beta_cpu, beta_gpu, changed, share) = {
-                        let router = &mut self.routers[i];
-                        let (beta_cpu, beta_gpu) = router.betas();
-                        let prev = router.cpu_share;
-                        router.cpu_share = fine
-                            .cpu_share((beta_cpu * scale).min(1.0), (beta_gpu * scale).min(1.0));
-                        (beta_cpu, beta_gpu, router.cpu_share != prev, router.cpu_share)
-                    };
-                    if let Some(w) = self.work.as_deref_mut() {
-                        w.dba_invocations += 1;
-                        w.dba_reallocs += u64::from(changed);
-                    }
-                    if self.probe_on && changed {
-                        self.probe.record(&TraceEvent::DbaRealloc {
-                            router: i,
-                            at: self.now.as_u64(),
-                            beta_cpu,
-                            beta_gpu,
-                            cpu_share: share,
-                        });
-                    }
-                }
+            if !changed {
+                continue;
             }
-            BandwidthPolicy::Fcfs => {}
+            if let Some(probe) = self.probe.as_mut() {
+                probe.record(&TraceEvent::DbaRealloc {
+                    router: i,
+                    at: self.now.as_u64(),
+                    beta_cpu,
+                    beta_gpu,
+                    cpu_share,
+                });
+            }
         }
     }
 
     fn land_deliveries(&mut self, now: Cycle) {
-        if let Some(w) = self.work.as_deref_mut() {
+        let sweep = self.in_flight.len() as u64;
+        if let Some(w) = self.work_mut() {
             // One sweep visit per in-flight transfer, landed or not.
-            w.loop_iterations += self.in_flight.len() as u64;
+            w.loop_iterations += sweep;
         }
         let mut landed = Vec::new();
         self.in_flight.retain(|flight| {
@@ -1021,8 +895,8 @@ impl PearlNetwork {
                 let backoff =
                     (RETRY_BACKOFF_BASE << flight.attempts.min(31)).min(RETRY_BACKOFF_CAP);
                 self.stats.record_retransmission(backoff);
-                if self.probe_on {
-                    self.probe.record(&TraceEvent::Retransmission {
+                if let Some(probe) = self.probe.as_mut() {
+                    probe.record(&TraceEvent::Retransmission {
                         packet: flight.packet.id,
                         src: flight.src,
                         dst: flight.dst,
@@ -1034,7 +908,7 @@ impl PearlNetwork {
                 // The NACK itself takes one propagation delay to reach
                 // the source before the backoff clock starts.
                 let ready = now + self.config.delivery_latency + backoff;
-                if self.span_on {
+                if self.span_tracker.is_some() {
                     // The backoff window (NACK propagation included) is
                     // charged to the *next* flight's attempt number.
                     let span = Span {
@@ -1072,7 +946,7 @@ impl PearlNetwork {
                     Some(t) => t.busy_until <= now,
                     None => true,
                 };
-                if let Some(w) = self.work.as_deref_mut() {
+                if let Some(w) = self.work_mut() {
                     w.loop_iterations += 1;
                     w.arb_attempts += u64::from(free);
                 }
@@ -1082,11 +956,11 @@ impl PearlNetwork {
                 self.routers[i].channels[c] = None;
                 let launched = self.try_start_transfer(i, c, now);
                 launched_any |= launched;
-                if let Some(w) = self.work.as_deref_mut() {
+                if let Some(w) = self.work_mut() {
                     w.arb_grants += u64::from(launched);
                 }
             }
-            if let Some(w) = self.work.as_deref_mut() {
+            if let Some(w) = self.work_mut() {
                 w.routers_scanned += 1;
                 w.routers_with_work += u64::from(launched_any);
             }
@@ -1108,7 +982,7 @@ impl PearlNetwork {
                     Some(t) => t.busy_until <= now,
                     None => true,
                 };
-                if let Some(w) = self.work.as_deref_mut() {
+                if let Some(w) = self.work_mut() {
                     w.loop_iterations += 1;
                     w.arb_attempts += u64::from(free);
                 }
@@ -1119,7 +993,7 @@ impl PearlNetwork {
                 let holder = self.tokens[d];
                 let started = holder != d && self.try_start_mwsr_transfer(holder, d, c, now);
                 started_any |= started;
-                if let Some(w) = self.work.as_deref_mut() {
+                if let Some(w) = self.work_mut() {
                     w.arb_grants += u64::from(started);
                 }
                 // Token circulates whether or not the holder used it.
@@ -1129,7 +1003,7 @@ impl PearlNetwork {
                 }
                 self.tokens[d] = next;
             }
-            if let Some(w) = self.work.as_deref_mut() {
+            if let Some(w) = self.work_mut() {
                 w.routers_scanned += 1;
                 w.routers_with_work += u64::from(started_any);
             }
@@ -1153,7 +1027,7 @@ impl PearlNetwork {
         now: Cycle,
     ) {
         let flits = packet.flits();
-        if let Some(w) = self.work.as_deref_mut() {
+        if let Some(w) = self.work_mut() {
             w.flits_moved += u64::from(flits);
         }
         let duration = u64::from(flits) * state.serialization_cycles();
@@ -1167,7 +1041,7 @@ impl PearlNetwork {
         self.routers[src].counters.record_sent(&packet);
         self.stats.modulation_energy_j +=
             self.power_model.modulation_energy_j(state, packet.bits(), self.cycle_seconds);
-        if self.span_on {
+        if self.span_tracker.is_some() {
             let serialization = Span {
                 packet: packet.id,
                 parent: self.span_parent(packet.id),
@@ -1205,7 +1079,7 @@ impl PearlNetwork {
             return false;
         }
         let state = self.fault.effective_state(i, self.routers[i].laser.usable_state());
-        if self.span_on {
+        if self.span_tracker.is_some() {
             self.record_retry_wait_span(i, &entry, now);
         }
         self.launch_transfer(i, dst, i, channel, state, entry.packet, entry.attempts, now);
@@ -1230,7 +1104,7 @@ impl PearlNetwork {
                 && entry.packet.dst.index() == d
                 && self.routers[d].recv_headroom() >= entry.packet.flits()
             {
-                if self.span_on {
+                if self.span_tracker.is_some() {
                     self.record_retry_wait_span(src, &entry, now);
                 }
                 self.launch_transfer(src, d, d, channel, state, entry.packet, entry.attempts, now);
@@ -1260,7 +1134,7 @@ impl PearlNetwork {
             debug_assert!(false, "lane head observed above");
             return false;
         };
-        if self.span_on {
+        if self.span_tracker.is_some() {
             self.record_prelaunch_spans(src, core, &packet, now);
         }
         self.launch_transfer(src, d, d, channel, state, packet, 0, now);
@@ -1338,7 +1212,7 @@ impl PearlNetwork {
         // Failed λs and laser degradation shrink the state actually
         // modulated onto the waveguide below what the laser powers.
         let state = self.fault.effective_state(i, self.routers[i].laser.usable_state());
-        if self.span_on {
+        if self.span_tracker.is_some() {
             self.record_prelaunch_spans(i, core, &packet, now);
         }
         self.launch_transfer(i, dst, i, channel, state, packet, 0, now);
@@ -1348,14 +1222,12 @@ impl PearlNetwork {
     fn eject_and_serve(&mut self, now: Cycle) {
         for i in 0..self.routers.len() {
             for _ in 0..self.config.ejection_packets_per_cycle {
-                if let Some(w) = self.work.as_deref_mut() {
+                if let Some(w) = self.work_mut() {
                     w.loop_iterations += 1;
                 }
                 let Some(packet) = self.routers[i].eject() else { break };
                 self.stats.record_delivery(&packet, now);
-                if self.span_on {
-                    self.emit_eject_span(i, &packet, now);
-                }
+                self.emit_eject_span(i, &packet, now);
                 if packet.kind == PacketKind::Response && i < self.config.clusters {
                     // A miss came back: free an outstanding-window slot.
                     let k = usize::from(packet.core == CoreType::Gpu);
@@ -1387,8 +1259,8 @@ impl PearlNetwork {
     /// transfer phase, each lane head that failed to launch is charged
     /// one cycle of `reservation_wait` (destination receive headroom
     /// missing) or `arbitration` (lost the channel, the weighted
-    /// arbiter, or the MWSR token). Pure observer work — runs only with
-    /// span tracking on and touches nothing the simulation reads.
+    /// arbiter, or the MWSR token). Pure observer work — does nothing
+    /// without span tracking and touches nothing the simulation reads.
     fn classify_head_waits(&mut self) {
         let Some(tracker) = self.span_tracker.as_mut() else { return };
         for i in 0..self.routers.len() {
@@ -1515,9 +1387,10 @@ impl PearlNetwork {
 
     fn sample_and_account(&mut self, now: Cycle) {
         let dt = self.cycle_seconds;
-        if let Some(w) = self.work.as_deref_mut() {
+        let routers = self.routers.len() as u64;
+        if let Some(w) = self.work_mut() {
             // One laser/energy bookkeeping tick per router per cycle.
-            w.power_updates += self.routers.len() as u64;
+            w.power_updates += routers;
         }
         let mut clamped: Vec<(usize, WavelengthState, WavelengthState)> = Vec::new();
         for (i, router) in self.routers.iter_mut().enumerate() {
@@ -1530,7 +1403,7 @@ impl PearlNetwork {
                 let before = router.laser.powered_state();
                 router.laser.apply_ceiling(self.fault.laser_ceiling(i), now.as_u64());
                 let after = router.laser.powered_state();
-                if self.probe_on && before != after {
+                if self.probe.is_some() && before != after {
                     clamped.push((i, before, after));
                 }
             }
@@ -1541,8 +1414,9 @@ impl PearlNetwork {
             self.stats.heating_energy_j +=
                 channels * self.power_model.heating_power_w(powered) * dt;
         }
+        let Some(probe) = self.probe.as_mut() else { return };
         for (router, from, to) in clamped {
-            self.probe.record(&TraceEvent::WavelengthTransition {
+            probe.record(&TraceEvent::WavelengthTransition {
                 router,
                 at: now.as_u64(),
                 from,
@@ -1568,7 +1442,7 @@ impl PearlNetwork {
             let offset = WINDOW_OFFSET_PER_ROUTER * i as u64;
             let t = now.as_u64() + 1;
             let open = t > offset && (t - offset).is_multiple_of(window);
-            if let Some(w) = self.work.as_deref_mut() {
+            if let Some(w) = self.work_mut() {
                 w.window_checks += 1;
                 w.windows_open += u64::from(open);
             }
@@ -1606,10 +1480,7 @@ impl PearlNetwork {
         let beta_total = self.routers[i].drain_window_beta();
         let channels = self.routers[i].channel_count() as u64;
         let ladder_mode_before = self.ladder.as_ref().map(DegradationLadder::mode);
-        let mut predicted_for_probe = None;
-        // `power/ml` sub-timing, measured inside the ML arm and booked
-        // after the borrow of the policy ends (profiled path only).
-        let mut ml_spent = None;
+        let mut predicted_flits = None;
         let target = match &self.policy.power {
             PowerPolicy::Static(_) => unreachable!("static policy has no window"),
             PowerPolicy::Reactive { thresholds, allow_8wl, .. } => {
@@ -1619,37 +1490,11 @@ impl PearlNetwork {
                     thresholds.decide_without_8wl(beta_total)
                 }
             }
-            PowerPolicy::Ml { scaler, allow_8wl, .. } => {
-                let t_ml = self.profiler.is_some().then(Instant::now);
-                let predicted = scaler.predict_flits(&features);
-                predicted_for_probe = Some(predicted);
-                let target = match self.ladder.as_mut() {
-                    None => scaler.select_state(predicted, window, channels, *allow_8wl),
-                    Some(ladder) => {
-                        // Score the prediction made at the previous
-                        // boundary against what this window offered;
-                        // predictions continue in shadow mode while
-                        // demoted so recovery stays observable.
-                        if let Some(prev) = self.pending_predictions[i].take() {
-                            ladder.observe(prev, label, now.as_u64());
-                        }
-                        self.pending_predictions[i] = Some(predicted);
-                        match ladder.mode() {
-                            ScalingMode::MlProactive => {
-                                scaler.select_state(predicted, window, channels, *allow_8wl)
-                            }
-                            ScalingMode::Reactive => {
-                                if *allow_8wl {
-                                    ladder.thresholds().decide(beta_total)
-                                } else {
-                                    ladder.thresholds().decide_without_8wl(beta_total)
-                                }
-                            }
-                            ScalingMode::StaticFull => WavelengthState::W64,
-                        }
-                    }
-                };
-                ml_spent = t_ml.map(|t| t.elapsed());
+            PowerPolicy::Ml { .. } => {
+                let (target, predicted) = self.timed(SubSection::PowerMl, |net| {
+                    net.ml_target(i, &features, label, beta_total, now)
+                });
+                predicted_flits = Some(predicted);
                 target
             }
             PowerPolicy::RandomWalk { .. } => {
@@ -1666,21 +1511,18 @@ impl PearlNetwork {
         // outcome is unchanged in a fault-free run).
         let target =
             if self.fault.is_enabled() { self.fault.effective_state(i, target) } else { target };
-        if let (Some(d), Some(p)) = (ml_spent, self.profiler.as_mut()) {
-            p.add_sub_duration(SubSection::PowerMl, d);
-        }
         let powered_before = self.routers[i].laser.powered_state();
         self.routers[i].laser.request(target, now.as_u64());
         let powered_after = self.routers[i].laser.powered_state();
-        if let Some(w) = self.work.as_deref_mut() {
+        if let Some(w) = self.work_mut() {
             w.power_changes += u64::from(powered_before != powered_after);
         }
         self.routers[i].counters.reset();
-        if self.probe_on {
+        if let Some(probe) = self.probe.as_mut() {
             let ladder_mode_after = self.ladder.as_ref().map(DegradationLadder::mode);
             if let (Some(from), Some(to)) = (ladder_mode_before, ladder_mode_after) {
                 if from != to {
-                    self.probe.record(&TraceEvent::LadderTransition {
+                    probe.record(&TraceEvent::LadderTransition {
                         at: now.as_u64(),
                         from: from.into(),
                         to: to.into(),
@@ -1689,7 +1531,7 @@ impl PearlNetwork {
                 }
             }
             if powered_before != powered_after {
-                self.probe.record(&TraceEvent::WavelengthTransition {
+                probe.record(&TraceEvent::WavelengthTransition {
                     router: i,
                     at: now.as_u64(),
                     from: powered_before,
@@ -1697,14 +1539,55 @@ impl PearlNetwork {
                     cause: TransitionCause::Scaling,
                 });
             }
-            self.probe.record(&TraceEvent::WindowClose {
+            probe.record(&TraceEvent::WindowClose {
                 router: i,
                 at: now.as_u64(),
                 beta_total,
-                predicted_flits: predicted_for_probe,
+                predicted_flits,
                 target,
             });
         }
+    }
+
+    /// The ML policy's window decision for router `i`: predicts the
+    /// next window's flits and picks the state by the ladder's mode,
+    /// after scoring the previous boundary's prediction against this
+    /// window's `label`. Returns the state and the prediction.
+    fn ml_target(
+        &mut self,
+        i: usize,
+        features: &FeatureVector,
+        label: f64,
+        beta_total: f64,
+        now: Cycle,
+    ) -> (WavelengthState, f64) {
+        let PowerPolicy::Ml { window, scaler, allow_8wl, .. } = &self.policy.power else {
+            unreachable!("ML window decision under a non-ML policy");
+        };
+        let channels = self.routers[i].channel_count() as u64;
+        let predicted = scaler.predict_flits(features);
+        let target = match self.ladder.as_mut() {
+            None => scaler.select_state(predicted, *window, channels, *allow_8wl),
+            Some(ladder) => {
+                // Score the prediction made at the previous boundary
+                // against what this window offered; predictions continue
+                // in shadow mode while demoted so recovery stays
+                // observable.
+                if let Some(prev) = self.pending_predictions[i].take() {
+                    ladder.observe(prev, label, now.as_u64());
+                }
+                self.pending_predictions[i] = Some(predicted);
+                match ladder.mode() {
+                    ScalingMode::MlProactive => {
+                        scaler.select_state(predicted, *window, channels, *allow_8wl)
+                    }
+                    ScalingMode::Reactive if *allow_8wl => ladder.thresholds().decide(beta_total),
+                    ScalingMode::Reactive => ladder.thresholds().decide_without_8wl(beta_total),
+                    ScalingMode::StaticFull => WavelengthState::W64,
+                }
+            }
+        };
+        (target, predicted)
     }
 }
 

@@ -1,10 +1,10 @@
-//! Work-counter integration tests: the wasted-work observatory obeys
-//! the same observer contract as the probe/span/profiler layers.
+//! Work-counter integration tests: the wasted-work observatory, which
+//! the self-profiler owns, obeys the same observer contract as the
+//! probe and span layers.
 //!
-//! Three properties anchor it. *Zero perturbation*: enabling the
-//! counters (alone or with the self-profiler) leaves the simulated
-//! trajectory — summary, state hash, and every traced byte —
-//! bit-identical to a bare run. *Honesty*: the collected counters
+//! Three properties anchor it. *Zero perturbation*: profiling (and so
+//! counting) leaves the simulated trajectory — summary, state hash, and
+//! every traced byte — bit-identical to a bare run. *Honesty*: the collected counters
 //! reconcile (useful ≤ visits pair-wise) and actually count the
 //! machinery the policy exercises. *State separation*: counters never
 //! enter snapshots or state hashes, so checkpoint/restore round-trips
@@ -32,8 +32,7 @@ fn enabled_counters_never_perturb_the_run() {
     let mut counted = build();
     let counted_probe = SharedRecorder::new();
     counted.attach_probe(Box::new(counted_probe.clone()));
-    counted.enable_work_counters();
-    counted.enable_profiling(); // the profiled step path has its own counter sites
+    counted.enable_profiling();
     let counted_summary = counted.run(CYCLES);
 
     assert_eq!(format!("{bare_summary:?}"), format!("{counted_summary:?}"));
@@ -46,9 +45,9 @@ fn enabled_counters_never_perturb_the_run() {
 #[test]
 fn counters_reconcile_and_cover_the_exercised_machinery() {
     let mut net = NetworkBuilder::new().policy(PearlPolicy::reactive(500)).seed(3).build(pair());
-    net.enable_work_counters();
+    net.enable_profiling();
     net.run(CYCLES);
-    let w = net.work_counters().expect("counters enabled").clone();
+    let w = net.profile_report().expect("profiling enabled").work;
     w.reconcile().expect("pair inequalities hold");
     assert_eq!(w.cycles, CYCLES);
     // A reactive policy exercises every counter family: router scans,
@@ -60,22 +59,15 @@ fn counters_reconcile_and_cover_the_exercised_machinery() {
     assert!(w.power_updates > 0);
     assert!(w.arb_attempts >= w.arb_grants && w.arb_grants > 0);
     assert!(w.loop_iterations > 0 && w.flits_moved > 0);
-    // The fast (unprofiled) and profiled step paths count identically.
-    let mut profiled =
-        NetworkBuilder::new().policy(PearlPolicy::reactive(500)).seed(3).build(pair());
-    profiled.enable_work_counters();
-    profiled.enable_profiling();
-    profiled.run(CYCLES);
-    assert_eq!(profiled.work_counters(), Some(&w));
 }
 
 #[test]
 fn counters_are_excluded_from_snapshots_and_state_hashes() {
     let build = || NetworkBuilder::new().policy(PearlPolicy::dyn_64wl()).seed(7).build(pair());
     let mut counted = build();
-    counted.enable_work_counters();
+    counted.enable_profiling();
     counted.run(CYCLES);
-    let mid_counters = counted.work_counters().cloned().expect("enabled");
+    let mid_counters = counted.profile_report().expect("profiling enabled").work;
     assert_ne!(mid_counters, WorkCounters::new(), "the run counted something");
 
     // Restoring the checkpoint into a bare network reproduces the exact
@@ -84,12 +76,12 @@ fn counters_are_excluded_from_snapshots_and_state_hashes() {
     let mut restored = build();
     restored.restore(&checkpoint).expect("checkpoint restores");
     assert_eq!(restored.state_hash(), counted.state_hash());
-    assert!(restored.work_counters().is_none(), "restore must not conjure observer state");
+    assert!(restored.profile_report().is_none(), "restore must not conjure observer state");
 
     // And restoring *into* a counting network leaves its counters
     // untouched — they are observer state, not simulation state.
     counted.restore(&checkpoint).expect("self-restore");
-    assert_eq!(counted.work_counters(), Some(&mid_counters));
+    assert_eq!(counted.profile_report().map(|p| p.work), Some(mid_counters));
 
     // Both continue bit-identically despite different counter state.
     let a = counted.run(1_000);

@@ -1,9 +1,8 @@
 //! The typed event taxonomy and the [`Probe`] sink trait.
 //!
-//! Simulators emit [`TraceEvent`]s into a `Box<dyn Probe>`. The default
-//! sink is [`NullProbe`]; every emission site is additionally guarded by
-//! a cached `probe_on` flag in the hot loop, so a disabled probe costs
-//! one predictable branch per site and allocates nothing — the
+//! Simulators emit [`TraceEvent`]s into an `Option<Box<dyn Probe>>`.
+//! Attaching a [`NullProbe`] stores `None`, so a disabled probe costs
+//! one predictable branch per emission site and allocates nothing — the
 //! overhead contract the property tests pin down is *bit-identical
 //! results*, not merely "close".
 //!
@@ -227,12 +226,11 @@ impl TraceEvent {
 /// `Debug` is a supertrait so networks holding a `Box<dyn Probe>` keep
 /// their derived `Debug` impls.
 pub trait Probe: fmt::Debug {
-    /// Receives one event. Called only when the owner's cached
-    /// `probe_on` flag is set, so implementations need not re-check.
+    /// Receives one event.
     fn record(&mut self, event: &TraceEvent);
 
-    /// True for [`NullProbe`] — owners cache `!is_null()` as their
-    /// `probe_on` flag so disabled probes never see a virtual call.
+    /// True for [`NullProbe`] — owners do not keep a null probe, so
+    /// disabled probes never see a virtual call.
     fn is_null(&self) -> bool {
         false
     }

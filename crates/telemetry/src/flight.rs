@@ -18,8 +18,8 @@
 //! post-mortem dump must be reachable from a `std::panic::set_hook`
 //! closure (which requires `Send + Sync + 'static`) while the same
 //! recorder is attached to a network as a probe. The recorder obeys the
-//! zero-overhead observer contract: it is only ever called behind the
-//! owners' cached `probe_on` / `span_on` flags, and it is never part of
+//! zero-overhead observer contract: owners call it only while it is
+//! attached as a live probe or span sink, and it is never part of
 //! a checkpoint or a state hash, so attaching it cannot perturb
 //! simulation results.
 

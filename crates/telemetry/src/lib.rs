@@ -25,7 +25,8 @@
 //! - [`WorkCounters`]: wasted-work accounting for the hot loops —
 //!   visits vs. useful-outcome pairs (idle router scans, closed-window
 //!   polls, no-op DBA/power updates, lost arbitrations) with derived
-//!   [`WasteRatios`] and reconciliation invariants.
+//!   [`WasteRatios`] and reconciliation invariants. The self-profiler
+//!   owns them, so profiling a run also counts its work.
 //! - [`alloc`]: with `--features alloc-count`, a counting global
 //!   allocator attributing allocation count/bytes to the active
 //!   profiler section (no-op stubs, and no unsafe code, otherwise).
@@ -98,7 +99,7 @@ pub use jsonl::{
     write_trace_file, write_trace_file_with, JsonlError,
 };
 pub use manifest::{fingerprint, ManifestError, RunManifest};
-pub use profiler::{ProfileReport, Section, SelfProfiler, SubSection};
+pub use profiler::{Phase, ProfileReport, Section, SelfProfiler, SubSection};
 pub use prometheus::{
     escape_label_value, prometheus_exposition, sanitize_metric_name, validate_exposition,
 };

@@ -4,11 +4,13 @@
 //! routing vs. DBA vs. the power/thermal models — and how many
 //! simulated cycles per wall-clock second a configuration sustains.
 //! [`SelfProfiler`] accumulates per-[`Section`] wall time; the network
-//! calls `add` with `Instant` deltas around each phase of its `step`.
-//! Profiling is opt-in and lives on a separate code path from the
-//! unprofiled `step`, so runs without it pay nothing.
+//! runs each [`Phase`] of its `step` through one helper that, with
+//! profiling on, charges the phase's `Instant` delta here. It also owns
+//! the run's [`WorkCounters`], so one switch turns on both where and
+//! why. Profiling is opt-in: without it each phase costs one branch.
 
 use crate::json::JsonValue;
+use crate::work::WorkCounters;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -205,13 +207,48 @@ impl SubSection {
     }
 }
 
+/// A step-loop phase the profiler charges wall time to: a whole
+/// [`Section`] or one of its [`SubSection`]s.
+pub trait Phase: Copy {
+    /// The section the phase's allocations are attributed to.
+    fn section(self) -> Section;
+
+    /// Charges the time since `t0` to this phase.
+    fn charge(self, profiler: &mut SelfProfiler, t0: Instant);
+}
+
+impl Phase for Section {
+    #[inline]
+    fn section(self) -> Section {
+        self
+    }
+
+    #[inline]
+    fn charge(self, profiler: &mut SelfProfiler, t0: Instant) {
+        profiler.add(self, t0);
+    }
+}
+
+impl Phase for SubSection {
+    #[inline]
+    fn section(self) -> Section {
+        self.parent()
+    }
+
+    #[inline]
+    fn charge(self, profiler: &mut SelfProfiler, t0: Instant) {
+        profiler.add_sub(self, t0);
+    }
+}
+
 /// Accumulates wall time per [`Section`] (and optional [`SubSection`])
-/// plus a simulated-cycle count.
+/// plus the run's [`WorkCounters`], whose `cycles` is the simulated-cycle
+/// count.
 #[derive(Debug, Clone)]
 pub struct SelfProfiler {
     totals: [Duration; Section::ALL.len()],
     sub_totals: [Duration; SubSection::ALL.len()],
-    cycles: u64,
+    work: WorkCounters,
     started: Instant,
 }
 
@@ -221,7 +258,7 @@ impl SelfProfiler {
         SelfProfiler {
             totals: [Duration::ZERO; Section::ALL.len()],
             sub_totals: [Duration::ZERO; SubSection::ALL.len()],
-            cycles: 0,
+            work: WorkCounters::new(),
             started: Instant::now(),
         }
     }
@@ -240,22 +277,21 @@ impl SelfProfiler {
         self.sub_totals[sub.index()] += t0.elapsed();
     }
 
-    /// Attributes an already-measured duration to `sub` (for sites that
-    /// cannot call back mid-borrow).
+    /// The wasted-work counters the hot loops count into.
     #[inline]
-    pub fn add_sub_duration(&mut self, sub: SubSection, d: Duration) {
-        self.sub_totals[sub.index()] += d;
+    pub fn work_mut(&mut self) -> &mut WorkCounters {
+        &mut self.work
     }
 
     /// Counts one simulated cycle.
     #[inline]
     pub fn tick(&mut self) {
-        self.cycles += 1;
+        self.work.cycles += 1;
     }
 
     /// Simulated cycles counted so far.
     pub fn cycles(&self) -> u64 {
-        self.cycles
+        self.work.cycles
     }
 
     /// Snapshots the profile. The report's wall clock is the time since
@@ -263,15 +299,17 @@ impl SelfProfiler {
     /// (always ≤ wall, the remainder being untimed glue).
     pub fn report(&self) -> ProfileReport {
         ProfileReport {
-            cycles: self.cycles,
+            cycles: self.work.cycles,
             wall: self.started.elapsed(),
             sections: Section::ALL.into_iter().map(|s| (s, self.totals[s.index()])).collect(),
             subs: SubSection::ALL.into_iter().map(|s| (s, self.sub_totals[s.index()])).collect(),
+            work: self.work.clone(),
         }
     }
 }
 
-/// A finished profile: cycles, wall time and per-section attribution.
+/// A finished profile: cycles, wall time, per-section attribution and
+/// the work counters of the same cycles.
 #[derive(Debug, Clone)]
 pub struct ProfileReport {
     /// Simulated cycles covered.
@@ -283,6 +321,10 @@ pub struct ProfileReport {
     /// `(sub-section, attributed time)` in [`SubSection::ALL`] order.
     /// Empty for profiles collected before sub-phase timing existed.
     pub subs: Vec<(SubSection, Duration)>,
+    /// Wasted-work counters. Not part of [`ProfileReport::to_json`]:
+    /// artifacts store them beside the timing (see
+    /// [`WorkCounters::to_json`]).
+    pub work: WorkCounters,
 }
 
 impl ProfileReport {
@@ -297,9 +339,11 @@ impl ProfileReport {
         let mut sub_totals = [Duration::ZERO; SubSection::ALL.len()];
         let mut cycles = 0u64;
         let mut wall = Duration::ZERO;
+        let mut work = WorkCounters::new();
         for report in reports {
             cycles += report.cycles;
             wall += report.wall;
+            work.merge(&report.work);
             for &(section, d) in &report.sections {
                 totals[section.index()] += d;
             }
@@ -312,6 +356,7 @@ impl ProfileReport {
             wall,
             sections: Section::ALL.into_iter().map(|s| (s, totals[s.index()])).collect(),
             subs: SubSection::ALL.into_iter().map(|s| (s, sub_totals[s.index()])).collect(),
+            work,
         }
     }
 
@@ -436,9 +481,10 @@ impl ProfileReport {
         ])
     }
 
-    /// Parses a report serialized by [`ProfileReport::to_json`].
-    /// Unknown section/sub names are skipped (forward compatibility);
-    /// a missing `subs` object reads as no sub-phase data.
+    /// Parses a report serialized by [`ProfileReport::to_json`], with
+    /// zero work counters. Unknown section/sub names are skipped
+    /// (forward compatibility); a missing `subs` object reads as no
+    /// sub-phase data.
     pub fn from_json(v: &JsonValue) -> Option<ProfileReport> {
         let cycles = v.get("cycles")?.as_u64()?;
         let wall = Duration::from_secs_f64(v.get("wall_seconds")?.as_f64()?.max(0.0));
@@ -463,6 +509,7 @@ impl ProfileReport {
             wall,
             sections: Section::ALL.into_iter().map(|s| (s, totals[s.index()])).collect(),
             subs: SubSection::ALL.into_iter().map(|s| (s, sub_totals[s.index()])).collect(),
+            work: WorkCounters::new(),
         })
     }
 }
@@ -523,8 +570,12 @@ mod tests {
         p.add(Section::Dba, t0);
         p.tick();
         p.tick();
+        p.work_mut().dba_invocations += 3;
         let report = p.report();
         assert_eq!(report.cycles, 2);
+        // The counters ride along and share the cycle count.
+        assert_eq!(report.work.cycles, 2);
+        assert_eq!(report.work.dba_invocations, 3);
         assert!(report.wall >= Duration::from_millis(2));
         let dba = report.sections.iter().find(|(s, _)| *s == Section::Dba).unwrap().1;
         assert!(dba >= Duration::from_millis(2));
@@ -556,6 +607,7 @@ mod tests {
                 (SubSection::PowerScale, Duration::from_millis(ms_power / 2)),
                 (SubSection::PowerMl, Duration::from_millis(ms_power / 4)),
             ],
+            work: WorkCounters { cycles, dba_invocations: ms_dba, ..WorkCounters::new() },
         }
     }
 
@@ -564,6 +616,8 @@ mod tests {
         let merged = ProfileReport::merged([&report(100, 2, 4), &report(250, 5, 8)]);
         assert_eq!(merged.cycles, 350);
         assert_eq!(merged.wall, Duration::from_millis(7 + 14));
+        assert_eq!(merged.work.cycles, 350);
+        assert_eq!(merged.work.dba_invocations, 7);
         // Every section appears in canonical order, absent ones zeroed.
         assert_eq!(merged.sections.len(), Section::ALL.len());
         let by_name = |name: &str| {
@@ -618,6 +672,7 @@ mod tests {
             wall: Duration::from_millis(29),
             sections: vec![(Section::Transport, Duration::from_millis(20))],
             subs: Vec::new(),
+            work: WorkCounters::new(),
         };
         let merged = ProfileReport::merged([&a, &b]);
         assert_eq!(merged.section_time(Section::Dba), Duration::from_millis(10));

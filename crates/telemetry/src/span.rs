@@ -11,10 +11,10 @@
 //! property tests in `pearl-core` and `pearl-cmesh`.
 //!
 //! The sink side mirrors the `Probe`/`NullProbe` split: simulators
-//! emit into a `Box<dyn SpanSink>` guarded by a cached `span_on` flag,
-//! so the default [`NullSink`] costs one predictable branch per site
-//! and the bit-identity contract (instrumented ≡ uninstrumented)
-//! holds. [`SpanRecorder`] is the real sink — a capped *ring*: when
+//! emit into a `Box<dyn SpanSink>` only while they track spans, and
+//! attaching the default [`NullSink`] turns tracking off, so it costs
+//! one predictable branch per site and the bit-identity contract
+//! (instrumented ≡ uninstrumented) holds. [`SpanRecorder`] is the real sink — a capped *ring*: when
 //! full it evicts the oldest span (keeping the most recent window)
 //! and counts the eviction, never truncating silently.
 //!
@@ -149,11 +149,11 @@ impl Span {
 
 /// A sink for [`Span`]s. Mirrors [`crate::Probe`]: `Debug` is a
 /// supertrait so networks holding a `Box<dyn SpanSink>` keep derived
-/// `Debug`, and owners cache `!is_null()` so a [`NullSink`] never sees
-/// a virtual call from the hot loop.
+/// `Debug`, and attaching a sink whose `is_null()` is true turns span
+/// tracking off, so a [`NullSink`] sees no calls from the hot loop.
 pub trait SpanSink: fmt::Debug {
-    /// Receives one closed span. Only called when the owner's cached
-    /// `span_on` flag is set.
+    /// Receives one closed span. Only called while the owner tracks
+    /// spans.
     fn record_span(&mut self, span: &Span);
 
     /// True for [`NullSink`].

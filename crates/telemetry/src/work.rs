@@ -9,12 +9,13 @@
 //! inequalities ([`WorkCounters::reconcile`]) that the `report
 //! --hotpath` gate enforces on every exported artifact.
 //!
-//! Counters follow the [`Probe`](crate::Probe)/`SpanSink` overhead
-//! contract: they are opt-in observer state, never simulation state.
-//! Disabled, every site reduces to one cached-flag branch and the run
-//! is bit-identical (state hash, trace bytes, artifacts) to an
-//! uninstrumented build; counters are excluded from snapshots the same
-//! way the profiler is.
+//! The counters live inside the [`SelfProfiler`](crate::SelfProfiler):
+//! a network's `enable_profiling()` turns on both, and its
+//! `profile_report()` carries both. They are observer state, never
+//! simulation state. Off, every site costs one branch on the profiler's
+//! presence and the run is bit-identical (state hash, trace bytes,
+//! artifacts) to an unprofiled one; like the profiler, they are
+//! excluded from snapshots.
 
 use crate::json::JsonValue;
 use std::fmt;
