@@ -9,7 +9,8 @@
 //!
 //! ```text
 //! pearl-serve --spool spool --drain --jobs 4
-//! echo '{"kind":"pearl","cycles":30000}' > spool/incoming/myrun.json
+//! echo '{"kind":"pearl","cycles":30000}' > spool/incoming/myrun.json.part
+//! mv spool/incoming/myrun.json.part spool/incoming/myrun.json
 //! touch spool/stop          # graceful shutdown
 //! touch spool/cancel/myrun  # cancel one job
 //! ```
@@ -35,7 +36,11 @@ fn main() {
         .option("--spool", "DIR", "spool directory root (default: spool)")
         .flag("--drain", "exit once every job is terminal and incoming/ is empty")
         .flag("--once", "run one scan + dispatch wave, then exit")
-        .option("--poll-ms", "N", "idle sleep between scans (default: 200)")
+        .option(
+            "--poll-ms",
+            "N",
+            "longest idle sleep between scans; backs off from 1 ms (default: 200)",
+        )
         .option("--backoff-base-ms", "N", "retry backoff base (default: 500)")
         .option("--backoff-cap-ms", "N", "retry backoff cap (default: 60000)")
         .option(
@@ -43,7 +48,11 @@ fn main() {
             "SPEC",
             "inject storage faults, e.g. 'enospc@12x3,torn@30,crash@40' (testing)",
         )
-        .option("--io-retries", "N", "transient I/O error retry attempts (default: 3)")
+        .option(
+            "--io-retries",
+            "N",
+            "total attempts per storage operation on transient errors; 1 = no retry (default: 3)",
+        )
         .option(
             "--listen",
             "ADDR",
@@ -67,9 +76,12 @@ fn main() {
         });
         config.storage = Arc::new(FaultStorage::new(schedule));
     }
+    let attempts = parsed_ms(&args, "--io-retries", u64::from(RetryPolicy::default().attempts));
     config.io_retry = RetryPolicy {
-        attempts: parsed_ms(&args, "--io-retries", u64::from(RetryPolicy::default().attempts))
-            as u32,
+        attempts: u32::try_from(attempts).unwrap_or_else(|_| {
+            eprintln!("error: --io-retries expects at most {}, got {attempts}", u32::MAX);
+            std::process::exit(2);
+        }),
         ..RetryPolicy::default()
     };
 

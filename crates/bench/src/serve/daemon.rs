@@ -52,7 +52,10 @@ pub struct DaemonConfig {
     pub drain: bool,
     /// Run exactly one scan + dispatch wave, then exit.
     pub once: bool,
-    /// Idle sleep between scans (milliseconds).
+    /// Longest idle sleep between scans (milliseconds). An idle daemon
+    /// sleeps 1 ms, doubles the sleep on each idle iteration up to this
+    /// cap, and starts over at 1 ms whenever a spec arrives, a
+    /// cancellation applies or a wave runs.
     pub poll_ms: u64,
     /// Base of the bounded-exponential retry backoff (milliseconds).
     pub backoff_base_ms: u64,
@@ -93,8 +96,9 @@ impl fmt::Debug for DaemonConfig {
 }
 
 impl DaemonConfig {
-    /// Defaults for a spool root: machine-sized pool, 200 ms poll,
-    /// 500 ms backoff base capped at 60 s, real filesystem storage.
+    /// Defaults for a spool root: machine-sized pool, idle sleeps capped
+    /// at 200 ms, 500 ms backoff base capped at 60 s, real filesystem
+    /// storage.
     pub fn new(spool: Spool) -> DaemonConfig {
         DaemonConfig {
             spool,
@@ -151,6 +155,13 @@ pub struct Daemon {
     specs: HashMap<String, ExperimentSpec>,
     summary: DaemonSummary,
     progress: ProgressLog,
+}
+
+/// The idle sleep (ms) that follows one of `last_ms` (0 when the daemon
+/// has not slept since it last did something): 1 ms, then doubling,
+/// never more than `poll_ms`.
+fn next_idle_ms(last_ms: u64, poll_ms: u64) -> u64 {
+    last_ms.saturating_mul(2).clamp(1, poll_ms.max(1))
 }
 
 /// Milliseconds since the UNIX epoch (0 if the clock is before it).
@@ -318,30 +329,47 @@ impl Daemon {
     /// Runs the daemon loop until shutdown (stop sentinel), `--once`
     /// completes a wave, or `--drain` settles the queue.
     ///
+    /// An idle loop backs its sleep off from 1 ms to `poll_ms` (see
+    /// [`DaemonConfig::poll_ms`]), so a spec dropped into a quiet spool
+    /// is admitted within milliseconds without the loop spinning. The
+    /// status board is republished only after an iteration that changed
+    /// something or moved the daemon's state.
+    ///
     /// # Errors
     ///
     /// Filesystem failures saving the journal; per-job failures are
     /// handled, not propagated.
     pub fn run(&mut self) -> std::io::Result<DaemonSummary> {
-        self.publish("running");
+        let mut published = "running";
+        self.publish(published);
+        let mut idle_ms = 0;
         loop {
-            self.scan_incoming()?;
-            self.apply_cancellations()?;
+            let found = self.scan_incoming()?;
+            let cancelled = self.apply_cancellations()?;
             if self.storage.exists(&self.config.spool.stop_path()) {
                 self.summary.shutdown = true;
                 break;
             }
             let dispatched = self.dispatch_wave()?;
-            self.publish(if self.settled() { "settled" } else { "running" });
+            let active = found || cancelled || dispatched > 0;
+            let state = if self.settled() { "settled" } else { "running" };
+            if active || state != published {
+                self.publish(state);
+                published = state;
+            }
             if self.config.once {
                 break;
             }
+            if active {
+                idle_ms = 0;
+            }
             if dispatched == 0 {
+                idle_ms = next_idle_ms(idle_ms, self.config.poll_ms);
                 if self.settled() {
                     if self.config.drain {
                         break;
                     }
-                    std::thread::sleep(Duration::from_millis(self.config.poll_ms));
+                    std::thread::sleep(Duration::from_millis(idle_ms));
                 } else {
                     // Jobs exist but are waiting out a backoff; sleep
                     // only as long as the nearest deadline needs.
@@ -352,8 +380,8 @@ impl Daemon {
                         .filter(|j| j.status == JobStatus::Queued)
                         .map(|j| j.not_before_ms.saturating_sub(now_ms()))
                         .min()
-                        .unwrap_or(self.config.poll_ms);
-                    std::thread::sleep(Duration::from_millis(wake.min(self.config.poll_ms).max(1)));
+                        .unwrap_or(idle_ms);
+                    std::thread::sleep(Duration::from_millis(wake.clamp(1, idle_ms)));
                 }
             }
         }
@@ -374,8 +402,9 @@ impl Daemon {
 
     /// Validates and admits everything in `incoming/`, in name order so
     /// acceptance order (and therefore FIFO tie-breaks) is
-    /// deterministic.
-    fn scan_incoming(&mut self) -> std::io::Result<()> {
+    /// deterministic. Returns whether there was any spec to admit or
+    /// reject.
+    fn scan_incoming(&mut self) -> std::io::Result<bool> {
         let spool = self.config.spool.clone();
         let entries: Vec<_> = self
             .storage
@@ -386,7 +415,7 @@ impl Daemon {
         if entries.is_empty() {
             // Nothing admitted or rejected: don't rewrite the journal on
             // every idle poll tick.
-            return Ok(());
+            return Ok(false);
         }
         for path in entries {
             let id = path.file_stem().and_then(|s| s.to_str()).unwrap_or("").to_string();
@@ -455,13 +484,15 @@ impl Daemon {
                 }
             }
         }
-        self.journal.save_with(self.storage.as_ref(), spool.journal_path())
+        self.journal.save_with(self.storage.as_ref(), spool.journal_path())?;
+        Ok(true)
     }
 
     /// Cancels queued jobs whose marker appeared (running jobs observe
     /// their marker themselves at the next chunk boundary). Markers for
-    /// terminal or unknown jobs are cleaned up.
-    fn apply_cancellations(&mut self) -> std::io::Result<()> {
+    /// terminal or unknown jobs are cleaned up. Returns whether any job
+    /// was cancelled.
+    fn apply_cancellations(&mut self) -> std::io::Result<bool> {
         let spool = self.config.spool.clone();
         let mut dirty = false;
         for marker in self.storage.list(&spool.cancel_dir())? {
@@ -498,7 +529,7 @@ impl Daemon {
         if dirty {
             self.journal.save_with(self.storage.as_ref(), spool.journal_path())?;
         }
-        Ok(())
+        Ok(dirty)
     }
 
     /// Dispatches every ready job as one supervised wave. Returns how
@@ -823,6 +854,65 @@ mod tests {
         config.poll_ms = 5;
         config.backoff_base_ms = 1;
         config
+    }
+
+    #[test]
+    fn idle_sleep_backs_off_from_one_ms_to_poll_ms() {
+        let schedule = |poll_ms: u64, n: usize| -> Vec<u64> {
+            std::iter::successors(Some(next_idle_ms(0, poll_ms)), |&ms| {
+                Some(next_idle_ms(ms, poll_ms))
+            })
+            .take(n)
+            .collect()
+        };
+        assert_eq!(schedule(200, 10), [1, 2, 4, 8, 16, 32, 64, 128, 200, 200]);
+        assert_eq!(schedule(1, 4), [1, 1, 1, 1]);
+        assert_eq!(next_idle_ms(u64::MAX, 200), 200);
+        // An iteration that did something resets the last sleep to 0, so
+        // the next one starts over at 1 ms from wherever the backoff was.
+        let reset = 0;
+        assert_eq!(next_idle_ms(reset, 200), 1);
+    }
+
+    #[test]
+    fn settled_idle_daemon_stops_republishing_status() {
+        let spool = scratch("quiet-status");
+        drop_spec(&spool, "q1", r#"{"kind": "cmesh", "cycles": 500}"#);
+        let storage = Arc::new(pearl_telemetry::FaultStorage::counting());
+        let board = StatusBoard::new();
+        let mut config = DaemonConfig::new(spool.clone());
+        config.jobs = 1;
+        config.poll_ms = 2;
+        config.storage = storage.clone();
+        config.status = Some(board.clone());
+        let mut daemon = Daemon::new(config).unwrap();
+        let daemon = std::thread::spawn(move || daemon.run());
+
+        let ops = |op: &str, path: &Path| {
+            let path = path.display().to_string();
+            storage.op_log().iter().filter(|r| r.op == op && r.path == path).count()
+        };
+        let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(60);
+            while !done() {
+                assert!(std::time::Instant::now() < deadline, "daemon never {what}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        wait_for("settled", &|| board.status_json().contains("\"state\":\"settled\""));
+        let replays = ops("read", &spool.progress_path());
+        assert!(replays > 0, "publishing replays progress.jsonl");
+        // Each idle iteration lists incoming/ twice: wait out five.
+        let scans = ops("list", &spool.incoming());
+        wait_for("idled", &|| ops("list", &spool.incoming()) >= scans + 10);
+        assert_eq!(ops("read", &spool.progress_path()), replays, "idle loop replayed progress");
+
+        std::fs::write(spool.stop_path(), "").unwrap();
+        let summary = daemon.join().unwrap().unwrap();
+        assert!(summary.shutdown);
+        assert_eq!(summary.completed, 1);
+        assert!(board.status_json().contains("\"state\":\"stopped\""));
+        std::fs::remove_dir_all(spool.root()).ok();
     }
 
     #[test]

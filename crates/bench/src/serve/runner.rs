@@ -28,6 +28,11 @@
 //! dropped-count* in one atomic document (kind `"serve-resume"`), so
 //! the final trace is exactly `prefix ++ post-resume events` — the
 //! contract the chaos harness (`chaos --serve`) enforces byte for byte.
+//!
+//! The attempt keeps that JSONL as text and, at each checkpoint,
+//! renders only the events recorded since the previous one, so an event
+//! is rendered once however many bundles carry it. The bundles and the
+//! final `out/<id>.trace.jsonl` are all cut from the same text.
 
 use crate::serve::spec::{ExperimentSpec, SpecKind};
 use crate::serve::Spool;
@@ -270,24 +275,44 @@ fn write_resume_bundle(
     spool: &Spool,
     id: &str,
     net: &BuiltNet,
-    trace_prefix: &str,
-    recorder: &SharedRecorder,
-    prefix_dropped: u64,
+    trace: &mut Trace,
 ) -> std::io::Result<()> {
-    let mut trace = String::from(trace_prefix);
-    trace.push_str(&trace_text(&recorder.events()));
     let payload = JsonValue::obj(vec![
         ("checkpoint", net.checkpoint().to_json()),
-        ("trace", JsonValue::str(trace)),
-        ("dropped", JsonValue::str((prefix_dropped + recorder.dropped()).to_string())),
+        ("trace", JsonValue::str(trace.render())),
+        ("dropped", JsonValue::str(trace.dropped().to_string())),
     ]);
     write_sealed_with(storage, spool.resume_path(id), RESUME_KIND, &payload)
 }
 
-fn trace_text(events: &[pearl_telemetry::TraceEvent]) -> String {
-    let mut buf = Vec::new();
-    jsonl::write_trace(&mut buf, events).expect("in-memory trace write");
-    String::from_utf8(buf).expect("trace JSONL is UTF-8")
+/// An attempt's trace: the recorder on the network and the JSONL text
+/// rendered from it so far, after the prefix a resume bundle carried.
+#[derive(Default)]
+struct Trace {
+    recorder: SharedRecorder,
+    jsonl: Vec<u8>,
+    rendered: usize,
+    prefix_dropped: u64,
+}
+
+impl Trace {
+    /// Renders the events recorded since the last call and returns the
+    /// whole text. The recorder keeps its first `cap` events and drops
+    /// later ones, so a rendered event never changes and each is
+    /// rendered once.
+    fn render(&mut self) -> &str {
+        self.recorder.with(|r| {
+            jsonl::write_trace(&mut self.jsonl, &r.events()[self.rendered..])
+                .expect("in-memory trace write");
+            self.rendered = r.events().len();
+        });
+        std::str::from_utf8(&self.jsonl).expect("trace JSONL is UTF-8")
+    }
+
+    /// Events dropped past the recorder cap, before and after a resume.
+    fn dropped(&self) -> u64 {
+        self.prefix_dropped + self.recorder.dropped()
+    }
 }
 
 /// Runs one attempt end to end and, on completion, writes the `out/`
@@ -304,13 +329,13 @@ pub fn run_attempt(ctx: &AttemptContext<'_>) -> AttemptEnd {
     let spool = ctx.spool;
     let deadline = spec.deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
 
-    let recorder = SharedRecorder::new();
+    let mut trace = Trace::default();
     let mut net = BuiltNet::build(spec);
     // One probe slot per network: the offline recorder (traced specs)
     // and the flight recorder share it through a fanout when both ride.
     let mut probes: Vec<Box<dyn Probe>> = Vec::new();
     if spec.trace {
-        probes.push(Box::new(recorder.clone()));
+        probes.push(Box::new(trace.recorder.clone()));
     }
     if let Some(flight) = ctx.flight {
         probes.push(Box::new(flight.clone()));
@@ -321,13 +346,11 @@ pub fn run_attempt(ctx: &AttemptContext<'_>) -> AttemptEnd {
         _ => net.attach(Box::new(FanoutProbe::new(probes))),
     }
 
-    let mut trace_prefix = String::new();
-    let mut prefix_dropped = 0u64;
     if ctx.resume {
         if let Some(bundle) = load_resume_bundle(ctx.storage, spool, &spec.id) {
             if net.restore(&bundle.checkpoint).is_ok() {
-                trace_prefix = bundle.trace_prefix;
-                prefix_dropped = bundle.dropped;
+                trace.jsonl = bundle.trace_prefix.into_bytes();
+                trace.prefix_dropped = bundle.dropped;
                 let mut ev = ProgressEvent::new(&spec.id, "resumed");
                 ev.attempt = ctx.attempt;
                 ev.cycle = net.cycle();
@@ -354,15 +377,7 @@ pub fn run_attempt(ctx: &AttemptContext<'_>) -> AttemptEnd {
         if ctx.storage.exists(&spool.stop_path()) {
             // Checkpoint before yielding so the restarted daemon loses
             // nothing.
-            let _ = write_resume_bundle(
-                ctx.storage,
-                spool,
-                &spec.id,
-                n,
-                &trace_prefix,
-                &recorder,
-                prefix_dropped,
-            );
+            let _ = write_resume_bundle(ctx.storage, spool, &spec.id, n, &mut trace);
             stop_why = Some(StopWhy::Shutdown);
             return ControlFlow::Break("daemon shutdown".to_string());
         }
@@ -377,17 +392,7 @@ pub fn run_attempt(ctx: &AttemptContext<'_>) -> AttemptEnd {
         }
         if spec.checkpoint_every > 0 && n.cycle() - last_checkpoint >= spec.checkpoint_every {
             last_checkpoint = n.cycle();
-            if write_resume_bundle(
-                ctx.storage,
-                spool,
-                &spec.id,
-                n,
-                &trace_prefix,
-                &recorder,
-                prefix_dropped,
-            )
-            .is_ok()
-            {
+            if write_resume_bundle(ctx.storage, spool, &spec.id, n, &mut trace).is_ok() {
                 let mut ev = ProgressEvent::new(&spec.id, "checkpointed");
                 ev.attempt = ctx.attempt;
                 ev.cycle = n.cycle();
@@ -399,14 +404,17 @@ pub fn run_attempt(ctx: &AttemptContext<'_>) -> AttemptEnd {
     });
 
     match outcome {
-        Ok(()) => match write_artifacts(ctx, &net, &recorder, &trace_prefix, prefix_dropped) {
-            Ok(()) => AttemptEnd::Completed {
-                at_cycle: net.cycle(),
-                delivered: net.delivered_packets(),
-                state_hash: net.state_hash(),
-            },
-            Err(e) => AttemptEnd::Failed { reason: format!("artifact write failed: {e}") },
-        },
+        Ok(()) => {
+            let state_hash = net.state_hash();
+            match write_artifacts(ctx, &net, state_hash, &mut trace) {
+                Ok(()) => AttemptEnd::Completed {
+                    at_cycle: net.cycle(),
+                    delivered: net.delivered_packets(),
+                    state_hash,
+                },
+                Err(e) => AttemptEnd::Failed { reason: format!("artifact write failed: {e}") },
+            }
+        }
         Err(WatchError::Stalled(e)) => {
             // The black box earns its keep here: dump the last window of
             // trace events before the stall is folded into a retry.
@@ -435,9 +443,8 @@ pub fn run_attempt(ctx: &AttemptContext<'_>) -> AttemptEnd {
 fn write_artifacts(
     ctx: &AttemptContext<'_>,
     net: &BuiltNet,
-    recorder: &SharedRecorder,
-    trace_prefix: &str,
-    prefix_dropped: u64,
+    state_hash: u64,
+    trace: &mut Trace,
 ) -> std::io::Result<()> {
     let spec = ctx.spec;
     let spool = ctx.spool;
@@ -448,7 +455,7 @@ fn write_artifacts(
         ("pair", JsonValue::str(spec.pair().label())),
         ("seed", JsonValue::str(spec.seed.to_string())),
         ("cycles", JsonValue::u64(spec.cycles)),
-        ("state_hash", JsonValue::str(format!("{:016x}", net.state_hash()))),
+        ("state_hash", JsonValue::str(format!("{state_hash:016x}"))),
         ("summary", net.summary_json()),
     ]);
     pearl_telemetry::atomic_write_file_with(
@@ -457,17 +464,15 @@ fn write_artifacts(
         &format!("{result}\n"),
     )?;
 
-    let events = recorder.events();
     let mut trace_lines = 0u64;
     if spec.trace {
-        let mut trace = String::from(trace_prefix);
-        trace.push_str(&trace_text(&events));
-        trace_lines = trace.lines().count() as u64;
-        pearl_telemetry::atomic_write_file_with(ctx.storage, spool.trace_path(&spec.id), &trace)?;
+        let text = trace.render();
+        trace_lines = text.lines().count() as u64;
+        pearl_telemetry::atomic_write_file_with(ctx.storage, spool.trace_path(&spec.id), text)?;
     }
 
     let mut manifest = RunManifest::new("pearl-serve", spec.seed, spec.cycles)
-        .with_trace_counts(trace_lines, prefix_dropped + recorder.dropped())
+        .with_trace_counts(trace_lines, trace.dropped())
         .with_extra("job", JsonValue::str(&spec.id))
         .with_extra("kind", JsonValue::str(spec.kind.name()))
         .with_extra("pair", JsonValue::str(spec.pair().label()));
@@ -528,43 +533,53 @@ mod tests {
         std::fs::remove_dir_all(spool.root()).ok();
     }
 
+    /// A first-attempt context over the real filesystem.
+    fn attempt<'a>(
+        spool: &'a Spool,
+        spec: &'a ExperimentSpec,
+        resume: bool,
+        progress: &'a ProgressLog,
+    ) -> AttemptContext<'a> {
+        AttemptContext {
+            spool,
+            spec,
+            attempt: 1,
+            resume,
+            storage: &pearl_telemetry::OsStorage,
+            progress,
+            flight: None,
+        }
+    }
+
+    /// The result and trace artifacts of job `id`.
+    fn artifacts(spool: &Spool, id: &str) -> (String, String) {
+        (
+            std::fs::read_to_string(spool.result_path(id)).unwrap(),
+            std::fs::read_to_string(spool.trace_path(id)).unwrap(),
+        )
+    }
+
     #[test]
     fn shutdown_checkpoints_and_resume_is_byte_identical() {
         let spool = scratch("resume");
         let progress = ProgressLog::resuming_after(0);
         let body = r#"{"kind": "pearl", "policy": "reactive", "window": 500,
                        "cycles": 6000, "stall_window": 1000, "trace": true}"#;
-        let spec = spec("res1", body);
+        let res1 = spec("res1", body);
 
         // Golden: uninterrupted.
         let golden_spool = scratch("resume-golden");
-        let gctx = AttemptContext {
-            spool: &golden_spool,
-            spec: &spec,
-            attempt: 1,
-            resume: false,
-            storage: &pearl_telemetry::OsStorage,
-            progress: &progress,
-            flight: None,
-        };
-        assert!(matches!(run_attempt(&gctx), AttemptEnd::Completed { .. }));
-        let golden_result = std::fs::read_to_string(golden_spool.result_path("res1")).unwrap();
-        let golden_trace = std::fs::read_to_string(golden_spool.trace_path("res1")).unwrap();
+        assert!(matches!(
+            run_attempt(&attempt(&golden_spool, &res1, false, &progress)),
+            AttemptEnd::Completed { .. }
+        ));
+        let golden = artifacts(&golden_spool, "res1");
 
         // Interrupted: stop sentinel appears after the second chunk.
         // (Dropping the sentinel mid-run via the filesystem exercises
         // exactly the daemon's shutdown path.)
         std::fs::write(spool.stop_path(), "").unwrap();
-        let ctx = AttemptContext {
-            spool: &spool,
-            spec: &spec,
-            attempt: 1,
-            resume: false,
-            storage: &pearl_telemetry::OsStorage,
-            progress: &progress,
-            flight: None,
-        };
-        let end = run_attempt(&ctx);
+        let end = run_attempt(&attempt(&spool, &res1, false, &progress));
         let AttemptEnd::Stopped { why: StopWhy::Shutdown, at_cycle } = end else {
             panic!("expected shutdown stop, got {end:?}");
         };
@@ -573,18 +588,53 @@ mod tests {
 
         // Restart: resume consumes the bundle and finishes.
         std::fs::remove_file(spool.stop_path()).unwrap();
-        let ctx = AttemptContext {
-            spool: &spool,
-            spec: &spec,
-            attempt: 1,
-            resume: true,
-            storage: &pearl_telemetry::OsStorage,
-            progress: &progress,
-            flight: None,
-        };
-        assert!(matches!(run_attempt(&ctx), AttemptEnd::Completed { .. }));
-        assert_eq!(golden_result, std::fs::read_to_string(spool.result_path("res1")).unwrap());
-        assert_eq!(golden_trace, std::fs::read_to_string(spool.trace_path("res1")).unwrap());
+        assert!(matches!(
+            run_attempt(&attempt(&spool, &res1, true, &progress)),
+            AttemptEnd::Completed { .. }
+        ));
+        assert_eq!(golden, artifacts(&spool, "res1"));
+
+        // Periodic checkpoints, then a poison panic at cycle 3000: the
+        // bundle left behind is cycle 2000's, its trace rendered in two
+        // increments. Resuming it without the poison must still match an
+        // uninterrupted run byte for byte.
+        let clean = spec(
+            "res2",
+            r#"{"kind": "pearl", "policy": "reactive", "window": 500, "cycles": 6000,
+                "stall_window": 1000, "checkpoint_every": 1000, "trace": true}"#,
+        );
+        let poisoned = spec(
+            "res2",
+            r#"{"kind": "pearl", "policy": "reactive", "window": 500, "cycles": 6000,
+                "stall_window": 1000, "checkpoint_every": 1000, "trace": true,
+                "panic_at_cycle": 3000}"#,
+        );
+        assert!(matches!(
+            run_attempt(&attempt(&golden_spool, &clean, false, &progress)),
+            AttemptEnd::Completed { .. }
+        ));
+        let golden = artifacts(&golden_spool, "res2");
+
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_attempt(&attempt(&spool, &poisoned, false, &progress))
+        }));
+        assert!(crashed.is_err(), "the poison fires at cycle 3000");
+        let bundle =
+            read_sealed_with(&pearl_telemetry::OsStorage, spool.resume_path("res2"), RESUME_KIND)
+                .unwrap();
+        assert_eq!(Checkpoint::from_json(bundle.get("checkpoint").unwrap()).unwrap().cycle, 2_000);
+        let prefix = bundle.get("trace").and_then(JsonValue::as_str).unwrap();
+        let ats: Vec<u64> =
+            jsonl::read_trace(&mut prefix.as_bytes()).unwrap().iter().map(|e| e.at()).collect();
+        assert!(ats.iter().any(|&at| at < 1_000), "first increment rendered");
+        assert!(ats.iter().any(|&at| (1_000..2_000).contains(&at)), "second increment rendered");
+        assert!(golden.1.starts_with(prefix));
+
+        assert!(matches!(
+            run_attempt(&attempt(&spool, &clean, true, &progress)),
+            AttemptEnd::Completed { .. }
+        ));
+        assert_eq!(golden, artifacts(&spool, "res2"));
 
         std::fs::remove_dir_all(spool.root()).ok();
         std::fs::remove_dir_all(golden_spool.root()).ok();

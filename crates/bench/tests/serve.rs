@@ -68,6 +68,23 @@ fn full_spool_lifecycle_through_the_binary() {
     std::fs::remove_dir_all(&spool).ok();
 }
 
+#[test]
+fn out_of_range_io_retries_exit_2_instead_of_wrapping() {
+    let spool = scratch("io-retries");
+    // 2^32 would wrap to 0 attempts under a truncating cast.
+    let output = Command::new(SERVE)
+        .args(["--spool"])
+        .arg(&spool)
+        .args(["--drain", "--io-retries", "4294967296"])
+        .output()
+        .expect("spawn pearl-serve");
+    assert_eq!(output.status.code(), Some(2), "{output:?}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("--io-retries"), "{stderr}");
+    assert!(!spool.join("state").exists(), "no spool opened");
+    std::fs::remove_dir_all(&spool).ok();
+}
+
 /// Spawns the daemon in watch mode against `spool`.
 fn spawn_daemon(spool: &Path) -> Child {
     Command::new(SERVE)

@@ -56,13 +56,17 @@ pub fn write_sealed_with(
     kind: &str,
     payload: &JsonValue,
 ) -> std::io::Result<()> {
-    let envelope = JsonValue::obj(vec![
-        ("version", JsonValue::u64(JOURNAL_VERSION)),
-        ("kind", JsonValue::str(kind)),
-        ("payload_hash", JsonValue::str(fingerprint(&payload.to_string()).to_string())),
-        ("payload", payload.clone()),
-    ]);
-    storage.write_atomic(path.as_ref(), &format!("{envelope}\n"))
+    // Render the payload once: the hashed text is spliced verbatim into
+    // the envelope, byte-identical to rendering the envelope as one
+    // `JsonValue` object.
+    let payload = payload.to_string();
+    let envelope = format!(
+        "{{\"version\":{},\"kind\":{},\"payload_hash\":{},\"payload\":{payload}}}\n",
+        JsonValue::u64(JOURNAL_VERSION),
+        JsonValue::str(kind),
+        JsonValue::str(fingerprint(&payload).to_string()),
+    );
+    storage.write_atomic(path.as_ref(), &envelope)
 }
 
 /// Reads a document written by [`write_sealed`], verifying the version,
@@ -379,6 +383,34 @@ mod tests {
             read_sealed(&path, "serve-journal"),
             Err(SnapshotError::HashMismatch { .. })
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sealed_envelope_bytes_match_the_object_rendering() {
+        let dir = scratch("seal-bytes");
+        let path = dir.join("bundle.json");
+        let payload = JsonValue::obj(vec![
+            ("trace", JsonValue::str("{\"event\":\"fault\",\"at\":3}\n\t\u{1}é中😀\u{2028}\\")),
+            (
+                "nested",
+                JsonValue::obj(vec![
+                    ("quote\"key", JsonValue::Arr(vec![JsonValue::Num(0.5), JsonValue::Null])),
+                    ("ok", JsonValue::Bool(true)),
+                ]),
+            ),
+            ("dropped", JsonValue::str("0")),
+        ]);
+        let kind = "serve-\"resume\"";
+        write_sealed_with(&OsStorage, &path, kind, &payload).unwrap();
+        let envelope = JsonValue::obj(vec![
+            ("version", JsonValue::u64(JOURNAL_VERSION)),
+            ("kind", JsonValue::str(kind)),
+            ("payload_hash", JsonValue::str(fingerprint(&payload.to_string()).to_string())),
+            ("payload", payload.clone()),
+        ]);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), format!("{envelope}\n"));
+        assert_eq!(read_sealed(&path, kind).unwrap(), payload);
         std::fs::remove_dir_all(&dir).ok();
     }
 

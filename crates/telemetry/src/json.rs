@@ -144,19 +144,29 @@ impl fmt::Display for JsonValue {
     }
 }
 
+/// Writes `s` as a quoted JSON string, one `write_str` per run of
+/// characters that need no escape. Every escaped character is ASCII and
+/// no byte of a multi-byte UTF-8 sequence is, so byte indices at escapes
+/// are always character boundaries.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_fmt(format_args!("{c}"))?,
+    let mut run_start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        f.write_str(&s[run_start..i])?;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            _ => write!(f, "\\u{b:04x}")?,
+        }
+        run_start = i + 1;
     }
+    f.write_str(&s[run_start..])?;
     f.write_str("\"")
 }
 
@@ -268,13 +278,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 }
             }
             _ => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through unchanged).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| JsonError { pos: *pos, reason: "invalid UTF-8" })?;
-                let c = rest.chars().next().expect("non-empty checked above");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash.
+                // Validating only the run keeps parsing linear; both
+                // delimiters are ASCII, so the run ends on a char
+                // boundary and multi-byte sequences pass through intact.
+                let start = *pos;
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| JsonError { pos: start, reason: "invalid UTF-8" })?;
+                out.push_str(run);
             }
         }
     }
@@ -389,6 +403,51 @@ mod tests {
         let text = v.to_string();
         assert!(text.contains("\\u0001"));
         assert_eq!(JsonValue::parse(&text).unwrap(), v);
+    }
+
+    /// The original one-call-per-character escaper, kept as the oracle
+    /// the run-based writer must match byte for byte.
+    fn reference_escaped(s: &str) -> String {
+        use std::fmt::Write;
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn run_based_escaping_matches_the_per_character_reference() {
+        let chars: Vec<char> =
+            (0u8..0x80).map(char::from).chain(['é', '中', '😀', '\u{2028}']).collect();
+        for &c in &chars {
+            let run: String = std::iter::repeat_n(c, 3).collect();
+            for s in [
+                c.to_string(),
+                format!("{c}abc"),
+                format!("ab{c}cd"),
+                format!("abc{c}"),
+                run.clone(),
+                format!("x{run}y{run}"),
+                format!("{c}\"{c}\n{c}"),
+            ] {
+                let text = JsonValue::str(s.as_str()).to_string();
+                assert_eq!(text, reference_escaped(&s), "{s:?}");
+                assert_eq!(JsonValue::parse(&text).unwrap(), JsonValue::str(s.as_str()), "{s:?}");
+            }
+        }
+        let all: String = chars.iter().collect();
+        assert_eq!(JsonValue::str(all.as_str()).to_string(), reference_escaped(&all));
+        assert_eq!(JsonValue::str("").to_string(), reference_escaped(""));
     }
 
     #[test]
