@@ -1,6 +1,8 @@
 //! Golden state-hash ladder: `state_hash()` every 1,000 cycles up to
 //! 5,000 across the PEARL policies, both fabrics, a seeded fault
-//! configuration and both CMESH bandwidths.
+//! configuration and three CMESH link rates (full, half and quarter
+//! bandwidth; at a quarter a mesh output is busy three cycles in four,
+//! which exercises link pacing).
 //!
 //! The constants pin the complete simulated state, not a summary, so a
 //! kernel rewrite that changes any behaviour fails here and names the
@@ -112,13 +114,14 @@ fn build(name: &str) -> Net {
         ),
         "cmesh" => cmesh(CmeshConfig::pearl_baseline(), 10),
         "cmesh_half_bandwidth" => cmesh(CmeshConfig::bandwidth_reduced(2), 11),
+        "cmesh_quarter_bandwidth" => cmesh(CmeshConfig::bandwidth_reduced(4), 12),
         other => panic!("unknown ladder run {other}"),
     }
 }
 
 /// `(run, state hash after 1k, 2k, … 5k cycles)`.
 #[rustfmt::skip]
-const GOLDEN: [(&str, [u64; RUNGS]); 12] = [
+const GOLDEN: [(&str, [u64; RUNGS]); 13] = [
     ("fcfs_64wl", [0xaaad256521a95346, 0x06217e2554839f0f, 0xae6d3a37442b2363, 0xfddb5074d26ed11d, 0xba4f3f1d41ea8bd8]),
     ("dyn_64wl", [0xbcaee8a1db422028, 0x53a8529db34ede85, 0xc24ca69fb3c6971d, 0xda9f6ba8a903f549, 0xe0f180cf1fdbb80a]),
     ("dyn_fine", [0x3dd059c16cce3966, 0x39e9bf7e3b91e6f1, 0x1c280c2ad404a2eb, 0x1c50b0ab9bb3b335, 0x00f6c7e4f8ca11c9]),
@@ -131,6 +134,7 @@ const GOLDEN: [(&str, [u64; RUNGS]); 12] = [
     ("reactive_faults", [0xff4f725e287bbd95, 0x50202376dd4ed445, 0xc450f8c9623e0da7, 0x7534216f572314f5, 0xe1ae39f9db9810af]),
     ("cmesh", [0x838305c33b3dd629, 0x6a1c387f6fa6b286, 0xdc818a9495421b1c, 0x559852a6768c93d7, 0xf5432a5cc23f6cc0]),
     ("cmesh_half_bandwidth", [0xdeae4ef8a4b58b7c, 0xfe8d8fe9dd6c132a, 0x8e495e6ac8750868, 0x10160090078bd153, 0x070584b5359fdf7c]),
+    ("cmesh_quarter_bandwidth", [0x829f143d72a1de87, 0x7eee79826996e06f, 0xf53c775171cfd87c, 0x2a2b785f8f68af4e, 0x9c1b229d0d00f222]),
 ];
 
 fn ladder(name: &str, profiled: bool) -> [u64; RUNGS] {
