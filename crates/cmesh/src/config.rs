@@ -94,6 +94,8 @@ impl CmeshConfig {
     pub fn validate(&self) {
         assert!(self.width >= 2, "mesh must be at least 2x2");
         assert!(self.vcs_per_port >= 1, "need at least one VC");
+        // A router's occupancy mask holds one bit per (port, VC) in a u64.
+        assert!(self.vcs_per_port <= 12, "at most 12 VCs per port (5 ports x VCs <= 64 mask bits)");
         assert!(self.slots_per_vc >= 1, "VCs need at least one slot");
         assert!(
             self.l3_nodes.iter().all(|&n| n < self.clusters()),
@@ -135,6 +137,21 @@ mod tests {
     fn duplicate_l3_nodes_rejected() {
         let mut c = CmeshConfig::pearl_baseline();
         c.l3_nodes = [5, 5];
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 12 VCs")]
+    fn too_many_vcs_for_the_occupancy_mask_rejected() {
+        let mut c = CmeshConfig::pearl_baseline();
+        c.vcs_per_port = 13;
+        c.validate();
+    }
+
+    #[test]
+    fn twelve_vcs_fill_the_occupancy_mask() {
+        let mut c = CmeshConfig::pearl_baseline();
+        c.vcs_per_port = 12;
         c.validate();
     }
 

@@ -28,6 +28,13 @@ pub struct CmeshRouter {
     /// Earliest cycle each mesh output link is free again (bandwidth-
     /// reduced links pace flits out more slowly).
     pub(crate) link_free_at: [u64; 4],
+    /// Occupancy mask: bit `port * vcs + vc` is set while that input VC
+    /// holds a flit. Derived from `inputs`; never serialized or hashed.
+    pub(crate) occupied: u64,
+    /// Per-output candidate masks: the occupied input VCs whose head
+    /// packet routes to each output (`[Port::index()]`, same bit layout
+    /// as `occupied`). Rebuilt by route computation every cycle.
+    pub(crate) routed: [u64; 5],
 }
 
 impl CmeshRouter {
@@ -57,7 +64,15 @@ impl CmeshRouter {
             out_vc_owner,
             rr: vec![0; 5],
             link_free_at: [0; 4],
+            occupied: 0,
+            routed: [0; 5],
         }
+    }
+
+    /// Bit of input VC `(port, vc)` in the occupancy and candidate masks.
+    #[inline]
+    fn bit(&self, port: Port, vc: usize) -> u64 {
+        1 << (port.index() * self.vcs() + vc)
     }
 
     /// This router's node id.
@@ -96,6 +111,35 @@ impl CmeshRouter {
         self.inputs[port.index()][vc]
             .push(flit)
             .unwrap_or_else(|f| panic!("credit protocol violated at {}: {f}", self.node));
+        self.occupied |= self.bit(port, vc);
+    }
+
+    /// Pops the head flit of an input VC, clearing its occupancy bit
+    /// when the VC empties.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the VC is empty: switch allocation only grants
+    /// occupied VCs.
+    pub(crate) fn pop_flit(&mut self, port: Port, vc: usize) -> Flit {
+        let channel = &mut self.inputs[port.index()][vc];
+        let flit = channel.pop().expect("switch allocation granted an empty VC");
+        if channel.is_empty() {
+            self.occupied &= !self.bit(port, vc);
+        }
+        flit
+    }
+
+    /// Recomputes the occupancy mask from the input VCs (after their
+    /// state is restored from a checkpoint).
+    pub(crate) fn sync_occupancy(&mut self) {
+        self.occupied = self
+            .inputs
+            .iter()
+            .flatten()
+            .enumerate()
+            .filter(|(_, channel)| !channel.is_empty())
+            .fold(0, |mask, (flat, _)| mask | 1 << flat);
     }
 
     /// Credit available towards the downstream VC of a mesh output.

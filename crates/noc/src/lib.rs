@@ -46,7 +46,7 @@ pub use buffer::{BufferFullError, BufferState, PacketBuffer};
 pub use crc::{crc32, packet_checksum};
 pub use credit::CreditCounter;
 pub use cycle::{Cycle, Frequency};
-pub use flit::{Flit, FlitKind};
+pub use flit::{Flit, FlitKind, Flits};
 pub use histogram::LatencyHistogram;
 pub use packet::{CoreType, Packet, PacketId, PacketKind, TrafficClass};
 pub use rng::SimRng;
