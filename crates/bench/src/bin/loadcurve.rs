@@ -10,8 +10,10 @@
 //! heterogeneous traffic the evaluation actually runs — not bisection.
 //!
 //! Flags: `--json` writes `results/loadcurve.json`; `--profile` runs
-//! the PEARL side through the simulator's self-profiler and reports
-//! simulated-cycles/sec with per-phase wall-clock attribution;
+//! both networks through the simulator's self-profiler, reports the
+//! PEARL side's simulated-cycles/sec with per-phase wall-clock
+//! attribution and writes one hot-path artifact per network, each with
+//! its own allocation table when built with `--features alloc-count`;
 //! `--trace` additionally runs one instrumented PEARL run (probe *and*
 //! causal-span sink, with flit corruption forcing the retransmission
 //! path) and writes `results/loadcurve_trace.jsonl` — events and spans
@@ -23,8 +25,8 @@ use pearl_cmesh::CmeshBuilder;
 use pearl_core::{FaultConfig, NetworkBuilder, PearlPolicy};
 use pearl_noc::CoreType;
 use pearl_telemetry::{
-    alloc_stats, reset_alloc_stats, write_trace_file, JsonValue, ProfileReport, RunManifest,
-    SharedRecorder, SharedSpanRecorder, SpanKind, TraceEvent,
+    alloc_stats, reset_alloc_stats, write_trace_file, AllocStats, JsonValue, ProfileReport,
+    RunManifest, SharedRecorder, SharedSpanRecorder, SpanKind, TraceEvent,
 };
 use pearl_workloads::{BenchmarkPair, SyntheticPattern, SyntheticTraffic};
 
@@ -84,6 +86,28 @@ fn write_trace_artifacts() {
     );
 }
 
+/// Reads the allocation counter and restarts it. The counter is process
+/// global, so reading it around each network's run (`--profile` runs the
+/// sweep on one thread) charges every allocation to the network that
+/// made it.
+fn take_alloc_stats() -> Option<AllocStats> {
+    let stats = alloc_stats();
+    reset_alloc_stats();
+    stats
+}
+
+/// Sums per-run allocation tables row by row (every table has the same
+/// rows); `None` when the counting allocator is not compiled in.
+fn sum_alloc(tables: impl IntoIterator<Item = Option<AllocStats>>) -> Option<AllocStats> {
+    tables.into_iter().reduce(|sum, table| {
+        let (sum, table) = (sum?, table?);
+        let rows = sum.rows.iter().zip(&table.rows);
+        Some(AllocStats {
+            rows: rows.map(|(&(l, c, b), &(_, tc, tb))| (l, c + tc, b + tb)).collect(),
+        })
+    })?
+}
+
 fn main() {
     let args = pearl_bench::Cli::new(
         "loadcurve",
@@ -109,9 +133,6 @@ fn main() {
         if smoke { &[0.05, 0.30] } else { &[0.02, 0.05, 0.10, 0.15, 0.20, 0.30, 0.40] };
     // Each offered rate (PEARL + CMESH run) is one job; the curve is
     // printed from the index-ordered results below.
-    if profile {
-        reset_alloc_stats();
-    }
     let curve = pool.map(rates, |_, &rate| {
         let source = |seed: u64| {
             Box::new(SyntheticTraffic::new(
@@ -122,6 +143,9 @@ fn main() {
                 seed,
             ))
         };
+        if profile {
+            reset_alloc_stats();
+        }
         let mut pearl_net = NetworkBuilder::new()
             .policy(PearlPolicy::dyn_64wl())
             .seed(1)
@@ -131,22 +155,27 @@ fn main() {
         }
         let pearl = pearl_net.run(cycles);
         let prof = pearl_net.profile_report();
+        let pearl_alloc = if profile { take_alloc_stats() } else { None };
         let mut cmesh_net = CmeshBuilder::new().seed(1).build_from_source(source(1));
         if profile {
             cmesh_net.enable_profiling();
         }
         let cmesh = cmesh_net.run(cycles);
         let cprof = cmesh_net.profile_report();
-        (pearl, cmesh, prof, cprof)
+        let cmesh_alloc = if profile { take_alloc_stats() } else { None };
+        (pearl, cmesh, prof, cprof, pearl_alloc, cmesh_alloc)
     });
     let mut rows = Vec::new();
     let mut profiles = Vec::new();
     let mut cmesh_profiles = Vec::new();
-    for (&rate, (pearl, cmesh, prof, cprof)) in rates.iter().zip(&curve) {
+    let (mut pearl_allocs, mut cmesh_allocs) = (Vec::new(), Vec::new());
+    for (&rate, (pearl, cmesh, prof, cprof, pearl_alloc, cmesh_alloc)) in rates.iter().zip(&curve) {
         if let Some(p) = prof {
             profiles.push((rate, p.clone()));
         }
         cmesh_profiles.extend(cprof.clone());
+        pearl_allocs.push(pearl_alloc.clone());
+        cmesh_allocs.push(cmesh_alloc.clone());
         println!(
             "{rate:>10.2} {:>14.3} {:>12.1} {:>14.3} {:>12.1}",
             pearl.throughput_flits_per_cycle,
@@ -193,7 +222,7 @@ fn main() {
             let text = ratio.map_or_else(|| "-".to_string(), |r| format!("{r:.4}"));
             println!("  {name:<20} {text:>10}");
         }
-        let alloc = alloc_stats();
+        let alloc = sum_alloc(pearl_allocs);
         if let Some(stats) = &alloc {
             let (count, bytes) = stats.total();
             println!("  allocation attribution: {count} allocations, {bytes} bytes (see artifact)");
@@ -203,8 +232,11 @@ fn main() {
         let (json_path, folded_path) = hotpath.write().expect("write hotpath artifacts");
         eprintln!("[wrote {} and {}]", json_path.display(), folded_path.display());
 
-        let cmesh_hotpath =
-            Hotpath::new("loadcurve_cmesh", ProfileReport::merged(&cmesh_profiles), None);
+        let cmesh_hotpath = Hotpath::new(
+            "loadcurve_cmesh",
+            ProfileReport::merged(&cmesh_profiles),
+            sum_alloc(cmesh_allocs),
+        );
         cmesh_hotpath.validate().expect("hotpath invariants hold on the CMESH observation");
         let (json_path, folded_path) = cmesh_hotpath.write().expect("write hotpath artifacts");
         eprintln!("[wrote {} and {}]", json_path.display(), folded_path.display());
