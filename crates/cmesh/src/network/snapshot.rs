@@ -786,4 +786,89 @@ mod tests {
         assert_eq!(cp1, cp2);
         assert_eq!(cp1.state.to_string(), cp2.state.to_string());
     }
+
+    /// The network behind the pinned checkpoint `name` and the cycles it
+    /// runs before the snapshot. `observed` attaches the span sink the
+    /// pin was taken with; a restoring twin is built without.
+    fn pinned(name: &str, observed: bool) -> (CmeshNetwork, u64) {
+        let (mut net, cycles) = match name {
+            "mid_congestion" => (build(1, 17), 137),
+            "bandwidth_reduced" => (build(2, 11), 6_000),
+            "quarter_bandwidth" => (build(4, 19), 8_000),
+            "spans" => {
+                let net = CmeshBuilder::new()
+                    .config(CmeshConfig::pearl_baseline())
+                    .seed(7)
+                    .build(BenchmarkPair::test_pairs()[10]);
+                (net, 3_000)
+            }
+            other => panic!("unknown pin {other}"),
+        };
+        if observed && matches!(name, "spans" | "quarter_bandwidth") {
+            net.attach_span_sink(Box::new(pearl_telemetry::SharedSpanRecorder::new()));
+        }
+        (net, cycles)
+    }
+
+    /// Byte length and FNV-1a of `snapshot().to_json().to_string()` for
+    /// each pinned checkpoint, generated before the codec was rewritten.
+    /// The golden ladder only hashes states without span trackers; these
+    /// pins also cover live wormholes and span bookkeeping.
+    #[rustfmt::skip]
+    const PINS: [(&str, usize, u64); 4] = [
+        ("mid_congestion", 24_631, 0x8dcc2664fe3f428f),
+        ("bandwidth_reduced", 48_726, 0xc5b615047833d35b),
+        ("quarter_bandwidth", 95_695, 0xe71b0d7f265b9acb),
+        ("spans", 24_392, 0xd08fb4c4956ad28f),
+    ];
+
+    /// Whether a state section holds anything: not null and, for an
+    /// array, some entry that holds anything.
+    fn live(v: &JsonValue) -> bool {
+        match v {
+            JsonValue::Null => false,
+            JsonValue::Arr(items) => items.iter().any(live),
+            _ => true,
+        }
+    }
+
+    #[test]
+    fn pinned_checkpoints_keep_their_bytes_and_restore_to_the_same_text() {
+        const SECTIONS: [(&str, &[&str]); 10] = [
+            ("links", &["links"]),
+            ("partial_eject", &["partial_eject"]),
+            ("inject_current", &["inject_current"]),
+            ("backlogs", &["backlogs"]),
+            ("pending_responses", &["pending_responses"]),
+            ("spans.vc_wait", &["spans", "vc_wait"]),
+            ("spans.stream_start", &["spans", "stream_start"]),
+            ("spans.tail_in", &["spans", "tail_in"]),
+            ("spans.head_eject", &["spans", "head_eject"]),
+            ("spans.parent", &["spans", "parent"]),
+        ];
+        let mut measured = String::new();
+        let mut diverged = Vec::new();
+        let mut covered = [false; SECTIONS.len()];
+        for (name, bytes, fnv) in PINS {
+            let (mut net, cycles) = pinned(name, true);
+            net.run(cycles);
+            let text = net.snapshot().to_json().to_string();
+            let (len, hash) = (text.len(), fingerprint(&text));
+            measured.push_str(&format!("        (\"{name}\", {len}, 0x{hash:016x}),\n"));
+            if (len, hash) != (bytes, fnv) {
+                diverged.push(name);
+            }
+            let cp = Checkpoint::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
+            let (mut twin, _) = pinned(name, false);
+            twin.restore(&cp).unwrap();
+            assert_eq!(twin.snapshot().to_json().to_string(), text, "{name}: restore changed text");
+            for (seen, (_, path)) in covered.iter_mut().zip(SECTIONS) {
+                *seen |= path.iter().try_fold(&cp.state, |v, key| v.get(key)).is_some_and(live);
+            }
+        }
+        assert!(diverged.is_empty(), "pins changed: {diverged:?}\nmeasured:\n{measured}");
+        for (seen, (section, _)) in covered.iter().zip(SECTIONS) {
+            assert!(seen, "no pinned checkpoint has a live {section}");
+        }
+    }
 }

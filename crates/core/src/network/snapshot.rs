@@ -1341,6 +1341,175 @@ mod tests {
         assert_eq!(cp1, cp2);
         assert_eq!(cp1.state.to_string(), cp2.state.to_string());
     }
+
+    /// The scaler of the golden ladder's `ml_with_fallback` run: fitted
+    /// on a fixed dataset whose label steps with the first feature.
+    fn fitted_scaler() -> crate::ml_scaling::MlPowerScaler {
+        let mut data = Dataset::new(FEATURE_COUNT);
+        for i in 0..40 {
+            let mut features = vec![0.0; FEATURE_COUNT];
+            features[0] = (i % 4) as f64;
+            data.push(features, 60.0 + 40.0 * (i % 4) as f64).unwrap();
+        }
+        let (train, validation) = data.split_tail(0.25);
+        crate::ml_scaling::MlPowerScaler::new(
+            pearl_ml::select_lambda(&train, &validation, &[1.0]).unwrap(),
+        )
+    }
+
+    /// The network behind the pinned checkpoint `name` and the cycles it
+    /// runs before the snapshot. `observed` attaches the probe or span
+    /// sink the pin was taken with; a restoring twin is built without.
+    fn pinned(name: &str, observed: bool) -> (PearlNetwork, u64) {
+        let at_pair = |builder: NetworkBuilder, pair: usize| {
+            builder.seed(7).build(pearl_workloads::BenchmarkPair::test_pairs()[pair])
+        };
+        let (mut net, cycles) = match name {
+            "faults" => {
+                (build(PearlPolicy::reactive(500), FaultConfig::uniform(0.05, 7), false, 37), 6_000)
+            }
+            "faults_traced" => {
+                (build(PearlPolicy::reactive(500), FaultConfig::uniform(0.03, 5), false, 53), 4_000)
+            }
+            "collecting" => {
+                let mut net = build(PearlPolicy::random_walk(500), FaultConfig::off(), false, 59);
+                net.collection = Some(Dataset::new(FEATURE_COUNT));
+                (net, 4_000)
+            }
+            "ml_fallback" => {
+                let fallback =
+                    FallbackConfig { severe_below: f64::NEG_INFINITY, ..FallbackConfig::pearl() };
+                let policy =
+                    PearlPolicy::ml_with_fallback(500, constant_scaler(1e6), true, fallback);
+                (build(policy, FaultConfig::off(), false, 41), 1_200)
+            }
+            "timeline" => {
+                let mut net = build(PearlPolicy::reactive(500), FaultConfig::off(), false, 43);
+                net.enable_timeline(1_000);
+                (net, 4_500)
+            }
+            "mwsr" => (build(PearlPolicy::dyn_64wl(), FaultConfig::off(), true, 31), 6_000),
+            "fault_log" => {
+                // The fault model keeps logging after a checkpoint taken
+                // with a probe is restored onto a network without one.
+                let make =
+                    || build(PearlPolicy::reactive(500), FaultConfig::uniform(0.03, 5), false, 53);
+                let mut net = make();
+                if observed {
+                    let mut traced = make();
+                    traced.attach_probe(Box::new(SharedRecorder::new()));
+                    traced.run(2_000);
+                    net.restore(&traced.snapshot()).unwrap();
+                }
+                (net, 1_000)
+            }
+            "spans" => {
+                // At this cycle a retry waits out its backoff and a landed
+                // packet waits for ejection.
+                let fault =
+                    FaultConfig { corruption_per_packet: 0.04, ..FaultConfig::uniform(0.02, 5) };
+                (build(PearlPolicy::reactive(500), fault, false, 53), 4_259)
+            }
+            "ladder_faults_spans" => {
+                let policy = PearlPolicy::ml_with_fallback(
+                    500,
+                    fitted_scaler(),
+                    true,
+                    FallbackConfig::pearl(),
+                );
+                let builder = NetworkBuilder::new()
+                    .policy(policy)
+                    .fault_config(FaultConfig::uniform(0.02, 7));
+                let mut net = at_pair(builder, 7);
+                net.enable_timeline(500);
+                (net, 3_000)
+            }
+            "dyn_64wl" => {
+                (at_pair(NetworkBuilder::new().policy(PearlPolicy::dyn_64wl()), 1), 3_000)
+            }
+            other => panic!("unknown pin {other}"),
+        };
+        if observed {
+            match name {
+                "faults_traced" => net.attach_probe(Box::new(SharedRecorder::new())),
+                "spans" | "ladder_faults_spans" => {
+                    net.attach_span_sink(Box::new(pearl_telemetry::SharedSpanRecorder::new()))
+                }
+                _ => {}
+            }
+        }
+        (net, cycles)
+    }
+
+    /// Byte length and FNV-1a of `snapshot().to_json().to_string()` for
+    /// each pinned checkpoint, generated before the codec was rewritten.
+    /// The golden ladder only hashes states whose span, timeline,
+    /// collection and fault-log sections are empty; these pins cover
+    /// them.
+    #[rustfmt::skip]
+    const PINS: [(&str, usize, u64); 10] = [
+        ("faults", 56_355, 0xca5e2434d88db121),
+        ("faults_traced", 46_401, 0xdd444fc0e8bffd24),
+        ("fault_log", 39_858, 0x3aa3ac682cc13c2f),
+        ("collecting", 105_751, 0xbbec6f21ee255923),
+        ("ml_fallback", 26_070, 0x5fa67ca5935413b0),
+        ("timeline", 26_920, 0x1dfea6a7e8f6e350),
+        ("mwsr", 66_896, 0xaa86c283713fedeb),
+        ("spans", 50_680, 0x60887945295c2932),
+        ("ladder_faults_spans", 46_362, 0x01d8ea7bba522a55),
+        ("dyn_64wl", 23_448, 0x48fdac5238ae109a),
+    ];
+
+    /// Whether a state section holds anything: not null and, for an
+    /// array, some entry that holds anything.
+    fn live(v: &JsonValue) -> bool {
+        match v {
+            JsonValue::Null => false,
+            JsonValue::Arr(items) => items.iter().any(live),
+            _ => true,
+        }
+    }
+
+    #[test]
+    fn pinned_checkpoints_keep_their_bytes_and_restore_to_the_same_text() {
+        const SECTIONS: [(&str, &[&str]); 11] = [
+            ("spans", &["spans"]),
+            ("spans.landed", &["spans", "landed"]),
+            ("spans.parent", &["spans", "parent"]),
+            ("timeline", &["timeline", "points"]),
+            ("ladder", &["ladder", "transitions"]),
+            ("collection", &["collection", "labels"]),
+            ("pending_features", &["pending_features"]),
+            ("pending_predictions", &["pending_predictions"]),
+            ("event_log", &["fault", "event_log"]),
+            ("retransmit", &["retransmit"]),
+            ("in_flight", &["in_flight"]),
+        ];
+        let mut measured = String::new();
+        let mut diverged = Vec::new();
+        let mut covered = [false; SECTIONS.len()];
+        for (name, bytes, fnv) in PINS {
+            let (mut net, cycles) = pinned(name, true);
+            net.run(cycles);
+            let text = net.snapshot().to_json().to_string();
+            let (len, hash) = (text.len(), fingerprint(&text));
+            measured.push_str(&format!("        (\"{name}\", {len}, 0x{hash:016x}),\n"));
+            if (len, hash) != (bytes, fnv) {
+                diverged.push(name);
+            }
+            let cp = Checkpoint::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
+            let (mut twin, _) = pinned(name, false);
+            twin.restore(&cp).unwrap();
+            assert_eq!(twin.snapshot().to_json().to_string(), text, "{name}: restore changed text");
+            for (seen, (_, path)) in covered.iter_mut().zip(SECTIONS) {
+                *seen |= path.iter().try_fold(&cp.state, |v, key| v.get(key)).is_some_and(live);
+            }
+        }
+        assert!(diverged.is_empty(), "pins changed: {diverged:?}\nmeasured:\n{measured}");
+        for (seen, (section, _)) in covered.iter().zip(SECTIONS) {
+            assert!(seen, "no pinned checkpoint has a live {section}");
+        }
+    }
 }
 
 #[cfg(test)]
