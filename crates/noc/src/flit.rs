@@ -22,6 +22,10 @@ pub enum FlitKind {
 }
 
 impl FlitKind {
+    /// Every kind, in a stable order.
+    pub const ALL: [FlitKind; 4] =
+        [FlitKind::Head, FlitKind::Body, FlitKind::Tail, FlitKind::HeadTail];
+
     /// True for flits that open a new virtual-channel allocation.
     #[inline]
     pub fn is_head(self) -> bool {

@@ -105,7 +105,7 @@ pub use prometheus::{
 };
 pub use registry::{HistogramSummary, MetricsRegistry, MetricsSnapshot};
 pub use snapshot::{
-    atomic_write_file, atomic_write_file_with, Checkpoint, SnapshotError, SNAPSHOT_VERSION,
+    atomic_write_file, atomic_write_file_with, Checkpoint, Codec, SnapshotError, SNAPSHOT_VERSION,
 };
 pub use span::{
     chrome_trace, critical_path, group_by_packet, latency_breakdown, percentile,

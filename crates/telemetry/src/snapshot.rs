@@ -19,12 +19,11 @@
 //! The resume contract is *bit-identity*: run N cycles, checkpoint,
 //! restore, run M more — every statistic, trace event and state hash
 //! must equal an uninterrupted N+M run. JSON numbers are `f64` and lossy
-//! above 2⁵³, so this module's codecs never put state through them:
-//! `u64`/`u128` counters are decimal strings, and `f64` values are the
-//! hexadecimal form of their IEEE-754 bit pattern (exact for every
-//! value, including `-0.0`, subnormals and NaN payloads). Plain JSON
-//! numbers are reserved for small structural indices (node ids, ports,
-//! enum discriminants).
+//! above 2⁵³, so no [`Codec`] impl puts state through them: `u64`/`u128`
+//! counters are decimal strings, and `f64` values are the hexadecimal
+//! form of their IEEE-754 bit pattern (exact for every value, including
+//! `-0.0`, subnormals and NaN payloads). Plain JSON numbers are reserved
+//! for small structural indices (node ids, ports, enum discriminants).
 //!
 //! ## Crash safety
 //!
@@ -38,13 +37,15 @@ use crate::json::{JsonError, JsonValue};
 use crate::manifest::fingerprint;
 use crate::storage::{OsStorage, Storage};
 use pearl_noc::{
-    BufferState, CoreType, Cycle, Flit, FlitKind, NodeId, Packet, PacketKind, StatsState,
+    BufferState, CoreType, Cycle, Flit, FlitKind, NodeId, Packet, PacketKind, SimRng, StatsState,
     TrafficClass, VcState,
 };
 use pearl_photonics::fault::FaultEventKind;
 use pearl_photonics::{FaultModelState, FaultStats, LaserState, WavelengthState};
 use pearl_workloads::{InjectorState, RngState, TrafficState};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::Hash;
 use std::path::Path;
 
 /// Version of the checkpoint layout produced by this module. Bumped on
@@ -173,629 +174,402 @@ pub fn atomic_write_file_with(
 }
 
 // ---------------------------------------------------------------------------
-// Bit-exact scalar codecs
+// The codec
 // ---------------------------------------------------------------------------
 
-/// Encodes a `u64` as a decimal string (exact for the full range).
-pub fn u64_to_json(v: u64) -> JsonValue {
-    JsonValue::str(v.to_string())
+/// A piece of simulation state with one checkpoint encoding.
+///
+/// Every impl follows one rule of DESIGN §4b: `u64`, `u128` and
+/// [`Cycle`] are decimal strings; `f64` is the 16-hex-digit form of its
+/// IEEE-754 bits; `usize`, `u32` and [`NodeId`] are JSON numbers; `bool`
+/// is a JSON boolean; `Option` is `null` or the value; sequences, fixed
+/// arrays and tuples are arrays; hash maps are `[[k, v], …]` sorted by
+/// key; enums are their index in `ALL`
+/// ([`codec_enum!`](crate::codec_enum)). Structs are positional arrays
+/// ([`codec_array!`](crate::codec_array)) or keyed objects
+/// ([`codec_object!`](crate::codec_object)). RNG states are the flat
+/// `[w0, w1, w2, w3, draws]`.
+pub trait Codec: Sized {
+    /// The value's JSON form.
+    fn encode(&self) -> JsonValue;
+
+    /// Decodes a value written by [`Codec::encode`].
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::BadShape`] naming `context` when `v` does not
+    /// have the shape `encode` writes or a value is out of range.
+    fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError>;
 }
 
-/// Decodes a `u64` written by [`u64_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] naming `context` on mismatch.
-pub fn u64_from_json(v: &JsonValue, context: &'static str) -> Result<u64, SnapshotError> {
-    v.as_str().and_then(|s| s.parse().ok()).ok_or(SnapshotError::BadShape { context })
-}
-
-/// Encodes a `u128` as a decimal string (exact for the full range).
-pub fn u128_to_json(v: u128) -> JsonValue {
-    JsonValue::str(v.to_string())
-}
-
-/// Decodes a `u128` written by [`u128_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] naming `context` on mismatch.
-pub fn u128_from_json(v: &JsonValue, context: &'static str) -> Result<u128, SnapshotError> {
-    v.as_str().and_then(|s| s.parse().ok()).ok_or(SnapshotError::BadShape { context })
-}
-
-/// Encodes an `f64` as the 16-hex-digit form of its IEEE-754 bits —
-/// exact for every value, including `-0.0`, subnormals, infinities and
-/// NaN payloads (a decimal round-trip could perturb the low bits).
-pub fn f64_to_json(v: f64) -> JsonValue {
-    JsonValue::str(format!("{:016x}", v.to_bits()))
-}
-
-/// Decodes an `f64` written by [`f64_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] naming `context` on mismatch.
-pub fn f64_from_json(v: &JsonValue, context: &'static str) -> Result<f64, SnapshotError> {
-    v.as_str()
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .map(f64::from_bits)
-        .ok_or(SnapshotError::BadShape { context })
-}
-
-/// Encodes a small structural index (node id, port, enum discriminant)
-/// as a plain JSON number. Callers must guarantee the value is far below
-/// 2⁵³; counters and ids must use [`u64_to_json`] instead.
-pub fn usize_to_json(v: usize) -> JsonValue {
-    JsonValue::u64(v as u64)
-}
-
-/// Decodes a small structural index written by [`usize_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] naming `context` on mismatch.
-pub fn usize_from_json(v: &JsonValue, context: &'static str) -> Result<usize, SnapshotError> {
-    v.as_u64().map(|n| n as usize).ok_or(SnapshotError::BadShape { context })
-}
-
-/// Decodes a JSON boolean.
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] naming `context` on mismatch.
-pub fn bool_from_json(v: &JsonValue, context: &'static str) -> Result<bool, SnapshotError> {
-    match v {
-        JsonValue::Bool(b) => Ok(*b),
-        _ => Err(SnapshotError::BadShape { context }),
-    }
+/// A [`SnapshotError::BadShape`] naming `context`.
+pub fn bad_shape(context: &'static str) -> SnapshotError {
+    SnapshotError::BadShape { context }
 }
 
 /// Fetches a required object field.
 ///
 /// # Errors
 ///
-/// Returns [`SnapshotError::BadShape`] naming `key` when absent.
+/// [`SnapshotError::BadShape`] naming `key` when absent.
 pub fn field<'a>(v: &'a JsonValue, key: &'static str) -> Result<&'a JsonValue, SnapshotError> {
-    v.get(key).ok_or(SnapshotError::BadShape { context: key })
+    v.get(key).ok_or(bad_shape(key))
 }
 
-/// Views a value as an array.
+/// Decodes the required object field `key`, naming it on failure.
 ///
 /// # Errors
 ///
-/// Returns [`SnapshotError::BadShape`] naming `context` on mismatch.
-pub fn as_array<'a>(
-    v: &'a JsonValue,
-    context: &'static str,
-) -> Result<&'a [JsonValue], SnapshotError> {
-    v.as_arr().ok_or(SnapshotError::BadShape { context })
+/// [`SnapshotError::BadShape`] naming `key`.
+pub fn get<T: Codec>(v: &JsonValue, key: &'static str) -> Result<T, SnapshotError> {
+    T::decode(field(v, key)?, key)
 }
 
-fn fixed_array<'a, const N: usize>(
+/// Views `v` as an array of exactly `N` items.
+///
+/// # Errors
+///
+/// [`SnapshotError::BadShape`] naming `context` on another shape.
+pub fn items<'a, const N: usize>(
     v: &'a JsonValue,
     context: &'static str,
 ) -> Result<[&'a JsonValue; N], SnapshotError> {
-    let items = as_array(v, context)?;
-    if items.len() != N {
-        return Err(SnapshotError::BadShape { context });
+    match v.as_arr() {
+        Some(list) if list.len() == N => Ok(std::array::from_fn(|i| &list[i])),
+        _ => Err(bad_shape(context)),
     }
-    let mut out = [&JsonValue::Null; N];
-    for (slot, item) in out.iter_mut().zip(items) {
-        *slot = item;
-    }
-    Ok(out)
 }
 
-// ---------------------------------------------------------------------------
-// Enum codecs (stable `ALL`-array indices)
-// ---------------------------------------------------------------------------
+/// Encodes an enum value as its index in `all`. A value missing from
+/// `all` is a broken enumeration: it panics rather than being written
+/// as another variant's index.
+pub fn encode_index<T: PartialEq>(all: &[T], v: &T) -> JsonValue {
+    let index = all.iter().position(|x| x == v).expect("enum value missing from its ALL");
+    index.encode()
+}
 
-fn enum_from_index<T: Copy>(
+/// Decodes an enum value written by [`encode_index`].
+///
+/// # Errors
+///
+/// [`SnapshotError::BadShape`] naming `context` on an index past `all`.
+pub fn decode_index<T: Copy>(
     all: &[T],
     v: &JsonValue,
     context: &'static str,
 ) -> Result<T, SnapshotError> {
-    let i = usize_from_json(v, context)?;
-    all.get(i).copied().ok_or(SnapshotError::BadShape { context })
+    all.get(usize::decode(v, context)?).copied().ok_or(bad_shape(context))
 }
 
-/// Encodes a [`CoreType`] by its [`CoreType::ALL`] index.
-pub fn core_type_to_json(v: CoreType) -> JsonValue {
-    usize_to_json(match v {
-        CoreType::Cpu => 0,
-        CoreType::Gpu => 1,
-    })
-}
-
-/// Decodes a [`CoreType`] written by [`core_type_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] on an out-of-range index.
-pub fn core_type_from_json(v: &JsonValue) -> Result<CoreType, SnapshotError> {
-    enum_from_index(&CoreType::ALL, v, "core_type")
-}
-
-/// Encodes a [`WavelengthState`] by its [`WavelengthState::index`].
-pub fn wavelength_state_to_json(v: WavelengthState) -> JsonValue {
-    usize_to_json(v.index())
-}
-
-/// Decodes a [`WavelengthState`] written by [`wavelength_state_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] on an out-of-range index.
-pub fn wavelength_state_from_json(v: &JsonValue) -> Result<WavelengthState, SnapshotError> {
-    enum_from_index(&WavelengthState::ALL, v, "wavelength_state")
-}
-
-// ---------------------------------------------------------------------------
-// Packet / flit codecs
-// ---------------------------------------------------------------------------
-
-/// Encodes a [`Packet`] as a compact positional array:
-/// `[id, src, dst, core, kind, class, injected_at]`.
-pub fn packet_to_json(p: &Packet) -> JsonValue {
-    JsonValue::Arr(vec![
-        u64_to_json(p.id),
-        usize_to_json(p.src.0),
-        usize_to_json(p.dst.0),
-        core_type_to_json(p.core),
-        usize_to_json(match p.kind {
-            PacketKind::Request => 0,
-            PacketKind::Response => 1,
-        }),
-        usize_to_json(p.class.index()),
-        u64_to_json(p.injected_at.0),
-    ])
-}
-
-/// Decodes a [`Packet`] written by [`packet_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] on any field mismatch.
-pub fn packet_from_json(v: &JsonValue) -> Result<Packet, SnapshotError> {
-    let [id, src, dst, core, kind, class, injected_at] = fixed_array(v, "packet")?;
-    Ok(Packet {
-        id: u64_from_json(id, "packet.id")?,
-        src: NodeId(usize_from_json(src, "packet.src")?),
-        dst: NodeId(usize_from_json(dst, "packet.dst")?),
-        core: core_type_from_json(core)?,
-        kind: enum_from_index(&PacketKind::ALL, kind, "packet.kind")?,
-        class: enum_from_index(&TrafficClass::ALL, class, "packet.class")?,
-        injected_at: Cycle(u64_from_json(injected_at, "packet.injected_at")?),
-    })
-}
-
-const FLIT_KINDS: [FlitKind; 4] =
-    [FlitKind::Head, FlitKind::Body, FlitKind::Tail, FlitKind::HeadTail];
-
-/// Encodes a [`Flit`] as `[packet_id, kind, index, packet|null]`.
-pub fn flit_to_json(f: &Flit) -> JsonValue {
-    JsonValue::Arr(vec![
-        u64_to_json(f.packet_id),
-        usize_to_json(FLIT_KINDS.iter().position(|k| *k == f.kind).unwrap_or(0)),
-        usize_to_json(f.index as usize),
-        f.packet.as_ref().map_or(JsonValue::Null, packet_to_json),
-    ])
-}
-
-/// Decodes a [`Flit`] written by [`flit_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] on any field mismatch.
-pub fn flit_from_json(v: &JsonValue) -> Result<Flit, SnapshotError> {
-    let [packet_id, kind, index, packet] = fixed_array(v, "flit")?;
-    Ok(Flit {
-        packet_id: u64_from_json(packet_id, "flit.packet_id")?,
-        kind: enum_from_index(&FLIT_KINDS, kind, "flit.kind")?,
-        index: usize_from_json(index, "flit.index")? as u32,
-        packet: match packet {
-            JsonValue::Null => None,
-            other => Some(packet_from_json(other)?),
-        },
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Buffer / VC / stats codecs
-// ---------------------------------------------------------------------------
-
-/// Encodes a [`BufferState`] captured from a `PacketBuffer`.
-pub fn buffer_state_to_json(s: &BufferState) -> JsonValue {
-    JsonValue::obj(vec![
-        ("packets", JsonValue::Arr(s.packets.iter().map(packet_to_json).collect())),
-        ("slot_cycles", u64_to_json(s.accumulated_slot_cycles)),
-        ("cycles", u64_to_json(s.accumulated_cycles)),
-        ("rejections", u64_to_json(s.rejections)),
-    ])
-}
-
-/// Decodes a [`BufferState`] written by [`buffer_state_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] on any field mismatch.
-pub fn buffer_state_from_json(v: &JsonValue) -> Result<BufferState, SnapshotError> {
-    Ok(BufferState {
-        packets: as_array(field(v, "packets")?, "packets")?
-            .iter()
-            .map(packet_from_json)
-            .collect::<Result<_, _>>()?,
-        accumulated_slot_cycles: u64_from_json(field(v, "slot_cycles")?, "slot_cycles")?,
-        accumulated_cycles: u64_from_json(field(v, "cycles")?, "cycles")?,
-        rejections: u64_from_json(field(v, "rejections")?, "rejections")?,
-    })
-}
-
-/// Encodes a [`VcState`] captured from a `VirtualChannel`.
-pub fn vc_state_to_json(s: &VcState) -> JsonValue {
-    JsonValue::obj(vec![
-        ("flits", JsonValue::Arr(s.flits.iter().map(flit_to_json).collect())),
-        ("inflow", s.inflow.map_or(JsonValue::Null, u64_to_json)),
-        ("route", s.route.map_or(JsonValue::Null, usize_to_json)),
-    ])
-}
-
-/// Decodes a [`VcState`] written by [`vc_state_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] on any field mismatch.
-pub fn vc_state_from_json(v: &JsonValue) -> Result<VcState, SnapshotError> {
-    Ok(VcState {
-        flits: as_array(field(v, "flits")?, "flits")?
-            .iter()
-            .map(flit_from_json)
-            .collect::<Result<_, _>>()?,
-        inflow: match field(v, "inflow")? {
-            JsonValue::Null => None,
-            other => Some(u64_from_json(other, "inflow")?),
-        },
-        route: match field(v, "route")? {
-            JsonValue::Null => None,
-            other => Some(usize_from_json(other, "route")?),
-        },
-    })
-}
-
-fn u64_pair_array(values: &[u64]) -> JsonValue {
-    JsonValue::Arr(values.iter().map(|&v| u64_to_json(v)).collect())
-}
-
-fn u64_vec_from_json(v: &JsonValue, context: &'static str) -> Result<Vec<u64>, SnapshotError> {
-    as_array(v, context)?.iter().map(|x| u64_from_json(x, context)).collect()
-}
-
-/// Encodes a [`StatsState`] captured from `NetworkStats`.
-pub fn stats_state_to_json(s: &StatsState) -> JsonValue {
-    let latency = JsonValue::Arr(
-        s.latency
-            .iter()
-            .map(|&(count, sum, max)| {
-                JsonValue::Arr(vec![u64_to_json(count), u128_to_json(sum), u64_to_json(max)])
-            })
-            .collect(),
-    );
-    JsonValue::obj(vec![
-        ("cycles", u64_to_json(s.cycles)),
-        ("injected", u64_pair_array(&s.injected_packets)),
-        ("delivered", u64_pair_array(&s.delivered_packets)),
-        ("flits", u64_pair_array(&s.delivered_flits)),
-        ("bits", u64_to_json(s.delivered_bits)),
-        ("stalls", u64_to_json(s.injection_stalls)),
-        ("corrupted", u64_to_json(s.corrupted_packets)),
-        ("retransmitted", u64_to_json(s.retransmitted_packets)),
-        ("backoff_cycles", u64_to_json(s.retransmit_backoff_cycles)),
-        ("latency", latency),
-        ("hist_buckets", u64_pair_array(&s.hist_buckets)),
-        ("hist_count", u64_to_json(s.hist_count)),
-        ("laser_j", f64_to_json(s.laser_energy_j)),
-        ("heating_j", f64_to_json(s.heating_energy_j)),
-        ("modulation_j", f64_to_json(s.modulation_energy_j)),
-        ("electrical_j", f64_to_json(s.electrical_energy_j)),
-    ])
-}
-
-fn u64_duo(v: &JsonValue, context: &'static str) -> Result<[u64; 2], SnapshotError> {
-    let [a, b] = fixed_array(v, context)?;
-    Ok([u64_from_json(a, context)?, u64_from_json(b, context)?])
-}
-
-/// Decodes a [`StatsState`] written by [`stats_state_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] on any field mismatch.
-pub fn stats_state_from_json(v: &JsonValue) -> Result<StatsState, SnapshotError> {
-    let latency_items = as_array(field(v, "latency")?, "latency")?;
-    if latency_items.len() != 2 {
-        return Err(SnapshotError::BadShape { context: "latency" });
-    }
-    let mut latency = [(0u64, 0u128, 0u64); 2];
-    for (slot, item) in latency.iter_mut().zip(latency_items) {
-        let [count, sum, max] = fixed_array(item, "latency")?;
-        *slot = (
-            u64_from_json(count, "latency.count")?,
-            u128_from_json(sum, "latency.sum")?,
-            u64_from_json(max, "latency.max")?,
-        );
-    }
-    Ok(StatsState {
-        cycles: u64_from_json(field(v, "cycles")?, "cycles")?,
-        injected_packets: u64_duo(field(v, "injected")?, "injected")?,
-        delivered_packets: u64_duo(field(v, "delivered")?, "delivered")?,
-        delivered_flits: u64_duo(field(v, "flits")?, "flits")?,
-        delivered_bits: u64_from_json(field(v, "bits")?, "bits")?,
-        injection_stalls: u64_from_json(field(v, "stalls")?, "stalls")?,
-        corrupted_packets: u64_from_json(field(v, "corrupted")?, "corrupted")?,
-        retransmitted_packets: u64_from_json(field(v, "retransmitted")?, "retransmitted")?,
-        retransmit_backoff_cycles: u64_from_json(field(v, "backoff_cycles")?, "backoff_cycles")?,
-        latency,
-        hist_buckets: u64_vec_from_json(field(v, "hist_buckets")?, "hist_buckets")?,
-        hist_count: u64_from_json(field(v, "hist_count")?, "hist_count")?,
-        laser_energy_j: f64_from_json(field(v, "laser_j")?, "laser_j")?,
-        heating_energy_j: f64_from_json(field(v, "heating_j")?, "heating_j")?,
-        modulation_energy_j: f64_from_json(field(v, "modulation_j")?, "modulation_j")?,
-        electrical_energy_j: f64_from_json(field(v, "electrical_j")?, "electrical_j")?,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Photonics codecs
-// ---------------------------------------------------------------------------
-
-/// Encodes a [`LaserState`] captured from an `OnChipLaser`.
-pub fn laser_state_to_json(s: &LaserState) -> JsonValue {
-    JsonValue::obj(vec![
-        ("powered", wavelength_state_to_json(s.powered)),
-        ("usable", wavelength_state_to_json(s.usable)),
-        ("stabilize_until", s.stabilize_until.map_or(JsonValue::Null, u64_to_json)),
-        ("transitions", u64_to_json(s.transitions)),
-        ("residency", u64_pair_array(&s.residency)),
-        ("stall_cycles", u64_to_json(s.stall_cycles)),
-        (
-            "log",
-            JsonValue::Arr(
-                s.transition_log
-                    .iter()
-                    .map(|&(at, state)| {
-                        JsonValue::Arr(vec![u64_to_json(at), wavelength_state_to_json(state)])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Decodes a [`LaserState`] written by [`laser_state_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] on any field mismatch.
-pub fn laser_state_from_json(v: &JsonValue) -> Result<LaserState, SnapshotError> {
-    let residency_vec = u64_vec_from_json(field(v, "residency")?, "residency")?;
-    let residency: [u64; 5] =
-        residency_vec.try_into().map_err(|_| SnapshotError::BadShape { context: "residency" })?;
-    Ok(LaserState {
-        powered: wavelength_state_from_json(field(v, "powered")?)?,
-        usable: wavelength_state_from_json(field(v, "usable")?)?,
-        stabilize_until: match field(v, "stabilize_until")? {
-            JsonValue::Null => None,
-            other => Some(u64_from_json(other, "stabilize_until")?),
-        },
-        transitions: u64_from_json(field(v, "transitions")?, "transitions")?,
-        residency,
-        stall_cycles: u64_from_json(field(v, "stall_cycles")?, "stall_cycles")?,
-        transition_log: as_array(field(v, "log")?, "log")?
-            .iter()
-            .map(|item| {
-                let [at, state] = fixed_array(item, "log")?;
-                Ok((u64_from_json(at, "log.at")?, wavelength_state_from_json(state)?))
-            })
-            .collect::<Result<_, SnapshotError>>()?,
-    })
-}
-
-/// Encodes an RNG `(state words, draws)` tuple.
-pub fn rng_words_to_json(words: [u64; 4], draws: u64) -> JsonValue {
-    JsonValue::Arr(vec![
-        u64_to_json(words[0]),
-        u64_to_json(words[1]),
-        u64_to_json(words[2]),
-        u64_to_json(words[3]),
-        u64_to_json(draws),
-    ])
-}
-
-/// Decodes an RNG tuple written by [`rng_words_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] on any field mismatch.
-pub fn rng_words_from_json(
-    v: &JsonValue,
-    context: &'static str,
-) -> Result<([u64; 4], u64), SnapshotError> {
-    let [w0, w1, w2, w3, draws] = fixed_array(v, context)?;
-    Ok((
-        [
-            u64_from_json(w0, context)?,
-            u64_from_json(w1, context)?,
-            u64_from_json(w2, context)?,
-            u64_from_json(w3, context)?,
-        ],
-        u64_from_json(draws, context)?,
-    ))
-}
-
-/// Encodes a [`FaultModelState`] captured from a `FaultModel`.
-pub fn fault_state_to_json(s: &FaultModelState) -> JsonValue {
-    JsonValue::obj(vec![
-        (
-            "routers",
-            JsonValue::Arr(
-                s.routers
-                    .iter()
-                    .map(|&(failed, ceiling)| {
-                        JsonValue::Arr(vec![
-                            usize_to_json(failed as usize),
-                            wavelength_state_to_json(ceiling),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("structural_rng", rng_words_to_json(s.structural_rng.0, s.structural_rng.1)),
-        ("corruption_rng", rng_words_to_json(s.corruption_rng.0, s.corruption_rng.1)),
-        (
-            "stats",
-            JsonValue::Arr(vec![
-                u64_to_json(s.stats.lambda_failures),
-                u64_to_json(s.stats.lambda_repairs),
-                u64_to_json(s.stats.laser_degradations),
-                u64_to_json(s.stats.laser_recoveries),
-                u64_to_json(s.stats.corrupted_packets),
-            ]),
-        ),
-        ("log_events", JsonValue::Bool(s.log_events)),
-        (
-            "event_log",
-            JsonValue::Arr(
-                s.event_log
-                    .iter()
-                    .map(|&(router, kind)| {
-                        JsonValue::Arr(vec![
-                            usize_to_json(router),
-                            usize_to_json(
-                                FaultEventKind::ALL.iter().position(|k| *k == kind).unwrap_or(0),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Decodes a [`FaultModelState`] written by [`fault_state_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] on any field mismatch.
-pub fn fault_state_from_json(v: &JsonValue) -> Result<FaultModelState, SnapshotError> {
-    let [failures, repairs, degradations, recoveries, corrupted] =
-        fixed_array(field(v, "stats")?, "fault.stats")?;
-    Ok(FaultModelState {
-        routers: as_array(field(v, "routers")?, "fault.routers")?
-            .iter()
-            .map(|item| {
-                let [failed, ceiling] = fixed_array(item, "fault.routers")?;
-                Ok((
-                    usize_from_json(failed, "fault.routers.failed")? as u32,
-                    wavelength_state_from_json(ceiling)?,
-                ))
-            })
-            .collect::<Result<_, SnapshotError>>()?,
-        structural_rng: rng_words_from_json(field(v, "structural_rng")?, "structural_rng")?,
-        corruption_rng: rng_words_from_json(field(v, "corruption_rng")?, "corruption_rng")?,
-        stats: FaultStats {
-            lambda_failures: u64_from_json(failures, "fault.stats")?,
-            lambda_repairs: u64_from_json(repairs, "fault.stats")?,
-            laser_degradations: u64_from_json(degradations, "fault.stats")?,
-            laser_recoveries: u64_from_json(recoveries, "fault.stats")?,
-            corrupted_packets: u64_from_json(corrupted, "fault.stats")?,
-        },
-        log_events: bool_from_json(field(v, "log_events")?, "log_events")?,
-        event_log: as_array(field(v, "event_log")?, "event_log")?
-            .iter()
-            .map(|item| {
-                let [router, kind] = fixed_array(item, "event_log")?;
-                Ok((
-                    usize_from_json(router, "event_log.router")?,
-                    enum_from_index(&FaultEventKind::ALL, kind, "event_log.kind")?,
-                ))
-            })
-            .collect::<Result<_, SnapshotError>>()?,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Workload codecs
-// ---------------------------------------------------------------------------
-
-/// Encodes a workload [`RngState`].
-pub fn rng_state_to_json(s: &RngState) -> JsonValue {
-    rng_words_to_json(s.words, s.draws)
-}
-
-/// Decodes a workload [`RngState`] written by [`rng_state_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] on any field mismatch.
-pub fn rng_state_from_json(v: &JsonValue) -> Result<RngState, SnapshotError> {
-    let (words, draws) = rng_words_from_json(v, "rng_state")?;
-    Ok(RngState { words, draws })
-}
-
-fn injector_state_to_json(s: &InjectorState) -> JsonValue {
-    JsonValue::Arr(vec![
-        JsonValue::Bool(s.bursting),
-        u64_to_json(s.remaining),
-        rng_state_to_json(&s.rng),
-    ])
-}
-
-fn injector_state_from_json(v: &JsonValue) -> Result<InjectorState, SnapshotError> {
-    let [bursting, remaining, rng] = fixed_array(v, "injector")?;
-    Ok(InjectorState {
-        bursting: bool_from_json(bursting, "injector.bursting")?,
-        remaining: u64_from_json(remaining, "injector.remaining")?,
-        rng: rng_state_from_json(rng)?,
-    })
-}
-
-/// Encodes a [`TrafficState`] captured from a `TrafficSource`.
-pub fn traffic_state_to_json(s: &TrafficState) -> JsonValue {
-    match s {
-        TrafficState::Model { cpu, gpu } => JsonValue::obj(vec![
-            ("kind", JsonValue::str("model")),
-            ("cpu", JsonValue::Arr(cpu.iter().map(injector_state_to_json).collect())),
-            ("gpu", JsonValue::Arr(gpu.iter().map(injector_state_to_json).collect())),
-        ]),
-        TrafficState::Synthetic { rng } => JsonValue::obj(vec![
-            ("kind", JsonValue::str("synthetic")),
-            ("rng", rng_state_to_json(rng)),
-        ]),
-    }
-}
-
-/// Decodes a [`TrafficState`] written by [`traffic_state_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] on any field mismatch.
-pub fn traffic_state_from_json(v: &JsonValue) -> Result<TrafficState, SnapshotError> {
-    match field(v, "kind")?.as_str() {
-        Some("model") => Ok(TrafficState::Model {
-            cpu: as_array(field(v, "cpu")?, "traffic.cpu")?
-                .iter()
-                .map(injector_state_from_json)
-                .collect::<Result<_, _>>()?,
-            gpu: as_array(field(v, "gpu")?, "traffic.gpu")?
-                .iter()
-                .map(injector_state_from_json)
-                .collect::<Result<_, _>>()?,
-        }),
-        Some("synthetic") => {
-            Ok(TrafficState::Synthetic { rng: rng_state_from_json(field(v, "rng")?)? })
+/// Implements [`Codec`] for enums by their index in their `ALL` array.
+#[macro_export]
+macro_rules! codec_enum {
+    ($($ty:ty),+ $(,)?) => {$(
+        impl $crate::snapshot::Codec for $ty {
+            fn encode(&self) -> $crate::JsonValue {
+                $crate::snapshot::encode_index(&<$ty>::ALL, self)
+            }
+            fn decode(
+                v: &$crate::JsonValue,
+                context: &'static str,
+            ) -> Result<Self, $crate::SnapshotError> {
+                $crate::snapshot::decode_index(&<$ty>::ALL, v, context)
+            }
         }
-        _ => Err(SnapshotError::BadShape { context: "traffic.kind" }),
+    )+};
+}
+
+/// Implements [`Codec`] for structs as positional arrays of the listed
+/// fields, e.g. `codec_array!(Transfer [packet_id, busy_until])`. Every
+/// field decodes under the context its struct decodes under.
+#[macro_export]
+macro_rules! codec_array {
+    ($($ty:ident [$($field:ident),+ $(,)?]);+ $(;)?) => {$(
+        impl $crate::snapshot::Codec for $ty {
+            fn encode(&self) -> $crate::JsonValue {
+                $crate::JsonValue::Arr(vec![$($crate::snapshot::Codec::encode(&self.$field)),+])
+            }
+            fn decode(
+                v: &$crate::JsonValue,
+                context: &'static str,
+            ) -> Result<Self, $crate::SnapshotError> {
+                let [$($field),+] = $crate::snapshot::items(v, context)?;
+                Ok($ty { $($field: $crate::snapshot::Codec::decode($field, context)?),+ })
+            }
+        }
+    )+};
+}
+
+/// Implements [`Codec`] for structs as objects keyed by the listed
+/// fields, in order; `field: "key"` writes a field under another key.
+/// Each field decodes under its key as context.
+#[macro_export]
+macro_rules! codec_object {
+    ($($ty:ident { $($field:ident $(: $key:literal)?),+ $(,)? });+ $(;)?) => {$(
+        impl $crate::snapshot::Codec for $ty {
+            fn encode(&self) -> $crate::JsonValue {
+                $crate::JsonValue::obj(vec![$((
+                    [$($key,)? stringify!($field)][0],
+                    $crate::snapshot::Codec::encode(&self.$field),
+                )),+])
+            }
+            fn decode(v: &$crate::JsonValue, _: &'static str) -> Result<Self, $crate::SnapshotError> {
+                Ok($ty { $($field: $crate::snapshot::get(v, [$($key,)? stringify!($field)][0])?),+ })
+            }
+        }
+    )+};
+}
+
+macro_rules! decimal {
+    ($($ty:ty),+) => {$(
+        impl Codec for $ty {
+            fn encode(&self) -> JsonValue {
+                JsonValue::str(self.to_string())
+            }
+            fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
+                v.as_str().and_then(|s| s.parse().ok()).ok_or(bad_shape(context))
+            }
+        }
+    )+};
+}
+decimal!(u64, u128);
+
+impl Codec for Cycle {
+    fn encode(&self) -> JsonValue {
+        self.0.encode()
+    }
+    fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
+        u64::decode(v, context).map(Cycle)
+    }
+}
+
+impl Codec for f64 {
+    fn encode(&self) -> JsonValue {
+        JsonValue::str(format!("{:016x}", self.to_bits()))
+    }
+    fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
+        let bits = v.as_str().and_then(|s| u64::from_str_radix(s, 16).ok());
+        bits.map(f64::from_bits).ok_or(bad_shape(context))
+    }
+}
+
+impl Codec for usize {
+    fn encode(&self) -> JsonValue {
+        JsonValue::u64(*self as u64)
+    }
+    fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
+        v.as_u64().and_then(|n| usize::try_from(n).ok()).ok_or(bad_shape(context))
+    }
+}
+
+impl Codec for u32 {
+    fn encode(&self) -> JsonValue {
+        JsonValue::u64(u64::from(*self))
+    }
+    fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
+        v.as_u64().and_then(|n| u32::try_from(n).ok()).ok_or(bad_shape(context))
+    }
+}
+
+impl Codec for NodeId {
+    fn encode(&self) -> JsonValue {
+        self.0.encode()
+    }
+    fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
+        usize::decode(v, context).map(NodeId)
+    }
+}
+
+impl Codec for bool {
+    fn encode(&self) -> JsonValue {
+        JsonValue::Bool(*self)
+    }
+    fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
+        match v {
+            JsonValue::Bool(b) => Ok(*b),
+            _ => Err(bad_shape(context)),
+        }
+    }
+}
+
+impl<T: Codec> Codec for Option<T> {
+    fn encode(&self) -> JsonValue {
+        self.as_ref().map_or(JsonValue::Null, T::encode)
+    }
+    fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
+        match v {
+            JsonValue::Null => Ok(None),
+            other => T::decode(other, context).map(Some),
+        }
+    }
+}
+
+macro_rules! sequence {
+    ($($seq:ident),+) => {$(
+        impl<T: Codec> Codec for $seq<T> {
+            fn encode(&self) -> JsonValue {
+                JsonValue::Arr(self.iter().map(T::encode).collect())
+            }
+            fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
+                let list = v.as_arr().ok_or(bad_shape(context))?;
+                list.iter().map(|item| T::decode(item, context)).collect()
+            }
+        }
+    )+};
+}
+sequence!(Vec, VecDeque);
+
+impl<T: Codec, const N: usize> Codec for [T; N] {
+    fn encode(&self) -> JsonValue {
+        JsonValue::Arr(self.iter().map(T::encode).collect())
+    }
+    fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
+        Vec::decode(v, context)?.try_into().map_err(|_| bad_shape(context))
+    }
+}
+
+macro_rules! tuple {
+    ($(($($t:ident $v:ident $i:tt),+)),+) => {$(
+        impl<$($t: Codec),+> Codec for ($($t,)+) {
+            fn encode(&self) -> JsonValue {
+                JsonValue::Arr(vec![$(self.$i.encode()),+])
+            }
+            fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
+                let [$($v),+] = items(v, context)?;
+                Ok(($($t::decode($v, context)?,)+))
+            }
+        }
+    )+};
+}
+tuple!((A a 0, B b 1), (A a 0, B b 1, C c 2));
+
+impl<K: Codec + Ord + Hash, V: Codec> Codec for HashMap<K, V> {
+    fn encode(&self) -> JsonValue {
+        let mut entries: Vec<_> = self.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let pair = |(k, v): (&K, &V)| JsonValue::Arr(vec![k.encode(), v.encode()]);
+        JsonValue::Arr(entries.into_iter().map(pair).collect())
+    }
+    fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
+        Ok(Vec::<(K, V)>::decode(v, context)?.into_iter().collect())
+    }
+}
+
+codec_enum!(CoreType, PacketKind, TrafficClass, FlitKind, WavelengthState, FaultEventKind);
+codec_array! {
+    Packet [id, src, dst, core, kind, class, injected_at];
+    Flit [packet_id, kind, index, packet];
+    InjectorState [bursting, remaining, rng];
+    FaultStats [lambda_failures, lambda_repairs, laser_degradations, laser_recoveries, corrupted_packets];
+}
+codec_object! {
+    BufferState {
+        packets,
+        accumulated_slot_cycles: "slot_cycles",
+        accumulated_cycles: "cycles",
+        rejections,
+    };
+    VcState { flits, inflow, route };
+    StatsState {
+        cycles,
+        injected_packets: "injected",
+        delivered_packets: "delivered",
+        delivered_flits: "flits",
+        delivered_bits: "bits",
+        injection_stalls: "stalls",
+        corrupted_packets: "corrupted",
+        retransmitted_packets: "retransmitted",
+        retransmit_backoff_cycles: "backoff_cycles",
+        latency,
+        hist_buckets,
+        hist_count,
+        laser_energy_j: "laser_j",
+        heating_energy_j: "heating_j",
+        modulation_energy_j: "modulation_j",
+        electrical_energy_j: "electrical_j",
+    };
+    LaserState {
+        powered,
+        usable,
+        stabilize_until,
+        transitions,
+        residency,
+        stall_cycles,
+        transition_log: "log",
+    };
+}
+
+/// RNG states are flat: `[w0, w1, w2, w3, draws]`, not the tuple rule's
+/// `[[w0, w1, w2, w3], draws]`.
+impl Codec for RngState {
+    fn encode(&self) -> JsonValue {
+        let mut flat: Vec<_> = self.words.iter().map(u64::encode).collect();
+        flat.push(self.draws.encode());
+        JsonValue::Arr(flat)
+    }
+    fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
+        let [w0, w1, w2, w3, draws] = <[u64; 5]>::decode(v, context)?;
+        Ok(RngState { words: [w0, w1, w2, w3], draws })
+    }
+}
+
+impl Codec for SimRng {
+    fn encode(&self) -> JsonValue {
+        RngState { words: self.state(), draws: self.draws() }.encode()
+    }
+    fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
+        let RngState { words, draws } = RngState::decode(v, context)?;
+        Ok(SimRng::from_state(words, draws))
+    }
+}
+
+/// Keyed like [`codec_object!`](crate::codec_object), except that both
+/// fault RNGs are flat [`RngState`]s rather than `([u64; 4], u64)`
+/// tuples.
+impl Codec for FaultModelState {
+    fn encode(&self) -> JsonValue {
+        let rng = |(words, draws): ([u64; 4], u64)| RngState { words, draws }.encode();
+        JsonValue::obj(vec![
+            ("routers", self.routers.encode()),
+            ("structural_rng", rng(self.structural_rng)),
+            ("corruption_rng", rng(self.corruption_rng)),
+            ("stats", self.stats.encode()),
+            ("log_events", self.log_events.encode()),
+            ("event_log", self.event_log.encode()),
+        ])
+    }
+    fn decode(v: &JsonValue, _: &'static str) -> Result<Self, SnapshotError> {
+        let rng = |key| get(v, key).map(|s: RngState| (s.words, s.draws));
+        Ok(FaultModelState {
+            routers: get(v, "routers")?,
+            structural_rng: rng("structural_rng")?,
+            corruption_rng: rng("corruption_rng")?,
+            stats: get(v, "stats")?,
+            log_events: get(v, "log_events")?,
+            event_log: get(v, "event_log")?,
+        })
+    }
+}
+
+impl Codec for TrafficState {
+    fn encode(&self) -> JsonValue {
+        match self {
+            TrafficState::Model { cpu, gpu } => JsonValue::obj(vec![
+                ("kind", JsonValue::str("model")),
+                ("cpu", cpu.encode()),
+                ("gpu", gpu.encode()),
+            ]),
+            TrafficState::Synthetic { rng } => {
+                JsonValue::obj(vec![("kind", JsonValue::str("synthetic")), ("rng", rng.encode())])
+            }
+        }
+    }
+    fn decode(v: &JsonValue, _: &'static str) -> Result<Self, SnapshotError> {
+        match field(v, "kind")?.as_str() {
+            Some("model") => Ok(TrafficState::Model { cpu: get(v, "cpu")?, gpu: get(v, "gpu")? }),
+            Some("synthetic") => Ok(TrafficState::Synthetic { rng: get(v, "rng")? }),
+            _ => Err(bad_shape("traffic.kind")),
+        }
     }
 }
 
@@ -842,9 +616,9 @@ impl Checkpoint {
         JsonValue::obj(vec![
             ("version", JsonValue::u64(SNAPSHOT_VERSION)),
             ("kind", JsonValue::str(self.kind.clone())),
-            ("config_fingerprint", u64_to_json(self.config_fingerprint)),
-            ("cycle", u64_to_json(self.cycle)),
-            ("state_hash", u64_to_json(self.state_hash())),
+            ("config_fingerprint", self.config_fingerprint.encode()),
+            ("cycle", self.cycle.encode()),
+            ("state_hash", self.state_hash().encode()),
             ("state", self.state.clone()),
         ])
     }
@@ -858,8 +632,7 @@ impl Checkpoint {
     /// [`SnapshotError::VersionMismatch`], [`SnapshotError::HashMismatch`]
     /// or [`SnapshotError::BadShape`].
     pub fn from_json(v: &JsonValue) -> Result<Checkpoint, SnapshotError> {
-        let version =
-            field(v, "version")?.as_u64().ok_or(SnapshotError::BadShape { context: "version" })?;
+        let version = field(v, "version")?.as_u64().ok_or(bad_shape("version"))?;
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::VersionMismatch {
                 found: version,
@@ -867,18 +640,12 @@ impl Checkpoint {
             });
         }
         let checkpoint = Checkpoint {
-            kind: field(v, "kind")?
-                .as_str()
-                .ok_or(SnapshotError::BadShape { context: "kind" })?
-                .to_string(),
-            config_fingerprint: u64_from_json(
-                field(v, "config_fingerprint")?,
-                "config_fingerprint",
-            )?,
-            cycle: u64_from_json(field(v, "cycle")?, "cycle")?,
+            kind: field(v, "kind")?.as_str().ok_or(bad_shape("kind"))?.to_string(),
+            config_fingerprint: get(v, "config_fingerprint")?,
+            cycle: get(v, "cycle")?,
             state: field(v, "state")?.clone(),
         };
-        let sealed = u64_from_json(field(v, "state_hash")?, "state_hash")?;
+        let sealed: u64 = get(v, "state_hash")?;
         let actual = checkpoint.state_hash();
         if sealed != actual {
             return Err(SnapshotError::HashMismatch { found: actual, expected: sealed });
@@ -973,37 +740,32 @@ mod tests {
     #[test]
     fn scalar_codecs_are_bit_exact_at_extremes() {
         for v in [0u64, 1, 2u64.pow(53) + 1, u64::MAX] {
-            assert_eq!(u64_from_json(&u64_to_json(v), "t").unwrap(), v);
+            assert_eq!(u64::decode(&v.encode(), "t").unwrap(), v);
         }
         for v in [0u128, u128::from(u64::MAX) * 3, u128::MAX] {
-            assert_eq!(u128_from_json(&u128_to_json(v), "t").unwrap(), v);
+            assert_eq!(u128::decode(&v.encode(), "t").unwrap(), v);
         }
         for v in [0.0f64, -0.0, 1.0 / 3.0, f64::MIN_POSITIVE / 2.0, f64::INFINITY, -1e308] {
-            let back = f64_from_json(&f64_to_json(v), "t").unwrap();
+            let back = f64::decode(&v.encode(), "t").unwrap();
             assert_eq!(back.to_bits(), v.to_bits(), "{v}");
         }
         // NaN payload survives (plain equality would fail here).
         let nan = f64::from_bits(0x7ff8_dead_beef_0001);
-        assert_eq!(f64_from_json(&f64_to_json(nan), "t").unwrap().to_bits(), nan.to_bits());
+        assert_eq!(f64::decode(&nan.encode(), "t").unwrap().to_bits(), nan.to_bits());
     }
 
     #[test]
     fn packet_and_flit_round_trip() {
         let p = sample_packet();
-        assert_eq!(packet_from_json(&packet_to_json(&p)).unwrap(), p);
+        assert_eq!(Packet::decode(&p.encode(), "packet").unwrap(), p);
         for f in Flit::decompose(&p) {
-            assert_eq!(flit_from_json(&flit_to_json(&f)).unwrap(), f);
+            assert_eq!(Flit::decode(&f.encode(), "flit").unwrap(), f);
         }
     }
 
     #[test]
     fn envelope_round_trips_and_reseals() {
-        let cp = Checkpoint::new(
-            "pearl",
-            0xDEAD_BEEF_1234_5678,
-            42_000,
-            packet_to_json(&sample_packet()),
-        );
+        let cp = Checkpoint::new("pearl", 0xDEAD_BEEF_1234_5678, 42_000, sample_packet().encode());
         let back = Checkpoint::from_json(&cp.to_json()).unwrap();
         assert_eq!(back, cp);
         assert_eq!(back.state_hash(), cp.state_hash());
@@ -1049,7 +811,7 @@ mod tests {
     fn checkpoint_file_round_trip_is_atomic_and_verified() {
         let dir = std::env::temp_dir().join("pearl-telemetry-test-snapshot");
         let path = dir.join("run.checkpoint.json");
-        let cp = Checkpoint::new("cmesh", u64::MAX, 12_345, packet_to_json(&sample_packet()));
+        let cp = Checkpoint::new("cmesh", u64::MAX, 12_345, sample_packet().encode());
         cp.write_file(&path).unwrap();
         assert_eq!(Checkpoint::read_file(&path).unwrap(), cp);
         // No temporary residue left behind.
@@ -1086,7 +848,7 @@ mod tests {
         stats.laser_energy_j = 1.0 / 3.0;
         let mut exported = stats.export_state();
         exported.latency[1].1 = u128::from(u64::MAX) + 17; // force past u64
-        let back = stats_state_from_json(&stats_state_to_json(&exported)).unwrap();
+        let back = StatsState::decode(&exported.encode(), "stats").unwrap();
         assert_eq!(back, exported);
     }
 
@@ -1104,9 +866,9 @@ mod tests {
                 rng: RngState { words: [0; 4], draws: 0 },
             }],
         };
-        assert_eq!(traffic_state_from_json(&traffic_state_to_json(&model)).unwrap(), model);
+        assert_eq!(TrafficState::decode(&model.encode(), "traffic").unwrap(), model);
         let synth = TrafficState::Synthetic { rng: RngState { words: [9; 4], draws: 3 } };
-        assert_eq!(traffic_state_from_json(&traffic_state_to_json(&synth)).unwrap(), synth);
+        assert_eq!(TrafficState::decode(&synth.encode(), "traffic").unwrap(), synth);
     }
 
     #[test]
@@ -1125,7 +887,7 @@ mod tests {
             log_events: true,
             event_log: vec![(0, FaultEventKind::LambdaFail), (1, FaultEventKind::LaserRecover)],
         };
-        assert_eq!(fault_state_from_json(&fault_state_to_json(&state)).unwrap(), state);
+        assert_eq!(FaultModelState::decode(&state.encode(), "fault").unwrap(), state);
     }
 
     #[test]
@@ -1139,7 +901,7 @@ mod tests {
             stall_cycles: 12,
             transition_log: vec![(5, WavelengthState::W32), (9, WavelengthState::W64)],
         };
-        assert_eq!(laser_state_from_json(&laser_state_to_json(&state)).unwrap(), state);
+        assert_eq!(LaserState::decode(&state.encode(), "laser").unwrap(), state);
     }
 
     #[test]
@@ -1150,14 +912,61 @@ mod tests {
             accumulated_cycles: 4,
             rejections: 2,
         };
-        assert_eq!(buffer_state_from_json(&buffer_state_to_json(&buffer)).unwrap(), buffer);
+        assert_eq!(BufferState::decode(&buffer.encode(), "buffer").unwrap(), buffer);
         let vc = VcState {
             flits: Flit::decompose(&sample_packet()),
             inflow: Some(u64::MAX - 1),
             route: Some(3),
         };
-        assert_eq!(vc_state_from_json(&vc_state_to_json(&vc)).unwrap(), vc);
+        assert_eq!(VcState::decode(&vc.encode(), "vc").unwrap(), vc);
         let empty = VcState { flits: vec![], inflow: None, route: None };
-        assert_eq!(vc_state_from_json(&vc_state_to_json(&empty)).unwrap(), empty);
+        assert_eq!(VcState::decode(&empty.encode(), "vc").unwrap(), empty);
+    }
+
+    /// `u32` fields are JSON numbers, which parse up to 2⁵³: a value past
+    /// `u32::MAX` is refused instead of wrapping (2³² + 1 used to decode
+    /// as 1).
+    #[test]
+    fn u32_fields_past_their_range_are_rejected_not_truncated() {
+        let flit = Flit::decompose(&sample_packet()).remove(0);
+        let JsonValue::Arr(mut parts) = flit.encode() else { panic!("a flit is an array") };
+        parts[2] = JsonValue::u64((1 << 32) + 1);
+        assert!(matches!(
+            Flit::decode(&JsonValue::Arr(parts), "flit"),
+            Err(SnapshotError::BadShape { context: "flit" })
+        ));
+        let state = FaultModelState {
+            routers: vec![(0, WavelengthState::W64)],
+            structural_rng: ([1, 2, 3, 4], 5),
+            corruption_rng: ([6, 7, 8, 9], 10),
+            stats: FaultStats::default(),
+            log_events: false,
+            event_log: vec![],
+        };
+        let text = state.encode().to_string().replace("[[0,4]]", "[[4294967296,4]]");
+        assert_ne!(text, state.encode().to_string(), "the failed count is written as [[0,4]]");
+        assert!(matches!(
+            FaultModelState::decode(&JsonValue::parse(&text).unwrap(), "fault"),
+            Err(SnapshotError::BadShape { context: "routers" })
+        ));
+        assert_eq!(u32::decode(&JsonValue::u64(u64::from(u32::MAX)), "t").unwrap(), u32::MAX);
+    }
+
+    #[test]
+    fn hash_maps_are_sorted_pairs_and_options_are_null_or_the_value() {
+        let map: HashMap<u64, u64> = [(9, 1), (2, 3), (u64::MAX, 0)].into_iter().collect();
+        assert_eq!(
+            map.encode().to_string(),
+            r#"[["2","3"],["9","1"],["18446744073709551615","0"]]"#
+        );
+        assert_eq!(HashMap::<u64, u64>::decode(&map.encode(), "map").unwrap(), map);
+        assert_eq!(None::<u64>.encode(), JsonValue::Null);
+        assert_eq!(Some(7usize).encode().to_string(), "7");
+        let rng = RngState { words: [1, 2, 3, 4], draws: 5 };
+        assert_eq!(rng.encode().to_string(), r#"["1","2","3","4","5"]"#);
+        assert!(matches!(
+            <[u64; 2]>::decode(&[1u64, 2, 3].encode(), "pair"),
+            Err(SnapshotError::BadShape { context: "pair" })
+        ));
     }
 }
