@@ -4,10 +4,9 @@
 //! The telemetry crate owns the ring buffer and the sealed `flightrec
 //! v1` artifact; this module owns the two *process* questions: **when**
 //! to dump (a panic anywhere in the process, or a watchdog
-//! [`StallError`](crate::watchdog::StallError)) and **where** (a
-//! `flightrec_<bin>_<ts>.json` next to the bin's other state, named so
-//! an operator can tell post-mortems of different binaries and
-//! incidents apart).
+//! [`StallError`]) and **where** (a `flightrec_<bin>_<ts>.json` next to
+//! the bin's other state, named so an operator can tell post-mortems of
+//! different binaries and incidents apart).
 //!
 //! [`FlightGuard::install`] chains onto the existing panic hook rather
 //! than replacing it, so the standard panic message still prints, and a

@@ -354,8 +354,8 @@ impl CmeshNetwork {
         }
     }
 
-    /// Advances one network cycle, running each phase through
-    /// [`Self::timed`].
+    /// Advances one network cycle, running each phase through the
+    /// private `timed` helper.
     pub fn step(&mut self) {
         let now = self.now;
         self.timed(Section::Injection, |net| {

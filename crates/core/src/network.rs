@@ -536,7 +536,8 @@ impl PearlNetwork {
     }
 
     /// Advances the simulation by one network cycle, running the phases
-    /// in the order the module docs list, each through [`Self::timed`].
+    /// in the order the module docs list, each through the private
+    /// `timed` helper.
     pub fn step(&mut self) {
         let now = self.now;
         self.timed(Section::Faults, |net| {

@@ -1,6 +1,6 @@
 //! Allocation attribution for the hot-path observatory.
 //!
-//! Compiled with `--features alloc-count`, [`CountingAlloc`] wraps the
+//! Compiled with `--features alloc-count`, `CountingAlloc` wraps the
 //! system allocator and attributes every allocation (count and bytes)
 //! to the profiler [`Section`] the current thread is executing — the
 //! profiled step loop tags each phase via [`set_alloc_section`]. The
