@@ -15,7 +15,7 @@
 
 use super::*;
 use pearl_noc::{CreditCounter, StatsState, VcState, VirtualChannel};
-use pearl_telemetry::snapshot::{bad_shape, get};
+use pearl_telemetry::snapshot::get;
 use pearl_telemetry::{
     codec_array, codec_enum, codec_object, fingerprint, Checkpoint, Codec, JsonValue, SnapshotError,
 };
@@ -111,16 +111,16 @@ impl CmeshNetwork {
             ("partial_eject", partial_eject.len(), n),
         ];
         if let Some(&(context, ..)) = lengths.iter().find(|(_, found, live)| found != live) {
-            return Err(bad_shape(context));
+            return Err(SnapshotError::BadShape { context });
         }
         if now.as_u64() != checkpoint.cycle {
-            return Err(bad_shape("now"));
+            return Err(SnapshotError::BadShape { context: "now" });
         }
         for (state, router) in routers.iter().zip(&self.routers) {
             state.check(router, vcs)?;
         }
         if inject_current.iter().flatten().any(|s| s.vc >= vcs || s.flits.is_empty()) {
-            return Err(bad_shape("inject_current"));
+            return Err(SnapshotError::BadShape { context: "inject_current" });
         }
         // Link flits land from the front of a launch-ordered queue, which
         // is only correct while `deliver_at` never decreases along it.
@@ -128,11 +128,13 @@ impl CmeshNetwork {
         let unordered =
             links.iter().zip(links.iter().skip(1)).any(|(a, b)| b.deliver_at < a.deliver_at);
         if links.iter().any(stray) || unordered {
-            return Err(bad_shape("links"));
+            return Err(SnapshotError::BadShape { context: "links" });
         }
 
         // ---- apply phase ----
-        self.traffic.import_state(&traffic).map_err(|_| bad_shape("traffic"))?;
+        self.traffic
+            .import_state(&traffic)
+            .map_err(|_| SnapshotError::BadShape { context: "traffic" })?;
         self.now = now;
         self.next_packet_id = next_packet_id;
         self.stats.import_state(&stats);
@@ -185,25 +187,24 @@ impl RouterState {
     fn check(&self, live: &CmeshRouter, vcs: usize) -> Result<(), SnapshotError> {
         let ports = Port::ALL.len();
         if self.inputs.len() != ports || self.inputs.iter().any(|port| port.len() != vcs) {
-            return Err(bad_shape("inputs"));
+            return Err(SnapshotError::BadShape { context: "inputs" });
         }
         // An output with a neighbor has `vcs` credit counters; an edge
         // output has none, in the checkpoint and the live router alike.
-        let credits_fit =
-            self.out_credits.len() == live.out_credits.len()
-                && self.out_credits.iter().zip(&live.out_credits).all(|(saved, live)| {
-                    saved.as_ref().map(Vec::len) == live.as_ref().map(|_| vcs)
-                });
+        let credits_fit = self.out_credits.len() == live.out_credits.len()
+            && self.out_credits.iter().zip(&live.out_credits).all(|(saved, counters)| {
+                saved.as_ref().map(Vec::len) == counters.as_ref().map(|_| vcs)
+            });
         if !credits_fit {
-            return Err(bad_shape("out_credits"));
+            return Err(SnapshotError::BadShape { context: "out_credits" });
         }
         if self.out_vc_owner.len() != 4 || self.out_vc_owner.iter().any(|o| o.len() != vcs) {
-            return Err(bad_shape("out_vc_owner"));
+            return Err(SnapshotError::BadShape { context: "out_vc_owner" });
         }
         // The switch allocator's rotation relies on pointers below the
         // number of (port, VC) slots.
         if self.rr.len() != ports || self.rr.iter().any(|&p| p >= ports * vcs) {
-            return Err(bad_shape("rr"));
+            return Err(SnapshotError::BadShape { context: "rr" });
         }
         Ok(())
     }

@@ -35,7 +35,7 @@ use crate::ml_scaling::LadderState;
 use crate::timeline::{TimelinePoint, TimelineState};
 use pearl_noc::{BufferState, StatsState};
 use pearl_photonics::{FaultModelState, LaserState};
-use pearl_telemetry::snapshot::{bad_shape, field, get, items};
+use pearl_telemetry::snapshot::{field, get, items};
 use pearl_telemetry::{
     codec_array, codec_enum, codec_object, fingerprint, Checkpoint, Codec, JsonValue, SnapshotError,
 };
@@ -154,37 +154,39 @@ impl PearlNetwork {
             ("pending_predictions", pending_predictions.len(), self.pending_predictions.len()),
         ];
         if let Some(&(context, ..)) = lengths.iter().find(|(_, found, live)| found != live) {
-            return Err(bad_shape(context));
+            return Err(SnapshotError::BadShape { context });
         }
         if now.as_u64() != checkpoint.cycle {
-            return Err(bad_shape("now"));
+            return Err(SnapshotError::BadShape { context: "now" });
         }
         for (state, router) in routers.iter().zip(&self.routers) {
             state.check(router)?;
         }
         // Router indices are used unchecked by the next cycle.
         if in_flight.iter().any(|f| f.src >= endpoints || f.dst >= endpoints) {
-            return Err(bad_shape("in_flight"));
+            return Err(SnapshotError::BadShape { context: "in_flight" });
         }
         if tokens.iter().any(|&holder| holder >= endpoints) {
-            return Err(bad_shape("tokens"));
+            return Err(SnapshotError::BadShape { context: "tokens" });
         }
         if timeline.as_ref().is_some_and(|t| t.window == 0) {
-            return Err(bad_shape("timeline.window"));
+            return Err(SnapshotError::BadShape { context: "timeline.window" });
         }
         // Ladder presence is derived from the policy, which the
         // fingerprint pins — a disagreement here means a malformed
         // payload, not a config mismatch.
         if ladder.is_some() != self.ladder.is_some() {
-            return Err(bad_shape("ladder"));
+            return Err(SnapshotError::BadShape { context: "ladder" });
         }
         if span_tracker.as_ref().is_some_and(|t| t.head_wait.len() != endpoints) {
-            return Err(bad_shape("spans.head_wait"));
+            return Err(SnapshotError::BadShape { context: "spans.head_wait" });
         }
 
         // ---- apply phase: infallible except the traffic import, which ----
         // ---- goes first so an error still leaves the network coherent. ----
-        self.traffic.import_state(&traffic).map_err(|_| bad_shape("traffic"))?;
+        self.traffic
+            .import_state(&traffic)
+            .map_err(|_| SnapshotError::BadShape { context: "traffic" })?;
         self.rng = rng;
         self.now = now;
         self.next_packet_id = next_packet_id;
@@ -262,7 +264,7 @@ impl RouterState {
 
     fn check(&self, live: &PearlRouter) -> Result<(), SnapshotError> {
         if self.channels.len() != live.channels.len() {
-            return Err(bad_shape("channels"));
+            return Err(SnapshotError::BadShape { context: "channels" });
         }
         Ok(())
     }
@@ -356,7 +358,7 @@ impl Codec for InFlight {
             deliver_at: Codec::decode(deliver_at, context)?,
             attempts: Codec::decode(attempts, context)?,
             wire_crc: u32::try_from(u64::decode(wire_crc, context)?)
-                .map_err(|_| bad_shape(context))?,
+                .map_err(|_| SnapshotError::BadShape { context })?,
         })
     }
 }
@@ -406,11 +408,13 @@ fn decode_dataset(v: &JsonValue) -> Result<Dataset, SnapshotError> {
     let features: Vec<Vec<f64>> = get(v, "features")?;
     let labels: Vec<f64> = get(v, "labels")?;
     if features.len() != labels.len() {
-        return Err(bad_shape("dataset"));
+        return Err(SnapshotError::BadShape { context: "dataset" });
     }
     let mut dataset = Dataset::new(get(v, "dimension")?);
     for (row, label) in features.into_iter().zip(labels) {
-        dataset.push(row, label).map_err(|_| bad_shape("dataset.features"))?;
+        dataset
+            .push(row, label)
+            .map_err(|_| SnapshotError::BadShape { context: "dataset.features" })?;
     }
     Ok(dataset)
 }

@@ -202,18 +202,13 @@ pub trait Codec: Sized {
     fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError>;
 }
 
-/// A [`SnapshotError::BadShape`] naming `context`.
-pub fn bad_shape(context: &'static str) -> SnapshotError {
-    SnapshotError::BadShape { context }
-}
-
 /// Fetches a required object field.
 ///
 /// # Errors
 ///
 /// [`SnapshotError::BadShape`] naming `key` when absent.
 pub fn field<'a>(v: &'a JsonValue, key: &'static str) -> Result<&'a JsonValue, SnapshotError> {
-    v.get(key).ok_or(bad_shape(key))
+    v.get(key).ok_or(SnapshotError::BadShape { context: key })
 }
 
 /// Decodes the required object field `key`, naming it on failure.
@@ -236,7 +231,7 @@ pub fn items<'a, const N: usize>(
 ) -> Result<[&'a JsonValue; N], SnapshotError> {
     match v.as_arr() {
         Some(list) if list.len() == N => Ok(std::array::from_fn(|i| &list[i])),
-        _ => Err(bad_shape(context)),
+        _ => Err(SnapshotError::BadShape { context }),
     }
 }
 
@@ -258,7 +253,7 @@ pub fn decode_index<T: Copy>(
     v: &JsonValue,
     context: &'static str,
 ) -> Result<T, SnapshotError> {
-    all.get(usize::decode(v, context)?).copied().ok_or(bad_shape(context))
+    all.get(usize::decode(v, context)?).copied().ok_or(SnapshotError::BadShape { context })
 }
 
 /// Implements [`Codec`] for enums by their index in their `ALL` array.
@@ -327,7 +322,7 @@ macro_rules! decimal {
                 JsonValue::str(self.to_string())
             }
             fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
-                v.as_str().and_then(|s| s.parse().ok()).ok_or(bad_shape(context))
+                v.as_str().and_then(|s| s.parse().ok()).ok_or(SnapshotError::BadShape { context })
             }
         }
     )+};
@@ -349,7 +344,7 @@ impl Codec for f64 {
     }
     fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
         let bits = v.as_str().and_then(|s| u64::from_str_radix(s, 16).ok());
-        bits.map(f64::from_bits).ok_or(bad_shape(context))
+        bits.map(f64::from_bits).ok_or(SnapshotError::BadShape { context })
     }
 }
 
@@ -358,7 +353,7 @@ impl Codec for usize {
         JsonValue::u64(*self as u64)
     }
     fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
-        v.as_u64().and_then(|n| usize::try_from(n).ok()).ok_or(bad_shape(context))
+        v.as_u64().and_then(|n| usize::try_from(n).ok()).ok_or(SnapshotError::BadShape { context })
     }
 }
 
@@ -367,7 +362,7 @@ impl Codec for u32 {
         JsonValue::u64(u64::from(*self))
     }
     fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
-        v.as_u64().and_then(|n| u32::try_from(n).ok()).ok_or(bad_shape(context))
+        v.as_u64().and_then(|n| u32::try_from(n).ok()).ok_or(SnapshotError::BadShape { context })
     }
 }
 
@@ -387,7 +382,7 @@ impl Codec for bool {
     fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
         match v {
             JsonValue::Bool(b) => Ok(*b),
-            _ => Err(bad_shape(context)),
+            _ => Err(SnapshotError::BadShape { context }),
         }
     }
 }
@@ -411,7 +406,7 @@ macro_rules! sequence {
                 JsonValue::Arr(self.iter().map(T::encode).collect())
             }
             fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
-                let list = v.as_arr().ok_or(bad_shape(context))?;
+                let list = v.as_arr().ok_or(SnapshotError::BadShape { context })?;
                 list.iter().map(|item| T::decode(item, context)).collect()
             }
         }
@@ -424,7 +419,7 @@ impl<T: Codec, const N: usize> Codec for [T; N] {
         JsonValue::Arr(self.iter().map(T::encode).collect())
     }
     fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
-        Vec::decode(v, context)?.try_into().map_err(|_| bad_shape(context))
+        Vec::decode(v, context)?.try_into().map_err(|_| SnapshotError::BadShape { context })
     }
 }
 
@@ -568,7 +563,7 @@ impl Codec for TrafficState {
         match field(v, "kind")?.as_str() {
             Some("model") => Ok(TrafficState::Model { cpu: get(v, "cpu")?, gpu: get(v, "gpu")? }),
             Some("synthetic") => Ok(TrafficState::Synthetic { rng: get(v, "rng")? }),
-            _ => Err(bad_shape("traffic.kind")),
+            _ => Err(SnapshotError::BadShape { context: "traffic.kind" }),
         }
     }
 }
@@ -632,7 +627,8 @@ impl Checkpoint {
     /// [`SnapshotError::VersionMismatch`], [`SnapshotError::HashMismatch`]
     /// or [`SnapshotError::BadShape`].
     pub fn from_json(v: &JsonValue) -> Result<Checkpoint, SnapshotError> {
-        let version = field(v, "version")?.as_u64().ok_or(bad_shape("version"))?;
+        let version =
+            field(v, "version")?.as_u64().ok_or(SnapshotError::BadShape { context: "version" })?;
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::VersionMismatch {
                 found: version,
@@ -640,7 +636,10 @@ impl Checkpoint {
             });
         }
         let checkpoint = Checkpoint {
-            kind: field(v, "kind")?.as_str().ok_or(bad_shape("kind"))?.to_string(),
+            kind: field(v, "kind")?
+                .as_str()
+                .ok_or(SnapshotError::BadShape { context: "kind" })?
+                .to_string(),
             config_fingerprint: get(v, "config_fingerprint")?,
             cycle: get(v, "cycle")?,
             state: field(v, "state")?.clone(),
