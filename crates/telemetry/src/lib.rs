@@ -27,6 +27,9 @@
 //!   polls, no-op DBA/power updates, lost arbitrations) with derived
 //!   [`WasteRatios`] and reconciliation invariants. The self-profiler
 //!   owns them, so profiling a run also counts its work.
+//! - [`Checkpoint`] / [`Codec`]: sealed, versioned simulation
+//!   checkpoints, and the one codec every piece of checkpointed state
+//!   encodes through ([`snapshot`], DESIGN §4b).
 //! - [`alloc`]: with `--features alloc-count`, a counting global
 //!   allocator attributing allocation count/bytes to the active
 //!   profiler section (no-op stubs, and no unsafe code, otherwise).
