@@ -826,7 +826,7 @@ fn main() {
     let dir = PathBuf::from(RESULTS_DIR).join("chaos");
     std::fs::create_dir_all(&dir).expect("create results/chaos");
 
-    let mut report = Report::from_args("chaos");
+    let mut report = Report::new("chaos", args.has("--json"));
     report.insert("cycles", JsonValue::u64(cycles));
     let mut failures = 0u32;
     let mut cases = 0u32;

@@ -26,7 +26,7 @@
 //!   CI; the instrumented trace run keeps its full length so every
 //!   event kind still appears.
 
-use pearl_bench::{has_flag, mean, JobPool, Report, Row, RESULTS_DIR, SEED_BASE};
+use pearl_bench::{mean, JobPool, Report, Row, RESULTS_DIR, SEED_BASE};
 use pearl_core::{
     FallbackConfig, FaultConfig, MlPowerScaler, NetworkBuilder, PearlPolicy, FEATURE_COUNT,
 };
@@ -191,8 +191,8 @@ fn main() {
             .flag("--smoke", "reduced sweep for CI")
             .parse();
     let pool = JobPool::new(args.jobs());
-    let smoke = has_flag("--smoke");
-    let mut report = Report::from_args("faultsweep");
+    let smoke = args.has("--smoke");
+    let mut report = Report::new("faultsweep", args.has("--json"));
     let rates: &[f64] = if smoke { &SMOKE_RATES } else { &RATES };
     let pairs: Vec<BenchmarkPair> = if smoke {
         BenchmarkPair::test_pairs().into_iter().take(4).collect()

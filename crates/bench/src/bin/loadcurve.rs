@@ -20,7 +20,7 @@
 //! interleaved in cycle order — plus `results/loadcurve_manifest.json`.
 //! The `report` binary renders the pair (`--spans` / `--perfetto`).
 
-use pearl_bench::{has_flag, Hotpath, JobPool, Report, Row, RESULTS_DIR};
+use pearl_bench::{Hotpath, JobPool, Report, Row, RESULTS_DIR};
 use pearl_cmesh::CmeshBuilder;
 use pearl_core::{FaultConfig, NetworkBuilder, PearlPolicy};
 use pearl_noc::CoreType;
@@ -117,12 +117,12 @@ fn main() {
     .flag("--trace", "write an instrumented event+span trace for the report binary")
     .flag("--smoke", "reduced curve for CI (the --trace run keeps its full length)")
     .parse();
-    let mut report = Report::from_args("loadcurve");
-    let profile = has_flag("--profile");
+    let mut report = Report::new("loadcurve", args.has("--json"));
+    let profile = args.has("--profile");
     // Profiling measures wall-clock per phase, so it must not share the
     // machine with sibling jobs: --profile forces the sequential path.
     let pool = if profile { JobPool::new(1) } else { JobPool::new(args.jobs()) };
-    let smoke = has_flag("--smoke");
+    let smoke = args.has("--smoke");
     let cycles = if smoke { 10_000 } else { 30_000 };
     println!("=== Load-latency: uniform random, 16 clusters, {cycles} cycles ===");
     println!(
@@ -248,7 +248,7 @@ fn main() {
          paper's PEARL advantage comes from energy and the latency-sensitive, \
          L3-centric heterogeneous traffic, not raw bisection."
     );
-    if has_flag("--trace") {
+    if args.has("--trace") {
         write_trace_artifacts();
     }
     report.finish().expect("write JSON artifact");

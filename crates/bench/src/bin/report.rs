@@ -340,7 +340,7 @@ fn main() {
     )
     .parse();
     if args.has("--hotpath") || args.has("--serve") || args.value("--flight").is_some() {
-        let mut report = Report::from_args("report");
+        let mut report = Report::new("report", args.has("--json"));
         if let Some(path) = args.value("--flight") {
             flight_report(path, &mut report);
         }
@@ -363,7 +363,7 @@ fn main() {
         positional.next().unwrap_or_else(|| format!("{RESULTS_DIR}/faultsweep_trace.jsonl"));
     let manifest_path =
         positional.next().unwrap_or_else(|| format!("{RESULTS_DIR}/faultsweep_manifest.json"));
-    let mut report = Report::from_args("report");
+    let mut report = Report::new("report", args.has("--json"));
 
     let manifest = RunManifest::read_file(&manifest_path).unwrap_or_else(|e| {
         eprintln!("error: cannot read manifest {manifest_path}: {e}");

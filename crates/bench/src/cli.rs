@@ -1,15 +1,11 @@
-//! Shared command-line handling for the experiment binaries.
+//! Shared command-line handling for the binaries of this crate.
 //!
-//! Every binary in this crate used to scan `std::env::args` ad hoc and
-//! silently ignore anything it did not recognize — a typo like
-//! `--jsno` ran the full experiment and then wrote nothing. [`Cli`]
-//! gives each binary a declared flag/positional vocabulary: unknown
-//! arguments print a usage message and exit non-zero, and `--help`
-//! prints the same message and exits zero.
-//!
-//! The parser only *validates*; binaries keep reading recognized flags
-//! through [`crate::has_flag`] / [`crate::Report::from_args`], so
-//! adopting it is a one-line change per binary.
+//! [`Cli`] gives each binary a declared flag/positional vocabulary:
+//! unknown arguments print a usage message and exit non-zero (a typo
+//! like `--jsno` must not run the full experiment and then write
+//! nothing), and `--help` prints the same message and exits zero.
+//! [`Cli::parse`] returns the validated [`CliArgs`], and the binary
+//! reads every flag, option and positional from them.
 
 /// A rejected command line.
 #[derive(Debug, Clone, PartialEq, Eq)]

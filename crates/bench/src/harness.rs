@@ -1,10 +1,5 @@
-//! Shared experiment plumbing: configured runs, averaging and the ASCII
-//! table formatting every figure binary uses.
-
-use crate::pool::JobPool;
-use pearl_cmesh::{CmeshBuilder, CmeshConfig, CmeshSummary};
-use pearl_core::{MlTrainer, NetworkBuilder, PearlConfig, PearlPolicy, RunSummary, TrainedModel};
-use pearl_workloads::BenchmarkPair;
+//! Shared experiment constants, averaging and the ASCII table
+//! formatting the experiments and the sweep binaries print with.
 
 /// Simulated cycles per (configuration, pair) run.
 ///
@@ -16,76 +11,6 @@ pub const DEFAULT_CYCLES: u64 = 60_000;
 /// Base seed; pair `i` runs with `SEED_BASE + i` in every configuration
 /// so configurations face identical workload sample paths.
 pub const SEED_BASE: u64 = 100;
-
-/// Runs one PEARL configuration over one test pair.
-pub fn run_pearl(policy: &PearlPolicy, pair: BenchmarkPair, seed: u64, cycles: u64) -> RunSummary {
-    NetworkBuilder::new().policy(policy.clone()).seed(seed).build(pair).run(cycles)
-}
-
-/// Runs one PEARL configuration with a custom structural config.
-pub fn run_pearl_with_config(
-    config: PearlConfig,
-    policy: &PearlPolicy,
-    pair: BenchmarkPair,
-    seed: u64,
-    cycles: u64,
-) -> RunSummary {
-    NetworkBuilder::new().config(config).policy(policy.clone()).seed(seed).build(pair).run(cycles)
-}
-
-/// Runs the CMESH baseline over one test pair.
-pub fn run_cmesh(pair: BenchmarkPair, seed: u64, cycles: u64) -> CmeshSummary {
-    CmeshBuilder::new().config(CmeshConfig::pearl_baseline()).seed(seed).build(pair).run(cycles)
-}
-
-/// Runs `f` once per test pair on `pool` — `f(index, pair, seed)` with
-/// the canonical per-pair seed (`SEED_BASE + index`) — returning the
-/// results in pair order regardless of the worker count. This is the
-/// fan-out point of every figure/ablation binary: the closure must
-/// compute its result without printing or touching shared state so the
-/// parallel sweep stays byte-identical to `--jobs 1`.
-pub fn run_all_pairs<T, F>(pool: &JobPool, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, BenchmarkPair, u64) -> T + Sync,
-{
-    let pairs = BenchmarkPair::test_pairs();
-    pool.run(pairs.len(), |i| f(i, pairs[i], SEED_BASE + i as u64))
-}
-
-/// Runs a PEARL configuration over every test pair on `pool`, returning
-/// summaries in pair order.
-pub fn pearl_summaries(pool: &JobPool, policy: &PearlPolicy, cycles: u64) -> Vec<RunSummary> {
-    run_all_pairs(pool, |_, pair, seed| run_pearl(policy, pair, seed, cycles))
-}
-
-/// Trains the ML power-scaling model for one reservation window,
-/// printing progress (training takes tens of seconds per window).
-pub fn train_model(window: u64) -> TrainedModel {
-    eprintln!("[training ML power-scaling model for RW{window}…]");
-    let model = MlTrainer::new(window).train().expect("ridge training");
-    eprintln!(
-        "[RW{window}: λ={} validation NRMSE={:.3} ({} samples)]",
-        model.lambda, model.validation_nrmse, model.training_samples
-    );
-    model
-}
-
-/// The six power-scaling configurations of Figs. 6–7: the static 64 WL
-/// baseline, reactive scaling at RW500/RW2000, and ML scaling at RW500
-/// (with and without the 8 λ state) and RW2000.
-pub fn power_scaling_suite() -> Vec<(String, PearlPolicy)> {
-    let rw500 = train_model(500);
-    let rw2000 = train_model(2000);
-    vec![
-        ("64WL".into(), PearlPolicy::dyn_64wl()),
-        ("DynRW500".into(), PearlPolicy::reactive(500)),
-        ("DynRW2000".into(), PearlPolicy::reactive(2000)),
-        ("MLRW500no8".into(), PearlPolicy::ml(500, rw500.scaler.clone(), false)),
-        ("MLRW500".into(), PearlPolicy::ml(500, rw500.scaler, true)),
-        ("MLRW2000".into(), PearlPolicy::ml(2000, rw2000.scaler, true)),
-    ]
-}
 
 /// Arithmetic mean of a slice (0 for an empty slice).
 pub fn mean(values: &[f64]) -> f64 {
@@ -146,50 +71,5 @@ mod tests {
     fn mean_of_values() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
         assert_eq!(mean(&[]), 0.0);
-    }
-
-    #[test]
-    fn pearl_and_cmesh_run_one_pair() {
-        let pair = BenchmarkPair::test_pairs()[0];
-        let p = run_pearl(&PearlPolicy::dyn_64wl(), pair, 1, 2_000);
-        assert_eq!(p.cycles, 2_000);
-        let c = run_cmesh(pair, 1, 2_000);
-        assert_eq!(c.cycles, 2_000);
-    }
-
-    #[test]
-    fn seeded_runs_are_reproducible() {
-        let pair = BenchmarkPair::test_pairs()[3];
-        let a = run_pearl(&PearlPolicy::reactive(500), pair, 7, 3_000);
-        let b = run_pearl(&PearlPolicy::reactive(500), pair, 7, 3_000);
-        assert_eq!(a.delivered_flits, b.delivered_flits);
-    }
-
-    #[test]
-    fn run_all_pairs_hands_out_canonical_seeds_in_order() {
-        let seen = run_all_pairs(&JobPool::new(3), |i, pair, seed| (i, pair.label(), seed));
-        assert_eq!(seen.len(), BenchmarkPair::test_pairs().len());
-        for (i, (idx, label, seed)) in seen.iter().enumerate() {
-            assert_eq!(*idx, i);
-            assert_eq!(*seed, SEED_BASE + i as u64);
-            assert_eq!(*label, BenchmarkPair::test_pairs()[i].label());
-        }
-    }
-
-    #[test]
-    fn parallel_pair_sweep_is_bit_identical_to_sequential() {
-        // The core determinism contract at the harness level: simulated
-        // metrics from a pooled sweep match the sequential path bit for
-        // bit (short cycles keep this test fast).
-        let policy = PearlPolicy::dyn_64wl();
-        let sequential = pearl_summaries(&JobPool::new(1), &policy, 1_500);
-        let parallel = pearl_summaries(&JobPool::new(4), &policy, 1_500);
-        assert_eq!(sequential.len(), parallel.len());
-        for (a, b) in sequential.iter().zip(&parallel) {
-            assert_eq!(a.delivered_flits, b.delivered_flits);
-            assert_eq!(a.delivered_packets, b.delivered_packets);
-            assert_eq!(a.avg_laser_power_w.to_bits(), b.avg_laser_power_w.to_bits());
-            assert_eq!(a.energy_per_bit_j.to_bits(), b.energy_per_bit_j.to_bits());
-        }
     }
 }

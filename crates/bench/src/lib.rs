@@ -1,20 +1,19 @@
 //! # pearl-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation section:
+//! The `experiments` binary regenerates the paper's evaluation section
+//! (Tables I–V, Figs. 4–11, the §IV-C NRMSE numbers) plus the design
+//! ablations and extensions. Each is one named entry of the
+//! [`experiments::EXPERIMENTS`] table, and the runner runs the named
+//! ones, or all of them in table order, in one process:
 //!
-//! | Binary | Regenerates |
-//! |---|---|
-//! | `tables` | Tables I–V (`spec`, `area`, `features`, `benchmarks`, `optics`) |
-//! | `fig04` | CPU/GPU packet breakdown per test pair |
-//! | `fig05` | energy-per-bit: PEARL-Dyn / PEARL-FCFS at 64/32/16 WL vs CMESH |
-//! | `fig06` | throughput of the power-scaling configurations |
-//! | `fig07` | average laser power of the power-scaling configurations |
-//! | `fig08` | wavelength-state residency for ML RW500 / ML RW2000 |
-//! | `fig09` | throughput: PEARL-Dyn, PEARL-FCFS, Dyn RW500, ML RW500, CMESH |
-//! | `fig10` | ML throughput across reservation windows 500/1000/2000 |
-//! | `fig11` | laser-power & throughput sensitivity to laser turn-on time |
-//! | `nrmse` | validation/test NRMSE and top-state selection accuracy |
-//! | `faultsweep` | robustness: throughput/energy degradation vs fault rate |
+//! ```text
+//! experiments [NAME...] [--jobs N] [--json]
+//! ```
+//!
+//! The experiments share an [`experiments::Lab`] that trains each
+//! reservation window's ML model and runs each test-pair sweep once,
+//! so a full run trains three models in total. `faultsweep` adds the
+//! robustness sweep (throughput/energy degradation versus fault rate).
 //!
 //! Utility binaries ride alongside: `report` renders one instrumented
 //! run's telemetry artifacts (`--spans`/`--perfetto` for the causal
@@ -28,9 +27,6 @@
 //! and long runs go through the [`watchdog`] so a wedged simulation
 //! fails fast instead of hanging.
 //!
-//! Criterion microbenchmarks (`cargo bench`) cover the router pipeline,
-//! the DBA, ridge fitting and the CMESH switch allocation.
-//!
 //! The hot-path observatory rides on `loadcurve --profile`: [`hotpath`]
 //! exports `results/hotpath_*.json` and a folded-stacks flamegraph
 //! file, and `report --hotpath` renders and gates them. Performance is
@@ -42,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod cli;
+pub mod experiments;
 pub mod flightdump;
 pub mod harness;
 pub mod hotpath;
@@ -60,13 +57,10 @@ static COUNTING_ALLOC: pearl_telemetry::CountingAlloc = pearl_telemetry::Countin
 
 pub use cli::{Cli, CliArgs, CliError};
 pub use flightdump::{dump_stall, postmortem_path, FlightGuard};
-pub use harness::{
-    mean, pearl_summaries, run_all_pairs, run_cmesh, run_pearl, table, Row, DEFAULT_CYCLES,
-    SEED_BASE,
-};
+pub use harness::{mean, table, Row, DEFAULT_CYCLES, SEED_BASE};
 pub use hotpath::{Hotpath, HOTPATH_SCHEMA_VERSION};
 pub use pool::{available_jobs, JobError, JobPool};
-pub use report::{has_flag, Report, RESULTS_DIR};
+pub use report::{Report, RESULTS_DIR};
 pub use serve::{Daemon, DaemonConfig, DaemonSummary, ExperimentSpec, Spool};
 pub use watchdog::{
     run_watched, run_watched_with, StallError, WatchError, Watchable, DEFAULT_STALL_WINDOW,

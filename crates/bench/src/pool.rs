@@ -1,6 +1,6 @@
 //! Deterministic parallel job pool for the experiment fan-out.
 //!
-//! Every figure/ablation binary runs an embarrassingly parallel sweep:
+//! Every experiment runs an embarrassingly parallel sweep:
 //! a grid of (configuration × benchmark pair) simulations whose seeds
 //! are fixed up front (`SEED_BASE + i`) and whose results are only
 //! combined after all runs finish. [`JobPool`] executes such a sweep on
@@ -24,7 +24,7 @@
 //!
 //! - [`JobPool::run`] / [`JobPool::map`] — **fail-fast**: a panicking
 //!   job aborts the whole sweep via `resume_unwind`. This is the right
-//!   contract for the figure/table binaries, where a panic means the
+//!   contract for the figure/table experiments, where a panic means the
 //!   experiment itself is broken and partial output would be misleading.
 //! - [`JobPool::run_supervised`] — **supervised**: every job runs under
 //!   [`std::panic::catch_unwind`] and returns `Result<T, JobError>` with

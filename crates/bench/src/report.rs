@@ -1,14 +1,15 @@
 //! Machine-readable experiment artifacts.
 //!
-//! Every figure/ablation binary keeps its human-readable text output
-//! and, when invoked with `--json`, additionally writes
-//! `results/<name>.json` — the same numbers as a structured artifact a
-//! plotting script or CI check can consume without scraping tables.
+//! Every experiment, and every sweep binary beside the `experiments`
+//! runner, keeps its human-readable text output and, when invoked with
+//! `--json`, additionally writes `results/<name>.json` — the same
+//! numbers as a structured artifact a plotting script or CI check can
+//! consume without scraping tables.
 //!
 //! [`Report`] wraps the text-table helper: [`Report::table`] prints
 //! through [`crate::harness::table`] *and* records the rows;
-//! [`Report::record_table`] records without printing (for binaries with
-//! bespoke text formats); [`Report::metric`] and [`Report::insert`]
+//! [`Report::record_table`] records without printing (for output with
+//! a bespoke text format); [`Report::metric`] and [`Report::insert`]
 //! capture headline scalars and arbitrary JSON. [`Report::finish`]
 //! writes the artifact (a no-op without `--json`).
 
@@ -18,11 +19,6 @@ use std::path::PathBuf;
 
 /// Directory every artifact lands in, next to the committed text logs.
 pub const RESULTS_DIR: &str = "results";
-
-/// Returns true when the process arguments contain `flag`.
-pub fn has_flag(flag: &str) -> bool {
-    std::env::args().skip(1).any(|a| a == flag)
-}
 
 /// Structured mirror of a binary's printed output.
 #[derive(Debug)]
@@ -36,13 +32,8 @@ pub struct Report {
 }
 
 impl Report {
-    /// Creates a report named after the binary, scanning the process
-    /// arguments for `--json`.
-    pub fn from_args(name: &str) -> Report {
-        Report::new(name, has_flag("--json"))
-    }
-
-    /// Creates a report with an explicit JSON-mode switch.
+    /// Creates a report named after its experiment or binary; `json`
+    /// (the `--json` flag) makes [`Self::finish`] write the artifact.
     pub fn new(name: &str, json: bool) -> Report {
         Report {
             name: name.to_string(),
@@ -66,8 +57,8 @@ impl Report {
         self.record_table(title, columns, rows);
     }
 
-    /// Records a table in the artifact without printing — for binaries
-    /// that render their own text format.
+    /// Records a table in the artifact without printing — for output
+    /// with its own text format.
     pub fn record_table(&mut self, title: &str, columns: &[&str], rows: &[Row]) {
         self.tables.push(table_to_json(title, columns, rows));
     }

@@ -26,7 +26,7 @@ use pearl_photonics::WavelengthState;
 use pearl_workloads::BenchmarkPair;
 
 /// The deployed per-router predictor: ridge model + Eq. 7 selection.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MlPowerScaler {
     selection: LambdaSelection,
     /// Capacity guard factor: the chosen state must cover
@@ -279,7 +279,7 @@ impl From<ScalingMode> for pearl_telemetry::LadderMode {
 }
 
 /// Configuration of the online accuracy monitor behind the ladder.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FallbackConfig {
     /// Sliding-window length in (prediction, actual) samples. Each
     /// router contributes one sample per reservation window.

@@ -35,7 +35,7 @@ pub enum BandwidthPolicy {
 }
 
 /// How each router's laser power state evolves.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PowerPolicy {
     /// A fixed wavelength state for the whole run.
     Static(WavelengthState),
@@ -111,7 +111,7 @@ impl PowerPolicy {
 }
 
 /// A complete PEARL configuration variant.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PearlPolicy {
     /// Bandwidth arbitration policy.
     pub bandwidth: BandwidthPolicy,

@@ -10,7 +10,7 @@ use crate::ridge::{FitError, FittedRidge, RidgeRegression};
 use crate::scaler::StandardScaler;
 
 /// Outcome of a λ search: the winning model, its scaler and diagnostics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LambdaSelection {
     /// Model fitted with the winning λ on the training set.
     pub model: FittedRidge,
