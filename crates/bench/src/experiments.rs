@@ -37,7 +37,7 @@
 //! `timeline` and `ablation_basis`'s expanded models) runs on
 //! [`Lab::pool`] inside its experiment.
 
-use crate::harness::{mean, Row, DEFAULT_CYCLES, SEED_BASE};
+use crate::harness::{mean, sweep, Row, DEFAULT_CYCLES, SEED_BASE};
 use crate::pool::JobPool;
 use crate::report::Report;
 use pearl_cmesh::{CmeshBuilder, CmeshConfig, CmeshSummary};
@@ -153,14 +153,6 @@ impl Lab {
         self.cmesh.push((config, cycles, Rc::clone(&runs)));
         runs
     }
-}
-
-/// Runs `run(pair, seed)` for every test pair on `pool`, pair `i` with
-/// seed `SEED_BASE + i`, and returns the results in pair order for any
-/// worker count. `run` must not print or touch shared state.
-fn sweep<T: Send>(pool: &JobPool, run: impl Fn(BenchmarkPair, u64) -> T + Sync) -> Vec<T> {
-    let pairs = BenchmarkPair::test_pairs();
-    pool.run(pairs.len(), |i| run(pairs[i], SEED_BASE + i as u64))
 }
 
 /// `field` of each run.
@@ -1010,29 +1002,6 @@ fn timeline(lab: &mut Lab, report: &mut Report) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lab_sweeps_run_every_test_pair_in_order_with_canonical_seeds() {
-        let pairs = BenchmarkPair::test_pairs();
-        let mut lab = Lab::new(JobPool::new(3));
-        let policy = PearlPolicy::reactive(500);
-        let runs = lab.pearl(PearlConfig::pearl(), &policy, 1_500);
-        assert_eq!(runs.len(), pairs.len());
-        for (i, (run, &pair)) in runs.iter().zip(&pairs).enumerate() {
-            let seed = SEED_BASE + i as u64;
-            let direct =
-                NetworkBuilder::new().policy(policy.clone()).seed(seed).build(pair).run(1_500);
-            assert_eq!(run.cycles, 1_500);
-            assert_eq!(run.delivered_flits, direct.delivered_flits, "pair {i}");
-            assert_eq!(run.delivered_packets, direct.delivered_packets, "pair {i}");
-            assert_eq!(run.avg_laser_power_w.to_bits(), direct.avg_laser_power_w.to_bits());
-        }
-        let mesh = lab.cmesh(CmeshConfig::pearl_baseline(), 1_500);
-        assert_eq!(mesh.len(), pairs.len());
-        assert!(mesh.iter().all(|run| run.cycles == 1_500));
-        let direct = CmeshBuilder::new().seed(SEED_BASE).build(pairs[0]).run(1_500);
-        assert_eq!(mesh[0].delivered_flits, direct.delivered_flits);
-    }
 
     #[test]
     fn pooled_lab_sweep_is_bit_identical_to_sequential() {
