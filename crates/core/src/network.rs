@@ -23,7 +23,7 @@ use crate::features::{FeatureVector, FEATURE_COUNT};
 use crate::metrics::RunSummary;
 use crate::ml_scaling::{DegradationLadder, ScalingMode};
 use crate::policy::{BandwidthPolicy, PearlPolicy, PowerPolicy};
-use crate::router::{PearlRouter, Transfer};
+use crate::router::{lane_index, PearlRouter, Transfer};
 use crate::timeline::{mean_wavelengths, ModeTransition, Timeline};
 use pearl_ml::Dataset;
 use pearl_noc::{
@@ -245,6 +245,10 @@ pub struct PearlNetwork {
     config: PearlConfig,
     policy: PearlPolicy,
     power_model: PowerModel,
+    /// `(laser W, heating W)` of one channel in each wavelength state,
+    /// indexed by [`WavelengthState::index`]: the power model's values,
+    /// looked up once at build instead of every router every cycle.
+    power_levels: [(f64, f64); 5],
     routers: Vec<PearlRouter>,
     traffic: Box<dyn TrafficSource>,
     dba: DynamicBandwidthAllocator,
@@ -256,7 +260,12 @@ pub struct PearlNetwork {
     seed: u64,
     now: Cycle,
     next_packet_id: u64,
+    /// Packets in optical flight, in launch order: the snapshot encodes
+    /// them in this order, and landing order decides receive order.
     in_flight: Vec<InFlight>,
+    /// The flights landing this cycle, moved out of `in_flight`; empty
+    /// between cycles and kept only for its capacity.
+    landing: Vec<InFlight>,
     stats: NetworkStats,
     /// Photonic fault injector (inert when configured off).
     fault: FaultModel,
@@ -344,10 +353,13 @@ impl PearlNetwork {
             }
             _ => None,
         };
+        let power_levels = WavelengthState::ALL
+            .map(|state| (power_model.laser_power_w(state), power_model.heating_power_w(state)));
         PearlNetwork {
             config,
             policy,
             power_model,
+            power_levels,
             routers,
             traffic,
             dba,
@@ -357,6 +369,7 @@ impl PearlNetwork {
             now: Cycle::ZERO,
             next_packet_id: 0,
             in_flight: Vec::new(),
+            landing: Vec::new(),
             outstanding: vec![[0, 0]; clusters],
             tokens: (0..endpoints).map(|d| (d + 1) % endpoints).collect(),
             stats: NetworkStats::new(),
@@ -687,12 +700,7 @@ impl PearlNetwork {
         let stall_threshold = CORE_STALL_BACKLOG;
         let routers = &self.routers;
         let requests = self.traffic.generate(now, &|cluster, core| {
-            let router = &routers[cluster];
-            let backlog = match core {
-                CoreType::Cpu => router.cpu_backlog.len(),
-                CoreType::Gpu => router.gpu_backlog.len(),
-            };
-            backlog >= stall_threshold
+            routers[cluster].backlog(core).len() >= stall_threshold
         });
         for req in requests {
             let id = self.fresh_id();
@@ -733,28 +741,18 @@ impl PearlNetwork {
                 };
                 while self.outstanding[i][k] < limit {
                     let router = &mut self.routers[i];
-                    let head_flits = match core {
-                        CoreType::Cpu => router.cpu_backlog.front().map(Packet::flits),
-                        CoreType::Gpu => router.gpu_backlog.front().map(Packet::flits),
+                    let Some(flits) = router.backlog(core).front().map(Packet::flits) else {
+                        break;
                     };
-                    let Some(flits) = head_flits else { break };
                     if !router.lane_can_accept(core, flits) {
                         break;
                     }
-                    let Some(packet) = (match core {
-                        CoreType::Cpu => router.cpu_backlog.pop_front(),
-                        CoreType::Gpu => router.gpu_backlog.pop_front(),
-                    }) else {
-                        break;
-                    };
+                    let Some(packet) = router.pop_backlog(core) else { break };
                     if let Err(err) = router.enqueue_local(packet) {
                         // `lane_can_accept` held the capacity above; keep
                         // the packet rather than unwind if it ever lies.
                         debug_assert!(false, "lane rejected a checked enqueue");
-                        match core {
-                            CoreType::Cpu => router.cpu_backlog.push_front(err.0),
-                            CoreType::Gpu => router.gpu_backlog.push_front(err.0),
-                        }
+                        router.unpop_backlog(err.0);
                         break;
                     }
                     self.outstanding[i][k] += 1;
@@ -764,47 +762,9 @@ impl PearlNetwork {
     }
 
     fn release_responses(&mut self, now: Cycle) {
+        let stats = &mut self.stats;
         for router in &mut self.routers {
-            if router.shared_input_pool {
-                // FCFS router: one response stream, strict FIFO — a
-                // blocked head (e.g. a GPU response with the pool full)
-                // holds back every younger response of either type.
-                while let Some((ready, packet)) = router.pending_responses.pop_front() {
-                    if ready > now {
-                        router.pending_responses.push_front((ready, packet));
-                        break;
-                    }
-                    let for_stats = packet.clone();
-                    match router.enqueue_local(packet) {
-                        Ok(()) => self.stats.record_injection(&for_stats),
-                        Err(err) => {
-                            router.pending_responses.push_front((now + 1, err.0));
-                            break;
-                        }
-                    }
-                }
-            } else {
-                // Partitioned router: per-lane order is preserved, but a
-                // blocked lane does not hold the other lane back.
-                let mut blocked = [false; 2];
-                let mut remaining = std::collections::VecDeque::new();
-                while let Some((ready, packet)) = router.pending_responses.pop_front() {
-                    let lane = usize::from(packet.core == CoreType::Gpu);
-                    if ready > now || blocked[lane] {
-                        remaining.push_back((ready, packet));
-                        continue;
-                    }
-                    let for_stats = packet.clone();
-                    match router.enqueue_local(packet) {
-                        Ok(()) => self.stats.record_injection(&for_stats),
-                        Err(err) => {
-                            blocked[lane] = true;
-                            remaining.push_back((now + 1, err.0));
-                        }
-                    }
-                }
-                router.pending_responses = remaining;
-            }
+            router.release_responses(now, |packet| stats.record_injection(packet));
         }
     }
 
@@ -826,7 +786,9 @@ impl PearlNetwork {
     /// (fault-scaled) buffer occupancies. The discrete policy picks one
     /// of the five splits and keeps it in `allocation`; the fine-grained
     /// one sets the share directly. Each split has its own CPU share, so
-    /// a changed share is a changed allocation.
+    /// a changed share is a changed allocation. Both are pure functions
+    /// of the two lanes' pressure flits and the fault scale, so a router
+    /// whose inputs match the last evaluation keeps its split unchanged.
     fn run_dba(&mut self) {
         if matches!(self.policy.bandwidth, BandwidthPolicy::Fcfs) {
             return;
@@ -834,6 +796,15 @@ impl PearlNetwork {
         for i in 0..self.routers.len() {
             let scale = self.fault_pressure_scale(i);
             let router = &mut self.routers[i];
+            let inputs = (
+                router.lane_pressure_flits(CoreType::Cpu),
+                router.lane_pressure_flits(CoreType::Gpu),
+                scale.to_bits(),
+            );
+            if router.dba_inputs == Some(inputs) {
+                continue;
+            }
+            router.dba_inputs = Some(inputs);
             let (beta_cpu, beta_gpu) = router.betas();
             let (cpu, gpu) = ((beta_cpu * scale).min(1.0), (beta_gpu * scale).min(1.0));
             let prev = router.cpu_share;
@@ -871,16 +842,11 @@ impl PearlNetwork {
             // One sweep visit per in-flight transfer, landed or not.
             w.loop_iterations += sweep;
         }
-        let mut landed = Vec::new();
-        self.in_flight.retain(|flight| {
-            if flight.deliver_at <= now {
-                landed.push(flight.clone());
-                false
-            } else {
-                true
-            }
-        });
-        for flight in landed {
+        // Landed flights move out in launch order, which is the order
+        // they enter the receive buffers.
+        let mut landed = std::mem::take(&mut self.landing);
+        landed.extend(self.in_flight.extract_if(.., |flight| flight.deliver_at <= now));
+        for flight in landed.drain(..) {
             if flight.wire_crc == packet_checksum(&flight.packet) {
                 if let Some(tracker) = self.span_tracker.as_mut() {
                     tracker.landed.insert(flight.packet.id, (now.as_u64(), flight.attempts));
@@ -931,6 +897,7 @@ impl PearlNetwork {
                 });
             }
         }
+        self.landing = landed;
     }
 
     fn start_transfers(&mut self, now: Cycle) {
@@ -939,7 +906,20 @@ impl PearlNetwork {
             return;
         }
         for i in 0..self.routers.len() {
-            let channel_count = self.routers[i].channel_count();
+            let router = &mut self.routers[i];
+            if router.cpu_in.is_empty() && router.gpu_in.is_empty() && self.retransmit[i].is_empty()
+            {
+                // Nothing to send: freeing the channels whose
+                // serialization ended is all a scan would do, since an
+                // arbiter offered no ready lane changes no credit.
+                for channel in &mut router.channels {
+                    if channel.as_ref().is_some_and(|t| t.busy_until <= now) {
+                        *channel = None;
+                    }
+                }
+                continue;
+            }
+            let channel_count = router.channel_count();
             let mut launched_any = false;
             for c in 0..channel_count {
                 // Free the channel when serialization finished.
@@ -1231,7 +1211,7 @@ impl PearlNetwork {
                 self.emit_eject_span(i, &packet, now);
                 if packet.kind == PacketKind::Response && i < self.config.clusters {
                     // A miss came back: free an outstanding-window slot.
-                    let k = usize::from(packet.core == CoreType::Gpu);
+                    let k = lane_index(packet.core);
                     self.outstanding[i][k] = self.outstanding[i][k].saturating_sub(1);
                 }
                 if packet.kind == PacketKind::Request {
@@ -1299,7 +1279,7 @@ impl PearlNetwork {
     /// taken from the head-wait counters accumulated while the packet
     /// sat at the front of its lane.
     fn record_prelaunch_spans(&mut self, src: usize, core: CoreType, packet: &Packet, now: Cycle) {
-        let lane = usize::from(core == CoreType::Gpu);
+        let lane = lane_index(core);
         let (res, arb) = match self.span_tracker.as_mut() {
             Some(tracker) => match tracker.head_wait[src][lane].take() {
                 Some(w) if w.packet == packet.id => (w.reservation, w.arbitration),
@@ -1410,10 +1390,9 @@ impl PearlNetwork {
             }
             router.laser.tick(now.as_u64());
             let channels = router.channel_count() as f64;
-            let powered = router.laser.powered_state();
-            self.stats.laser_energy_j += channels * self.power_model.laser_power_w(powered) * dt;
-            self.stats.heating_energy_j +=
-                channels * self.power_model.heating_power_w(powered) * dt;
+            let (laser_w, heating_w) = self.power_levels[router.laser.powered_state().index()];
+            self.stats.laser_energy_j += channels * laser_w * dt;
+            self.stats.heating_energy_j += channels * heating_w * dt;
         }
         let Some(probe) = self.probe.as_mut() else { return };
         for (router, from, to) in clamped {

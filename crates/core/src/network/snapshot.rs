@@ -32,6 +32,7 @@ use crate::arbiter::WeightedArbiter;
 use crate::dba::BandwidthAllocation;
 use crate::features::WindowCounters;
 use crate::ml_scaling::LadderState;
+use crate::router::responses_in_release_order;
 use crate::timeline::{TimelinePoint, TimelineState};
 use pearl_noc::{BufferState, StatsState};
 use pearl_photonics::{FaultModelState, LaserState};
@@ -160,7 +161,7 @@ impl PearlNetwork {
             return Err(SnapshotError::BadShape { context: "now" });
         }
         for (state, router) in routers.iter().zip(&self.routers) {
-            state.check(router)?;
+            state.check(router, now, self.config.responder.service_latency(router.is_l3()))?;
         }
         // Router indices are used unchecked by the next cycle.
         if in_flight.iter().any(|f| f.src >= endpoints || f.dst >= endpoints) {
@@ -262,9 +263,15 @@ impl RouterState {
         }
     }
 
-    fn check(&self, live: &PearlRouter) -> Result<(), SnapshotError> {
+    /// Checks the staged state against the live router it will replace,
+    /// at the restored cycle `now`. `latency` is the router's response
+    /// service latency.
+    fn check(&self, live: &PearlRouter, now: Cycle, latency: u64) -> Result<(), SnapshotError> {
         if self.channels.len() != live.channels.len() {
             return Err(SnapshotError::BadShape { context: "channels" });
+        }
+        if !responses_in_release_order(&self.pending_responses, now, latency) {
+            return Err(SnapshotError::BadShape { context: "pending_responses" });
         }
         Ok(())
     }
@@ -286,6 +293,7 @@ impl RouterState {
         router.pending_responses = self.pending_responses;
         router.cpu_backlog = self.cpu_backlog;
         router.gpu_backlog = self.gpu_backlog;
+        router.rebuild_derived();
     }
 }
 
@@ -446,7 +454,9 @@ mod tests {
 
     /// The hard contract: run N → checkpoint → restore onto a twin →
     /// run M must be bit-identical to an uninterrupted N + M run —
-    /// same state hash, same stats, same summary bits.
+    /// same state hash, same stats, same summary bits. The twin is
+    /// either freshly built or has already run past the checkpoint, so
+    /// restore must rebuild every derived field, not find it fresh.
     fn assert_resume_identical(make: impl Fn() -> PearlNetwork, n: u64, m: u64) {
         let mut golden = make();
         golden.run(n + m);
@@ -458,23 +468,39 @@ mod tests {
         let reparsed = Checkpoint::from_json(&checkpoint.to_json()).unwrap();
         assert_eq!(reparsed, checkpoint);
 
-        let mut resumed = make();
-        resumed.restore(&reparsed).unwrap();
-        assert_eq!(
-            resumed.state_hash(),
-            first.state_hash(),
-            "restore must reproduce the checkpointed state exactly"
-        );
-        resumed.run(m);
+        let mut ahead = make();
+        ahead.run(n + m / 2 + 1);
+        for mut resumed in [make(), ahead] {
+            resumed.restore(&reparsed).unwrap();
+            assert_eq!(
+                resumed.state_hash(),
+                first.state_hash(),
+                "restore must reproduce the checkpointed state exactly"
+            );
+            assert_derived_state_rebuilt(&resumed);
+            resumed.run(m);
 
-        assert_eq!(resumed.state_hash(), golden.state_hash(), "state diverged after resume");
-        assert_eq!(resumed.stats.export_state(), golden.stats.export_state());
-        let a = resumed.summary();
-        let b = golden.summary();
-        assert_eq!(a.delivered_packets, b.delivered_packets);
-        assert_eq!(a.delivered_flits, b.delivered_flits);
-        assert_eq!(a.avg_laser_power_w.to_bits(), b.avg_laser_power_w.to_bits());
-        assert_eq!(a.avg_latency_cpu.to_bits(), b.avg_latency_cpu.to_bits());
+            assert_eq!(resumed.state_hash(), golden.state_hash(), "state diverged after resume");
+            assert_eq!(resumed.stats.export_state(), golden.stats.export_state());
+            let a = resumed.summary();
+            let b = golden.summary();
+            assert_eq!(a.delivered_packets, b.delivered_packets);
+            assert_eq!(a.delivered_flits, b.delivered_flits);
+            assert_eq!(a.avg_laser_power_w.to_bits(), b.avg_laser_power_w.to_bits());
+            assert_eq!(a.avg_latency_cpu.to_bits(), b.avg_latency_cpu.to_bits());
+        }
+    }
+
+    /// Each router's derived state right after a restore: backlog flit
+    /// counts equal a fresh recount, and the DBA input cache is empty, so
+    /// the next cycle evaluates every router's split.
+    fn assert_derived_state_rebuilt(net: &PearlNetwork) {
+        for router in &net.routers {
+            let recount =
+                CoreType::ALL.map(|core| router.backlog(core).iter().map(Packet::flits).sum());
+            assert_eq!(router.backlog_flits, recount, "router {}", router.index());
+            assert_eq!(router.dba_inputs, None, "router {}", router.index());
+        }
     }
 
     #[test]
@@ -484,6 +510,21 @@ mod tests {
             7_000,
             5_000,
         );
+    }
+
+    #[test]
+    fn resume_bit_identical_static_8wl() {
+        // At 8 λ the lanes drain slowly and most issue backlogs sit at
+        // the core stall threshold, so the backlog flit counts carry real
+        // weight across the resume.
+        let make =
+            || build(PearlPolicy::dyn_static(WavelengthState::W8), FaultConfig::off(), false, 79);
+        let mut probe = make();
+        probe.run(6_000);
+        let stalled = probe.routers.iter().flat_map(|r| r.backlog_flits);
+        let stalled = stalled.filter(|&flits| flits as usize >= CORE_STALL_BACKLOG).count();
+        assert!(stalled >= 8, "only {stalled} lanes hold a stalling backlog at the checkpoint");
+        assert_resume_identical(make, 6_000, 4_000);
     }
 
     #[test]
@@ -746,6 +787,49 @@ mod tests {
             tokens[0] = 99usize.encode();
         };
         reject(true, &corrupt, "tokens");
+    }
+
+    /// Restore rejects a response queue that breaks the order the
+    /// release walk relies on, before touching anything.
+    #[test]
+    fn response_queues_out_of_release_order_are_rejected_before_any_mutation() {
+        let make = || build(PearlPolicy::dyn_64wl(), FaultConfig::off(), false, 97);
+        let mut donor = make();
+        donor.run(2_000);
+        let now = donor.now();
+        let l3 = donor.config().l3_node();
+        type Queue = VecDeque<(Cycle, Packet)>;
+        let corruptions: [&dyn Fn(&mut Queue); 2] = [
+            // The first and last waiting responses swap their ready cycles.
+            &|queue| {
+                let first = queue.iter().position(|(ready, _)| *ready > now).unwrap();
+                let last = queue.len() - 1;
+                assert!(queue[first].0 < queue[last].0, "two distinct waiting cycles");
+                let (a, b) = (queue[first].0, queue[last].0);
+                (queue[first].0, queue[last].0) = (b, a);
+            },
+            // The last one waits past the L3's service latency.
+            &|queue| queue.back_mut().unwrap().0 += 1_000,
+        ];
+        for corrupt in corruptions {
+            let mut cp = donor.snapshot();
+            let JsonValue::Arr(routers) = field_mut(&mut cp.state, "routers") else {
+                panic!("routers is an array")
+            };
+            let pending = field_mut(&mut routers[l3], "pending_responses");
+            let mut queue: Queue = Codec::decode(pending, "test").unwrap();
+            corrupt(&mut queue);
+            *pending = queue.encode();
+            let mut twin = make();
+            let before = twin.state_hash();
+            match twin.restore(&cp) {
+                Err(SnapshotError::BadShape { context }) => {
+                    assert_eq!(context, "pending_responses")
+                }
+                other => panic!("expected a pending_responses shape error, got {other:?}"),
+            }
+            assert_eq!(twin.state_hash(), before, "failed restore must not mutate");
+        }
     }
 
     #[test]

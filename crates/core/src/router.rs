@@ -71,6 +71,15 @@ pub struct PearlRouter {
     pub(crate) cpu_backlog: VecDeque<Packet>,
     /// GPU-side issue backlog.
     pub(crate) gpu_backlog: VecDeque<Packet>,
+    /// Flits queued in `cpu_backlog` and `gpu_backlog`. Derived state:
+    /// kept in step by [`Self::accept_request`], [`Self::pop_backlog`] and
+    /// [`Self::unpop_backlog`], never serialized, recounted on restore.
+    pub(crate) backlog_flits: [u32; 2],
+    /// The DBA inputs behind the split in force: CPU and GPU pressure
+    /// flits and the bits of the fault scale. The split is a pure
+    /// function of them, so an unchanged triple skips the DBA. Derived
+    /// state: never serialized, cleared on restore.
+    pub(crate) dba_inputs: Option<(u32, u32, u64)>,
     /// FCFS mode shares one physical buffer pool between the lanes, so a
     /// flooding GPU can crowd CPU packets out of the router entirely —
     /// the behaviour the DBA's partitioning (goal (iii) of §III-B)
@@ -81,6 +90,36 @@ pub struct PearlRouter {
 /// Capacity of each core-side issue backlog, in packets (≈ outstanding
 /// misses the cores can keep in flight before stalling).
 pub(crate) const CORE_BACKLOG_PACKETS: usize = 64;
+
+/// True when a response queue, at the start of cycle `now`, holds its
+/// responses that are not yet due behind every due one, in `ready`
+/// order, and none of them later than `now + latency`, the earliest a
+/// response made from now on can be ready.
+///
+/// Every queue a run reaches keeps this: responses are queued with
+/// `ready = t + latency` at a router's fixed service latency, and a
+/// refused response is due again on the next cycle. So the responses
+/// not due at any later cycle stay behind the due ones, which lets
+/// [`PearlRouter::release_responses`] stop at the first one. Restore
+/// rejects a queue without it.
+pub(crate) fn responses_in_release_order(
+    queue: &VecDeque<(Cycle, Packet)>,
+    now: Cycle,
+    latency: u64,
+) -> bool {
+    let mut previous = now;
+    queue.iter().map(|&(ready, _)| ready).skip_while(|&ready| ready <= now).all(|ready| {
+        let in_order = previous <= ready && ready <= now + latency;
+        previous = ready;
+        in_order
+    })
+}
+
+/// Index of a core type's lane in per-lane arrays: CPU 0, GPU 1.
+#[inline]
+pub(crate) fn lane_index(core: CoreType) -> usize {
+    usize::from(core == CoreType::Gpu)
+}
 
 impl PearlRouter {
     /// Creates a router.
@@ -120,6 +159,8 @@ impl PearlRouter {
             pending_responses: VecDeque::new(),
             cpu_backlog: VecDeque::new(),
             gpu_backlog: VecDeque::new(),
+            backlog_flits: [0; 2],
+            dba_inputs: None,
             shared_input_pool,
         }
     }
@@ -151,15 +192,50 @@ impl PearlRouter {
     /// and the miss is lost to the measurement, modeling a stalled
     /// pipeline slot).
     pub(crate) fn accept_request(&mut self, packet: Packet) -> Result<(), Packet> {
-        let backlog = match packet.core {
-            CoreType::Cpu => &mut self.cpu_backlog,
-            CoreType::Gpu => &mut self.gpu_backlog,
-        };
-        if backlog.len() >= CORE_BACKLOG_PACKETS {
+        let core = packet.core;
+        if self.backlog(core).len() >= CORE_BACKLOG_PACKETS {
             return Err(packet);
         }
-        backlog.push_back(packet);
+        self.backlog_flits[lane_index(core)] += packet.flits();
+        self.backlog_mut(core).push_back(packet);
         Ok(())
+    }
+
+    /// Issue backlog of one core type.
+    pub(crate) fn backlog(&self, core: CoreType) -> &VecDeque<Packet> {
+        match core {
+            CoreType::Cpu => &self.cpu_backlog,
+            CoreType::Gpu => &self.gpu_backlog,
+        }
+    }
+
+    fn backlog_mut(&mut self, core: CoreType) -> &mut VecDeque<Packet> {
+        match core {
+            CoreType::Cpu => &mut self.cpu_backlog,
+            CoreType::Gpu => &mut self.gpu_backlog,
+        }
+    }
+
+    /// Takes the oldest backlogged request of one core type.
+    pub(crate) fn pop_backlog(&mut self, core: CoreType) -> Option<Packet> {
+        let packet = self.backlog_mut(core).pop_front()?;
+        self.backlog_flits[lane_index(core)] -= packet.flits();
+        Some(packet)
+    }
+
+    /// Puts a request taken by [`Self::pop_backlog`] back at the head.
+    pub(crate) fn unpop_backlog(&mut self, packet: Packet) {
+        let core = packet.core;
+        self.backlog_flits[lane_index(core)] += packet.flits();
+        self.backlog_mut(core).push_front(packet);
+    }
+
+    /// Rebuilds the derived state a restore does not carry: the backlog
+    /// flit counts and the DBA input cache.
+    pub(crate) fn rebuild_derived(&mut self) {
+        self.backlog_flits =
+            CoreType::ALL.map(|core| self.backlog(core).iter().map(Packet::flits).sum());
+        self.dba_inputs = None;
     }
 
     /// Endpoint index.
@@ -224,18 +300,73 @@ impl PearlRouter {
         self.lane_mut(core).push(packet)
     }
 
+    /// Moves the endpoint responses that are due into the input lanes,
+    /// oldest first, handing each packet that entered a lane to
+    /// `released`. A response its lane refuses waits for the next cycle
+    /// (`ready = now + 1`) and keeps its place in the queue, which is
+    /// serialized state.
+    ///
+    /// The walk stops at the first response that is not yet due: the
+    /// queue keeps [`responses_in_release_order`], so none behind it is
+    /// due either.
+    pub(crate) fn release_responses(&mut self, now: Cycle, mut released: impl FnMut(&Packet)) {
+        if self.shared_input_pool {
+            // FCFS router: one response stream, strict FIFO — a blocked
+            // head (e.g. a GPU response with the pool full) holds back
+            // every younger response of either type.
+            while let Some((ready, packet)) = self.pending_responses.pop_front() {
+                if ready > now {
+                    self.pending_responses.push_front((ready, packet));
+                    break;
+                }
+                let for_stats = packet.clone();
+                match self.enqueue_local(packet) {
+                    Ok(()) => released(&for_stats),
+                    Err(err) => {
+                        self.pending_responses.push_front((now + 1, err.0));
+                        break;
+                    }
+                }
+            }
+            return;
+        }
+        // Partitioned router: per-lane order is preserved, but a blocked
+        // lane does not hold the other lane back. The due prefix is
+        // compacted in place, so the queue keeps its capacity and the
+        // responses not yet due are never visited.
+        let mut pending = std::mem::take(&mut self.pending_responses);
+        let mut blocked = [false; 2];
+        let mut kept = 0;
+        let mut due = pending.len();
+        for idx in 0..pending.len() {
+            let (ready, packet) = &mut pending[idx];
+            if *ready > now {
+                due = idx;
+                break;
+            }
+            let lane = lane_index(packet.core);
+            if !blocked[lane] {
+                if self.enqueue_local(packet.clone()).is_ok() {
+                    released(packet);
+                    continue;
+                }
+                blocked[lane] = true;
+                *ready = now + 1;
+            }
+            pending.swap(kept, idx);
+            kept += 1;
+        }
+        pending.drain(kept..due);
+        self.pending_responses = pending;
+    }
+
     /// Flits waiting on the core side of a lane: network input buffer
     /// plus the issue backlog. The paper's occupancy counters sit where
     /// "packets injected from the CPU and GPU cores" queue (§III-B); with
     /// our execution-driven cores, demand that stalled at the issue stage
     /// must count too, or flow control would hide it from the DBA.
-    fn lane_pressure_flits(&self, core: CoreType) -> u32 {
-        let backlog = match core {
-            CoreType::Cpu => &self.cpu_backlog,
-            CoreType::Gpu => &self.gpu_backlog,
-        };
-        let backlog_flits: u32 = backlog.iter().map(Packet::flits).sum();
-        self.lane(core).occupied_slots() + backlog_flits
+    pub(crate) fn lane_pressure_flits(&self, core: CoreType) -> u32 {
+        self.lane(core).occupied_slots() + self.backlog_flits[lane_index(core)]
     }
 
     /// Instantaneous fractional occupancies (β_CPU, β_GPU) of Eq. 1–2,
@@ -337,7 +468,7 @@ impl PearlRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pearl_noc::{NodeId, TrafficClass};
+    use pearl_noc::{NodeId, SimRng, TrafficClass};
 
     fn router() -> PearlRouter {
         PearlRouter::new(0, false, 1, 64, 128, 128, WavelengthState::W64, 4, false)
@@ -429,5 +560,122 @@ mod tests {
         // The rejected packet comes back intact for a later retry.
         assert_eq!(err.0.id, 1);
         assert_eq!(r.cpu_in.occupied_slots(), 4);
+    }
+
+    /// The queue-rebuilding release [`PearlRouter::release_responses`]
+    /// replaced on partitioned routers, kept as its reference: every
+    /// response is visited, and the kept ones move to a new queue.
+    /// Returns the ids released, in order, and the number refused.
+    fn rebuilding_release(router: &mut PearlRouter, now: Cycle) -> (Vec<u64>, usize) {
+        let (mut released, mut refused) = (Vec::new(), 0);
+        let mut blocked = [false; 2];
+        let mut remaining = VecDeque::new();
+        while let Some((ready, packet)) = router.pending_responses.pop_front() {
+            let lane = usize::from(packet.core == CoreType::Gpu);
+            if ready > now || blocked[lane] {
+                remaining.push_back((ready, packet));
+                continue;
+            }
+            let id = packet.id;
+            match router.enqueue_local(packet) {
+                Ok(()) => released.push(id),
+                Err(err) => {
+                    blocked[lane] = true;
+                    refused += 1;
+                    remaining.push_back((now + 1, err.0));
+                }
+            }
+        }
+        router.pending_responses = remaining;
+        (released, refused)
+    }
+
+    /// `(ready, id)` of every queued response.
+    fn queue_of(router: &PearlRouter) -> Vec<(Cycle, u64)> {
+        router.pending_responses.iter().map(|(ready, p)| (*ready, p.id)).collect()
+    }
+
+    #[test]
+    fn in_place_release_matches_the_rebuilding_release() {
+        let mut rng = SimRng::from_seed(23);
+        let mut next_id = 0;
+        let mut packet = |rng: &mut SimRng, at: u64| {
+            next_id += 1;
+            let core = *rng.choose(&CoreType::ALL);
+            Packet::response(next_id, NodeId(16), NodeId(0), core, TrafficClass::L3, Cycle(at))
+        };
+        let (mut released, mut refused) = (0, 0);
+        for _ in 0..300 {
+            let latency = rng.below(30) as u64;
+            let slots = [4 + rng.below(13) as u32, 4 + rng.below(13) as u32];
+            let make = || {
+                PearlRouter::new(0, false, 1, slots[0], slots[1], 8, WavelengthState::W64, 4, false)
+            };
+            let (mut fast, mut oracle) = (make(), make());
+            // A queue a run can reach at cycle `start`: due responses at
+            // mixed cycles, then the waiting ones in `ready` order.
+            let start = 100;
+            let mut readies: Vec<u64> =
+                (0..rng.below(12)).map(|_| start - rng.below(20) as u64).collect();
+            let waiting = if latency == 0 { 0 } else { rng.below(12) };
+            let mut later: Vec<u64> =
+                (0..waiting).map(|_| start + 1 + rng.below(latency as usize) as u64).collect();
+            later.sort_unstable();
+            readies.extend(later);
+            for ready in readies {
+                let p = packet(&mut rng, ready);
+                fast.pending_responses.push_back((Cycle(ready), p.clone()));
+                oracle.pending_responses.push_back((Cycle(ready), p));
+            }
+            for now in start..start + 40 {
+                let now = Cycle(now);
+                assert!(responses_in_release_order(&fast.pending_responses, now, latency));
+                let mut fast_released = Vec::new();
+                fast.release_responses(now, |p| fast_released.push(p.id));
+                let (oracle_released, oracle_refused) = rebuilding_release(&mut oracle, now);
+                assert_eq!(fast_released, oracle_released, "released at {now:?}");
+                assert_eq!(queue_of(&fast), queue_of(&oracle), "queue at {now:?}");
+                for core in CoreType::ALL {
+                    assert_eq!(fast.lane(core).export_state(), oracle.lane(core).export_state());
+                }
+                released += fast_released.len();
+                refused += oracle_refused;
+                // Launch drains some lane heads; ejection queues new
+                // responses at the service latency.
+                for core in CoreType::ALL {
+                    for _ in 0..rng.below(3) {
+                        assert_eq!(
+                            fast.lane_mut(core).pop().map(|p| p.id),
+                            oracle.lane_mut(core).pop().map(|p| p.id)
+                        );
+                    }
+                }
+                for _ in 0..rng.below(4) {
+                    let p = packet(&mut rng, now.as_u64());
+                    fast.pending_responses.push_back((now + latency, p.clone()));
+                    oracle.pending_responses.push_back((now + latency, p));
+                }
+            }
+        }
+        // Both the release and the refusal paths ran.
+        assert!(released > 1_000 && refused > 100, "released {released}, refused {refused}");
+    }
+
+    #[test]
+    fn release_order_check_accepts_reachable_queues_only() {
+        let queue = |readies: &[u64]| -> VecDeque<(Cycle, Packet)> {
+            readies.iter().map(|&r| (Cycle(r), response(CoreType::Cpu))).collect()
+        };
+        let now = Cycle(50);
+        // Due responses may sit at any cycle up to `now`, in any order.
+        assert!(responses_in_release_order(&queue(&[50, 12, 49, 51, 51, 60]), now, 10));
+        assert!(responses_in_release_order(&queue(&[]), now, 0));
+        // A waiting response ahead of a later-due one is out of order.
+        assert!(!responses_in_release_order(&queue(&[55, 52]), now, 10));
+        // So is a due response behind a waiting one.
+        assert!(!responses_in_release_order(&queue(&[51, 50]), now, 10));
+        // Nothing can wait past the router's service latency.
+        assert!(!responses_in_release_order(&queue(&[49, 61]), now, 10));
+        assert!(responses_in_release_order(&queue(&[49, 60]), now, 10));
     }
 }

@@ -6,22 +6,24 @@
 //! mismatch triggers the NACK/retransmission path in `pearl-core`.
 //!
 //! The polynomial is the IEEE 802.3 reflected CRC-32 (0xEDB88320),
-//! computed with a 16-entry nibble table — small enough to live in
-//! cache next to the hot loop, fast enough for per-packet use.
+//! computed a byte at a time with a 256-entry table (1 KiB). Every
+//! launched and every landed packet is checksummed, so the checksum
+//! sits on the PEARL kernel's hot path.
 
 use crate::packet::Packet;
 
 /// Reflected IEEE 802.3 polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-/// Nibble-at-a-time CRC table (16 entries).
-const fn nibble_table() -> [u32; 16] {
-    let mut table = [0u32; 16];
+/// Byte-at-a-time CRC table: entry `n` is the CRC register after
+/// shifting the byte `n` through eight polynomial steps.
+const fn byte_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
     let mut n = 0;
-    while n < 16 {
+    while n < 256 {
         let mut crc = n as u32;
         let mut bit = 0;
-        while bit < 4 {
+        while bit < 8 {
             crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
             bit += 1;
         }
@@ -31,14 +33,13 @@ const fn nibble_table() -> [u32; 16] {
     table
 }
 
-static TABLE: [u32; 16] = nibble_table();
+static TABLE: [u32; 256] = byte_table();
 
 /// CRC-32 (IEEE) of a byte slice.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
-        crc = (crc >> 4) ^ TABLE[((crc ^ u32::from(b)) & 0xF) as usize];
-        crc = (crc >> 4) ^ TABLE[((crc ^ u32::from(b >> 4)) & 0xF) as usize];
+        crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -47,6 +48,11 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// fixed order. Two packets differing in any field checksum differently
 /// (up to CRC collisions); a corrupted wire image fails verification.
 pub fn packet_checksum(packet: &Packet) -> u32 {
+    crc32(&wire_image(packet))
+}
+
+/// The bytes [`packet_checksum`] covers.
+fn wire_image(packet: &Packet) -> [u8; 35] {
     let mut bytes = [0u8; 8 + 8 + 8 + 1 + 1 + 1 + 8];
     bytes[0..8].copy_from_slice(&packet.id.to_le_bytes());
     bytes[8..16].copy_from_slice(&(packet.src.index() as u64).to_le_bytes());
@@ -55,15 +61,35 @@ pub fn packet_checksum(packet: &Packet) -> u32 {
     bytes[25] = packet.kind as u8;
     bytes[26] = packet.class.index() as u8;
     bytes[27..35].copy_from_slice(&packet.injected_at.as_u64().to_le_bytes());
-    crc32(&bytes)
+    bytes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cycle::Cycle;
-    use crate::packet::{CoreType, TrafficClass};
+    use crate::packet::{CoreType, PacketKind, TrafficClass};
+    use crate::rng::SimRng;
     use crate::topology::NodeId;
+
+    /// The nibble-at-a-time CRC the byte table replaced, kept as its
+    /// reference: two lookups in a 16-entry table per byte.
+    fn nibble_crc32(bytes: &[u8]) -> u32 {
+        let mut table = [0u32; 16];
+        for (n, slot) in table.iter_mut().enumerate() {
+            let mut crc = n as u32;
+            for _ in 0..4 {
+                crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
+            }
+            *slot = crc;
+        }
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = (crc >> 4) ^ table[((crc ^ u32::from(b)) & 0xF) as usize];
+            crc = (crc >> 4) ^ table[((crc ^ u32::from(b >> 4)) & 0xF) as usize];
+        }
+        !crc
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -71,6 +97,31 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+        for vector in [&b"123456789"[..], b"", b"a"] {
+            assert_eq!(nibble_crc32(vector), crc32(vector));
+        }
+    }
+
+    #[test]
+    fn byte_table_crc_matches_the_nibble_table() {
+        let mut rng = SimRng::from_seed(29);
+        for len in 0..300 {
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            assert_eq!(crc32(&bytes), nibble_crc32(&bytes), "bytes {bytes:?}");
+        }
+        for _ in 0..2_000 {
+            let packet = Packet {
+                id: rng.next_u64(),
+                src: NodeId(rng.below(17)),
+                dst: NodeId(rng.below(17)),
+                core: *rng.choose(&CoreType::ALL),
+                kind: *rng.choose(&PacketKind::ALL),
+                class: *rng.choose(&TrafficClass::ALL),
+                injected_at: Cycle(rng.next_u64() >> 8),
+            };
+            let bytes = wire_image(&packet);
+            assert_eq!(packet_checksum(&packet), nibble_crc32(&bytes), "{packet:?}");
+        }
     }
 
     #[test]
