@@ -14,10 +14,11 @@
 //! PEARL side's simulated-cycles/sec with per-phase wall-clock
 //! attribution and writes one hot-path artifact per network, each with
 //! its own allocation table when built with `--features alloc-count`;
-//! `--trace` additionally runs one instrumented PEARL run (probe *and*
-//! causal-span sink, with flit corruption forcing the retransmission
-//! path) and writes `results/loadcurve_trace.jsonl` — events and spans
-//! interleaved in cycle order — plus `results/loadcurve_manifest.json`.
+//! `--trace` additionally runs one instrumented PEARL run (an event
+//! recorder and a span recorder sharing the probe slot, with flit
+//! corruption forcing the retransmission path) and writes
+//! `results/loadcurve_trace.jsonl` — events and spans interleaved in
+//! cycle order — plus `results/loadcurve_manifest.json`.
 //! The `report` binary renders the pair (`--spans` / `--perfetto`).
 
 use pearl_bench::{Hotpath, JobPool, Report, Row, RESULTS_DIR};
@@ -25,8 +26,8 @@ use pearl_cmesh::CmeshBuilder;
 use pearl_core::{FaultConfig, NetworkBuilder, PearlPolicy};
 use pearl_noc::CoreType;
 use pearl_telemetry::{
-    alloc_stats, reset_alloc_stats, write_trace_file, AllocStats, JsonValue, ProfileReport,
-    RunManifest, SharedRecorder, SharedSpanRecorder, SpanKind, TraceEvent,
+    alloc_stats, reset_alloc_stats, write_trace_file, AllocStats, FanoutProbe, JsonValue,
+    ProfileReport, RunManifest, SharedRecorder, SharedSpanRecorder, SpanKind, TraceEvent,
 };
 use pearl_workloads::{BenchmarkPair, SyntheticPattern, SyntheticTraffic};
 
@@ -54,8 +55,10 @@ fn write_trace_artifacts() {
         .build(pair);
     let probe = SharedRecorder::new();
     let spans = SharedSpanRecorder::new();
-    net.attach_probe(Box::new(probe.clone()));
-    net.attach_span_sink(Box::new(spans.clone()));
+    net.attach_probe(Box::new(FanoutProbe::new(vec![
+        Box::new(probe.clone()),
+        Box::new(spans.clone()),
+    ])));
     net.run(TRACE_CYCLES);
 
     let span_list = spans.spans();
@@ -66,7 +69,10 @@ fn write_trace_artifacts() {
             span_list.len()
         );
     }
-    let mut lines = probe.events();
+    // Within a cycle, events come before spans (a span's cycle is its
+    // close, which can lie ahead of its emission).
+    let mut lines: Vec<TraceEvent> =
+        probe.events().into_iter().filter(|e| !matches!(e, TraceEvent::Span(_))).collect();
     lines.extend(span_list.iter().cloned().map(TraceEvent::Span));
     lines.sort_by_key(TraceEvent::at);
 

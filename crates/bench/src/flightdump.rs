@@ -72,8 +72,8 @@ pub fn dump_stall(
 /// Owns one process's black box: a [`SharedFlightRecorder`] plus a
 /// chained panic hook that dumps it to `flightrec_<bin>_<ts>.json`
 /// before the panic message prints. Clones of
-/// [`FlightGuard::recorder`] ride inside networks as probes/span
-/// sinks; the guard itself sits in `main`.
+/// [`FlightGuard::recorder`] ride inside networks as probes; the guard
+/// itself sits in `main`.
 #[derive(Debug)]
 pub struct FlightGuard {
     recorder: SharedFlightRecorder,
@@ -115,10 +115,12 @@ impl FlightGuard {
         guard
     }
 
-    /// A clone of the recorder, for attaching to networks as a probe or
-    /// span sink (directly, or through a
+    /// A clone of the recorder, for attaching to networks as a probe
+    /// (directly, or through a
     /// [`FanoutProbe`](pearl_telemetry::FanoutProbe) when an offline
-    /// recorder shares the slot).
+    /// recorder shares the slot). It never switches span tracking on by
+    /// itself; it keeps the spans of a fanout whose other member wants
+    /// them.
     pub fn recorder(&self) -> SharedFlightRecorder {
         self.recorder.clone()
     }

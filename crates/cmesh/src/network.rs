@@ -12,8 +12,8 @@ use crate::router::CmeshRouter;
 use crate::routing::{neighbor, xy_route, Direction, Port};
 use pearl_noc::{CoreType, Cycle, Flit, Flits, Grid, NetworkStats, NodeId, Packet, PacketKind};
 use pearl_telemetry::{
-    set_alloc_section, NullSink, Phase, Probe, ProfileReport, Section, SelfProfiler, Span,
-    SpanKind, SpanSink, SubSection, TraceEvent, WorkCounters,
+    set_alloc_section, Phase, Probe, ProfileReport, Section, SelfProfiler, Span, SpanKind,
+    SubSection, TraceEvent, WorkCounters,
 };
 use pearl_workloads::{BenchmarkPair, Destination, TrafficModel, TrafficSource};
 use std::collections::{HashMap, VecDeque};
@@ -143,9 +143,10 @@ struct LinkFlit {
 const LINK_PIPELINE_CYCLES: u64 = 3;
 
 /// Per-packet milestones behind causal span emission (see
-/// [`CmeshNetwork::attach_span_sink`]). Purely derived observer state,
+/// [`CmeshNetwork::attach_probe`]). Purely derived observer state,
 /// keyed by packet id so the snapshotted [`InjectState`]/flit structures
-/// never grow; checkpointed so span streams resume bit-identically.
+/// never grow; checkpointed so span streams resume bit-identically, but
+/// never hashed.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CmeshSpanTracker {
     /// Cycles a chosen packet failed to claim a free local VC.
@@ -192,10 +193,7 @@ pub struct CmeshNetwork {
     /// Telemetry sink (see [`CmeshNetwork::attach_probe`]); `None`
     /// while no live probe is attached.
     probe: Option<Box<dyn Probe>>,
-    /// Causal span sink (see [`CmeshNetwork::attach_span_sink`]),
-    /// called only while `span_tracker` exists.
-    span_sink: Box<dyn SpanSink>,
-    /// Span bookkeeping, present exactly while span tracking is on.
+    /// Span bookkeeping, present exactly while the probe wants spans.
     span_tracker: Option<CmeshSpanTracker>,
     /// Wall-clock self-profiler and the work counters it owns (see
     /// [`CmeshNetwork::enable_profiling`]). Observer state: never
@@ -244,7 +242,6 @@ impl CmeshNetwork {
             spare_streams: Vec::new(),
             cycle_seconds,
             probe: None,
-            span_sink: Box::new(NullSink),
             span_tracker: None,
             profiler: None,
         }
@@ -275,13 +272,21 @@ impl CmeshNetwork {
         self.profiler.as_mut().map(SelfProfiler::work_mut)
     }
 
-    /// Attaches a telemetry probe. A null probe (such as
+    /// Attaches the observer. A null probe (such as
     /// [`pearl_telemetry::NullProbe`]) is not stored, so the hot path
     /// stays on its uninstrumented branch; any other probe receives
     /// [`TraceEvent::InjectionStall`] events as the mesh throttles
     /// sources (the only PEARL event kind with an electrical analogue).
+    /// A probe that wants spans also receives, as [`TraceEvent::Span`]s,
+    /// the six-stage latency decomposition of every delivered packet (VC
+    /// wait mapped to `arbitration`, credit stalls to `reservation_wait`,
+    /// mesh hops to `link_traversal`): attaching one keeps or creates the
+    /// span tracker, attaching any other drops it. The simulated state
+    /// and [`Self::state_hash`] stay those of a bare run.
     pub fn attach_probe(&mut self, probe: Box<dyn Probe>) {
         self.probe = (!probe.is_null()).then_some(probe);
+        let tracker = self.span_tracker.take();
+        self.span_tracker = self.tracks_spans_for_probe().then(|| tracker.unwrap_or_default());
     }
 
     /// True when a recording (non-null) probe is attached.
@@ -289,26 +294,15 @@ impl CmeshNetwork {
         self.probe.is_some()
     }
 
-    /// Attaches a causal span sink. With the default [`NullSink`] no
-    /// tracker state is kept, every site reduces to one branch and the
-    /// run is bit-identical to an uninstrumented build; a live sink
-    /// receives the six-stage latency decomposition of every delivered
-    /// packet (VC wait mapped to `arbitration`, credit stalls to
-    /// `reservation_wait`, mesh hops to `link_traversal`).
-    pub fn attach_span_sink(&mut self, sink: Box<dyn SpanSink>) {
-        if sink.is_null() {
-            self.span_tracker = None;
-        } else if self.span_tracker.is_none() {
-            self.span_tracker = Some(CmeshSpanTracker::default());
-        }
-        self.span_sink = sink;
-    }
-
-    /// True when a live (non-null) span sink is attached (or span
-    /// tracking was re-enabled by restoring a snapshot taken with
-    /// spans on).
+    /// True while spans are tracked, which is exactly while the attached
+    /// probe wants them.
     pub fn span_enabled(&self) -> bool {
         self.span_tracker.is_some()
+    }
+
+    /// Whether the attached probe wants spans.
+    fn tracks_spans_for_probe(&self) -> bool {
+        self.probe.as_ref().is_some_and(|p| p.wants_spans())
     }
 
     /// The configuration in use.
@@ -712,38 +706,19 @@ impl CmeshNetwork {
             start: t0,
             end: arb_start,
         };
-        self.span_sink.record_span(&base);
-        self.span_sink.record_span(&Span {
-            kind: SpanKind::Arbitration,
-            start: arb_start,
-            end: s,
-            ..base
-        });
-        self.span_sink.record_span(&Span {
-            kind: SpanKind::Serialization,
-            start: s,
-            end: ser_end,
-            ..base
-        });
-        self.span_sink.record_span(&Span {
-            kind: SpanKind::ReservationWait,
-            start: ser_end,
-            end: t2,
-            ..base
-        });
-        self.span_sink.record_span(&Span {
-            kind: SpanKind::LinkTraversal,
-            start: t2,
-            end: t3,
-            ..base
-        });
-        self.span_sink.record_span(&Span {
-            kind: SpanKind::EjectDrain,
-            router: node,
-            start: t3,
-            end: t4,
-            ..base
-        });
+        let stages = [
+            (SpanKind::Arbitration, arb_start, s),
+            (SpanKind::Serialization, s, ser_end),
+            (SpanKind::ReservationWait, ser_end, t2),
+            (SpanKind::LinkTraversal, t2, t3),
+        ];
+        let Some(probe) = self.probe.as_mut() else { return };
+        probe.record(&TraceEvent::Span(base.clone()));
+        for (kind, start, end) in stages {
+            probe.record(&TraceEvent::Span(Span { kind, start, end, ..base }));
+        }
+        let drain = Span { kind: SpanKind::EjectDrain, router: node, start: t3, end: t4, ..base };
+        probe.record(&TraceEvent::Span(drain));
     }
 
     fn inject_local_flits(&mut self, now: Cycle) {

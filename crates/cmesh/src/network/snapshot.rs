@@ -11,7 +11,9 @@
 //! Static configuration (mesh geometry, VC counts, energy model, seed,
 //! workload identity) is never serialized; it is guarded by an FNV-1a
 //! fingerprint over the builder inputs. Every piece of state encodes
-//! through [`Codec`] (DESIGN §4b).
+//! through [`Codec`] (DESIGN §4b). The span tracker is observer state:
+//! a checkpoint carries it, but the state hash writes it as `null`, as
+//! a bare run does.
 
 use super::*;
 use pearl_noc::{CreditCounter, StatsState, VcState, VirtualChannel};
@@ -41,8 +43,25 @@ impl CmeshNetwork {
     /// Serializes the complete dynamic state into a sealed
     /// [`Checkpoint`] envelope.
     pub fn snapshot(&self) -> Checkpoint {
+        let state = self.state(true);
+        Checkpoint::new(CMESH_SNAPSHOT_KIND, self.config_fingerprint(), self.now.as_u64(), state)
+    }
+
+    /// FNV-1a hash of the simulated state — the cheap whole-network
+    /// divergence detector of the golden ladder, chaos and `pearl-serve`.
+    /// It hashes the state [`Self::snapshot`] writes with the span
+    /// tracker written as `null`, so an observed run hashes like a bare
+    /// one.
+    pub fn state_hash(&self) -> u64 {
+        fingerprint(&self.state(false).to_string())
+    }
+
+    /// The checkpoint state; without `observers`, the span section is
+    /// `null`, as a bare run writes it.
+    fn state(&self, observers: bool) -> JsonValue {
         let routers: Vec<_> = self.routers.iter().map(RouterState::export).collect();
-        let state = JsonValue::obj(vec![
+        let spans = self.span_tracker.as_ref().filter(|_| observers);
+        JsonValue::obj(vec![
             ("now", self.now.encode()),
             ("next_packet_id", self.next_packet_id.encode()),
             ("traffic", self.traffic.export_state().encode()),
@@ -54,15 +73,8 @@ impl CmeshNetwork {
             ("inject_current", self.inject_current.encode()),
             ("partial_eject", self.partial_eject.encode()),
             ("links", self.links.encode()),
-            ("spans", self.span_tracker.encode()),
-        ]);
-        Checkpoint::new(CMESH_SNAPSHOT_KIND, self.config_fingerprint(), self.now.as_u64(), state)
-    }
-
-    /// FNV-1a hash of the canonical serialized state — the cheap
-    /// whole-network divergence detector used by the chaos harness.
-    pub fn state_hash(&self) -> u64 {
-        self.snapshot().state_hash()
+            ("spans", spans.map_or(JsonValue::Null, CmeshSpanTracker::encode)),
+        ])
     }
 
     /// Restores state captured by [`Self::snapshot`] onto a network
@@ -71,6 +83,10 @@ impl CmeshNetwork {
     /// The checkpoint is validated (kind, config fingerprint) and fully
     /// parsed and checked against this network before any field is
     /// mutated, so a failed restore leaves the network untouched.
+    ///
+    /// Observers are attached before a restore, as every harness does:
+    /// the checkpoint's span tracker is kept, or a fresh one made, only
+    /// while the attached probe wants spans, and dropped otherwise.
     ///
     /// # Errors
     ///
@@ -147,13 +163,7 @@ impl CmeshNetwork {
         self.inject_current = inject_current;
         self.partial_eject = partial_eject;
         self.links = links;
-        // Span tracking is runtime state: a span-bearing checkpoint
-        // re-activates it, and a live sink on the restoring side keeps
-        // tracking on even when the checkpoint predates span recording.
-        self.span_tracker = span_tracker;
-        if self.span_tracker.is_none() && !self.span_sink.is_null() {
-            self.span_tracker = Some(CmeshSpanTracker::default());
-        }
+        self.span_tracker = self.tracks_spans_for_probe().then(|| span_tracker.unwrap_or_default());
         Ok(())
     }
 }
@@ -411,10 +421,10 @@ mod tests {
         assert_eq!(cp1.state.to_string(), cp2.state.to_string());
     }
 
-    /// The network behind the pinned checkpoint `name` and the cycles it
-    /// runs before the snapshot. `observed` attaches the span sink the
-    /// pin was taken with; a restoring twin is built without.
-    fn pinned(name: &str, observed: bool) -> (CmeshNetwork, u64) {
+    /// The network behind the pinned checkpoint `name`, with the span
+    /// recorder the pin was taken with attached, and the cycles it runs
+    /// before the snapshot. A restoring twin is built the same way.
+    fn pinned(name: &str) -> (CmeshNetwork, u64) {
         let (mut net, cycles) = match name {
             "mid_congestion" => (build(1, 17), 137),
             "bandwidth_reduced" => (build(2, 11), 6_000),
@@ -428,16 +438,16 @@ mod tests {
             }
             other => panic!("unknown pin {other}"),
         };
-        if observed && matches!(name, "spans" | "quarter_bandwidth") {
-            net.attach_span_sink(Box::new(pearl_telemetry::SharedSpanRecorder::new()));
+        if matches!(name, "spans" | "quarter_bandwidth") {
+            net.attach_probe(Box::new(pearl_telemetry::SharedSpanRecorder::new()));
         }
         (net, cycles)
     }
 
     /// Byte length and FNV-1a of `snapshot().to_json().to_string()` for
     /// each pinned checkpoint, generated before the codec was rewritten.
-    /// The golden ladder only hashes states without span trackers; these
-    /// pins also cover live wormholes and span bookkeeping.
+    /// The golden ladder hashes no span tracker; these pins also cover
+    /// live wormholes and span bookkeeping.
     #[rustfmt::skip]
     const PINS: [(&str, usize, u64); 4] = [
         ("mid_congestion", 24_631, 0x8dcc2664fe3f428f),
@@ -474,7 +484,7 @@ mod tests {
         let mut diverged = Vec::new();
         let mut covered = [false; SECTIONS.len()];
         for (name, bytes, fnv) in PINS {
-            let (mut net, cycles) = pinned(name, true);
+            let (mut net, cycles) = pinned(name);
             net.run(cycles);
             let text = net.snapshot().to_json().to_string();
             let (len, hash) = (text.len(), fingerprint(&text));
@@ -483,7 +493,7 @@ mod tests {
                 diverged.push(name);
             }
             let cp = Checkpoint::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
-            let (mut twin, _) = pinned(name, false);
+            let (mut twin, _) = pinned(name);
             twin.restore(&cp).unwrap();
             assert_eq!(twin.snapshot().to_json().to_string(), text, "{name}: restore changed text");
             // Checkpoints written before span tracking have no `spans`.
@@ -493,7 +503,7 @@ mod tests {
                     panic!("state is an object")
                 };
                 fields.retain(|(key, _)| key != "spans");
-                let (mut twin, _) = pinned(name, false);
+                let (mut twin, _) = pinned(name);
                 twin.restore(&legacy).unwrap();
                 assert_eq!(twin.snapshot().to_json().to_string(), text, "{name} without spans");
             }

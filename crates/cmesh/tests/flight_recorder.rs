@@ -1,9 +1,11 @@
 //! Flight-recorder integration tests for the CMESH baseline: the black
-//! box mirrors the PEARL contract — zero perturbation as a probe/span
-//! tee, a live ring, and strict exclusion from snapshot state.
+//! box mirrors the PEARL contract — zero perturbation as a probe tee, a
+//! live ring, and strict exclusion from snapshot state.
 
 use pearl_cmesh::CmeshBuilder;
-use pearl_telemetry::{FanoutProbe, FanoutSink, SharedFlightRecorder, SharedRecorder};
+use pearl_telemetry::{
+    FanoutProbe, SharedFlightRecorder, SharedRecorder, SharedSpanRecorder, TraceEvent,
+};
 use pearl_workloads::BenchmarkPair;
 
 fn pair() -> BenchmarkPair {
@@ -12,34 +14,38 @@ fn pair() -> BenchmarkPair {
 
 const CYCLES: u64 = 4_000;
 
+/// A fanout of the flight recorder and a span recorder, so the flight
+/// recorder sees the span stream too.
+fn with_spans(flight: &SharedFlightRecorder) -> Box<FanoutProbe> {
+    Box::new(FanoutProbe::new(vec![Box::new(flight.clone()), Box::new(SharedSpanRecorder::new())]))
+}
+
 #[test]
 fn flight_recorder_never_perturbs_the_run() {
     let build = || CmeshBuilder::new().seed(9).build(pair());
 
-    // CMESH serializes its span-milestone tracker into checkpoints (it
-    // must survive resume), so both sides get a live span sink; the
-    // claim under test is that teeing the flight recorder in through
-    // the fanout adapters changes nothing relative to plain observers.
     let mut bare = build();
-    let bare_probe = SharedRecorder::new();
-    let bare_sink = SharedFlightRecorder::new();
-    bare.attach_probe(Box::new(bare_probe.clone()));
-    bare.attach_span_sink(Box::new(bare_sink));
     let bare_summary = bare.run(CYCLES);
+
+    let mut traced = build();
+    let traced_probe = SharedRecorder::new();
+    traced.attach_probe(Box::new(traced_probe.clone()));
+    traced.run(CYCLES);
 
     let mut observed = build();
     let observed_probe = SharedRecorder::new();
     let flight = SharedFlightRecorder::new();
     observed.attach_probe(Box::new(FanoutProbe::new(vec![
         Box::new(observed_probe.clone()),
-        Box::new(flight.clone()),
+        with_spans(&flight),
     ])));
-    observed.attach_span_sink(Box::new(FanoutSink::new(vec![Box::new(flight.clone())])));
     let observed_summary = observed.run(CYCLES);
 
     assert_eq!(format!("{bare_summary:?}"), format!("{observed_summary:?}"));
     assert_eq!(bare.state_hash(), observed.state_hash());
-    assert_eq!(format!("{:?}", bare_probe.events()), format!("{:?}", observed_probe.events()));
+    let events: Vec<TraceEvent> =
+        observed_probe.events().into_iter().filter(|e| !matches!(e, TraceEvent::Span(_))).collect();
+    assert_eq!(format!("{:?}", traced_probe.events()), format!("{events:?}"));
     // The mesh emits per-packet spans on ejection; the ring must have
     // seen them (probe events are sparse on a fault-free mesh, so the
     // span stream is the liveness witness here).
@@ -51,8 +57,7 @@ fn flight_recorder_is_excluded_from_snapshots_and_state_hashes() {
     let build = || CmeshBuilder::new().seed(6).build(pair());
     let mut observed = build();
     let flight = SharedFlightRecorder::new();
-    observed.attach_probe(Box::new(flight.clone()));
-    observed.attach_span_sink(Box::new(flight.clone()));
+    observed.attach_probe(with_spans(&flight));
     observed.run(CYCLES);
     let seen_mid = flight.spans_seen();
     assert!(seen_mid > 0, "the run recorded something");

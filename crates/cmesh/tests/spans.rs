@@ -1,10 +1,10 @@
 //! Causal-span tests for the CMESH baseline: the six-stage electrical
 //! decomposition must tile every delivered packet's lifetime, recording
-//! must never perturb the run, and the span stream must be
-//! bit-identical across a snapshot/restore boundary.
+//! must never perturb the run or its state hash, and the span stream
+//! must be bit-identical across a snapshot/restore boundary.
 
 use pearl_cmesh::CmeshBuilder;
-use pearl_telemetry::{group_by_packet, NullSink, SharedSpanRecorder, SpanKind};
+use pearl_telemetry::{group_by_packet, JsonValue, NullProbe, SharedSpanRecorder, SpanKind};
 use pearl_workloads::BenchmarkPair;
 
 fn pair() -> BenchmarkPair {
@@ -15,7 +15,7 @@ fn pair() -> BenchmarkPair {
 fn cmesh_span_accounting_reconciles() {
     let mut net = CmeshBuilder::new().seed(17).build(pair());
     let recorder = SharedSpanRecorder::new();
-    net.attach_span_sink(Box::new(recorder.clone()));
+    net.attach_probe(Box::new(recorder.clone()));
     assert!(net.span_enabled());
     let summary = net.run(10_000);
     assert!(summary.delivered_packets > 0);
@@ -55,17 +55,18 @@ fn cmesh_span_sinks_never_perturb_the_run() {
     let plain_summary = plain.run(6_000);
 
     let mut with_null = CmeshBuilder::new().seed(7).build(pair());
-    with_null.attach_span_sink(Box::new(NullSink));
-    assert!(!with_null.span_enabled(), "NullSink must not arm the span path");
+    with_null.attach_probe(Box::new(NullProbe));
+    assert!(!with_null.span_enabled(), "NullProbe must not arm the span path");
     let null_summary = with_null.run(6_000);
     assert_eq!(format!("{plain_summary:?}"), format!("{null_summary:?}"));
     assert_eq!(plain.state_hash(), with_null.state_hash());
 
     let mut with_recorder = CmeshBuilder::new().seed(7).build(pair());
     let recorder = SharedSpanRecorder::new();
-    with_recorder.attach_span_sink(Box::new(recorder.clone()));
+    with_recorder.attach_probe(Box::new(recorder.clone()));
     let rec_summary = with_recorder.run(6_000);
     assert_eq!(format!("{plain_summary:?}"), format!("{rec_summary:?}"));
+    assert_eq!(plain.state_hash(), with_recorder.state_hash());
     assert!(!recorder.is_empty());
 }
 
@@ -75,18 +76,18 @@ fn cmesh_span_stream_is_bit_identical_across_resume() {
 
     let mut golden_net = CmeshBuilder::new().seed(19).build(pair());
     let golden_rec = SharedSpanRecorder::new();
-    golden_net.attach_span_sink(Box::new(golden_rec.clone()));
+    golden_net.attach_probe(Box::new(golden_rec.clone()));
     golden_net.run(n + m);
 
     let mut first = CmeshBuilder::new().seed(19).build(pair());
     let pre_rec = SharedSpanRecorder::new();
-    first.attach_span_sink(Box::new(pre_rec.clone()));
+    first.attach_probe(Box::new(pre_rec.clone()));
     first.run(n);
     let cp = first.snapshot();
 
     let mut resumed = CmeshBuilder::new().seed(19).build(pair());
     let post_rec = SharedSpanRecorder::new();
-    resumed.attach_span_sink(Box::new(post_rec.clone()));
+    resumed.attach_probe(Box::new(post_rec.clone()));
     resumed.restore(&cp).expect("restore");
     assert!(resumed.span_enabled());
     resumed.run(m);
@@ -94,37 +95,55 @@ fn cmesh_span_stream_is_bit_identical_across_resume() {
     let mut stitched = pre_rec.spans();
     stitched.extend(post_rec.spans());
     assert_eq!(golden_rec.spans(), stitched, "span stream diverged across the resume boundary");
-    assert_eq!(golden_net.state_hash(), resumed.state_hash());
+    // The state text covers the span tracker; the state hash does not.
+    assert_eq!(golden_net.snapshot().state.to_string(), resumed.snapshot().state.to_string());
 }
 
 #[test]
 fn cmesh_restore_reactivates_span_tracking_from_snapshot() {
-    let mut golden = CmeshBuilder::new().seed(11).build(pair());
-    golden.attach_span_sink(Box::new(SharedSpanRecorder::new()));
+    // Restore keeps a checkpoint's span tracker, or makes a fresh one,
+    // only for a probe that wants spans; without one it drops it.
+    let build = || CmeshBuilder::new().seed(11).build(pair());
+    let mut golden = build();
+    golden.attach_probe(Box::new(SharedSpanRecorder::new()));
     golden.run(5_000);
 
-    let mut first = CmeshBuilder::new().seed(11).build(pair());
-    first.attach_span_sink(Box::new(SharedSpanRecorder::new()));
+    let mut first = build();
+    first.attach_probe(Box::new(SharedSpanRecorder::new()));
     first.run(3_000);
     let cp = first.snapshot();
 
-    let mut resumed = CmeshBuilder::new().seed(11).build(pair());
-    assert!(!resumed.span_enabled());
+    let mut resumed = build();
+    resumed.attach_probe(Box::new(SharedSpanRecorder::new()));
     resumed.restore(&cp).expect("restore");
-    assert!(resumed.span_enabled(), "span-bearing checkpoint must re-arm tracking");
+    assert!(resumed.span_enabled());
     resumed.run(2_000);
-    assert_eq!(golden.state_hash(), resumed.state_hash());
+    assert_eq!(golden.snapshot().state.to_string(), resumed.snapshot().state.to_string());
+
+    let mut bare = build();
+    bare.restore(&cp).expect("restore");
+    assert!(!bare.span_enabled(), "no probe wants spans, so none are tracked");
+    bare.run(2_000);
+    assert_eq!(golden.state_hash(), bare.state_hash());
+    assert_eq!(bare.snapshot().state.get("spans"), Some(&JsonValue::Null));
+
+    let mut plain = build();
+    plain.run(3_000);
+    let mut traced = build();
+    traced.attach_probe(Box::new(SharedSpanRecorder::new()));
+    traced.restore(&plain.snapshot()).expect("restore");
+    assert!(traced.span_enabled());
 }
 
 #[test]
 fn cmesh_repeated_checkpoint_restore_with_spans_is_stable() {
     let mut net = CmeshBuilder::new().seed(3).build(pair());
-    net.attach_span_sink(Box::new(SharedSpanRecorder::new()));
+    net.attach_probe(Box::new(SharedSpanRecorder::new()));
     net.run(2_500);
     let cp1 = net.snapshot();
 
     let mut twin = CmeshBuilder::new().seed(3).build(pair());
-    twin.attach_span_sink(Box::new(SharedSpanRecorder::new()));
+    twin.attach_probe(Box::new(SharedSpanRecorder::new()));
     twin.restore(&cp1).expect("restore");
     let cp2 = twin.snapshot();
     assert_eq!(

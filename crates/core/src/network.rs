@@ -33,8 +33,8 @@ use pearl_photonics::{
     FaultConfig, FaultModel, FaultStats, PowerModel, StateResidency, WavelengthState,
 };
 use pearl_telemetry::{
-    set_alloc_section, NullSink, Phase, Probe, ProfileReport, Section, SelfProfiler, Span,
-    SpanKind, SpanSink, SubSection, TraceEvent, TransitionCause, WorkCounters,
+    set_alloc_section, Phase, Probe, ProfileReport, Section, SelfProfiler, Span, SpanKind,
+    SubSection, TraceEvent, TransitionCause, WorkCounters,
 };
 use pearl_workloads::{BenchmarkPair, Destination, TrafficModel, TrafficSource};
 use std::collections::{HashMap, VecDeque};
@@ -83,9 +83,9 @@ pub(crate) struct HeadWait {
 }
 
 /// Bookkeeping behind causal span emission (see
-/// [`PearlNetwork::attach_span_sink`]). Allocated only while span
-/// tracking is on; checkpointed so span streams resume bit-identically
-/// across a kill/restore boundary.
+/// [`PearlNetwork::attach_probe`]). Allocated only while the attached
+/// probe wants spans; checkpointed so span streams resume
+/// bit-identically across a kill/restore boundary, but never hashed.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SpanTracker {
     /// Per-router, per-lane (CPU, GPU) head-wait counters.
@@ -291,10 +291,7 @@ pub struct PearlNetwork {
     /// Telemetry sink (see [`PearlNetwork::attach_probe`]); `None`
     /// while no live probe is attached.
     probe: Option<Box<dyn Probe>>,
-    /// Causal span sink (see [`PearlNetwork::attach_span_sink`]),
-    /// called only while `span_tracker` exists.
-    span_sink: Box<dyn SpanSink>,
-    /// Span bookkeeping, present exactly while span tracking is on.
+    /// Span bookkeeping, present exactly while the probe wants spans.
     span_tracker: Option<SpanTracker>,
     /// Wall-clock self-profiler and the work counters it owns (see
     /// [`PearlNetwork::enable_profiling`]). Observer state: never
@@ -382,23 +379,25 @@ impl PearlNetwork {
             pending_predictions: vec![None; endpoints],
             cycle_seconds,
             probe: None,
-            span_sink: Box::new(NullSink),
             span_tracker: None,
             profiler: None,
         }
     }
 
-    /// Attaches a telemetry sink. A probe whose `is_null()` is true
-    /// (such as [`pearl_telemetry::NullProbe`]) is not stored, so every
-    /// emission site reduces to one branch and the run is bit-identical
-    /// to an uninstrumented build — the overhead contract pinned by the
-    /// `telemetry_null_probe_identity` property test.
-    ///
-    /// Attaching a live probe also enables the fault model's event log
-    /// so structural λ/laser faults reach the trace.
+    /// Attaches the observer: every trace event, causal spans included
+    /// ([`TraceEvent::Span`]), goes to `probe`. A probe whose
+    /// `is_null()` is true (such as [`pearl_telemetry::NullProbe`]) is
+    /// not stored, so every emission site reduces to one branch. Span
+    /// bookkeeping exists exactly while the probe wants spans: attaching
+    /// such a probe keeps or creates the tracker, attaching any other
+    /// drops it. Either way the probe only observes — the simulated
+    /// state and [`Self::state_hash`] are those of a bare run.
     pub fn attach_probe(&mut self, probe: Box<dyn Probe>) {
         self.probe = (!probe.is_null()).then_some(probe);
-        self.fault.set_event_log(self.probe.is_some());
+        let tracker = self.span_tracker.take();
+        self.span_tracker = self
+            .tracks_spans_for_probe()
+            .then(|| tracker.unwrap_or_else(|| SpanTracker::new(self.routers.len())));
     }
 
     /// True when a live (non-null) probe is attached.
@@ -406,26 +405,23 @@ impl PearlNetwork {
         self.probe.is_some()
     }
 
-    /// Attaches a causal span sink. With the default [`NullSink`] no
-    /// tracker state is kept, every emission site reduces to one
-    /// branch, and the run is bit-identical to an uninstrumented build
-    /// — spans are derived observers, never simulation state. Attaching
-    /// a live sink allocates the tracker; attaching a null sink drops
-    /// it.
-    pub fn attach_span_sink(&mut self, sink: Box<dyn SpanSink>) {
-        if sink.is_null() {
-            self.span_tracker = None;
-        } else if self.span_tracker.is_none() {
-            self.span_tracker = Some(SpanTracker::new(self.routers.len()));
-        }
-        self.span_sink = sink;
-    }
-
-    /// True when a live (non-null) span sink is attached (or span
-    /// tracking was re-enabled by restoring a snapshot taken with
-    /// spans on).
+    /// True while spans are tracked, which is exactly while the attached
+    /// probe wants them.
     pub fn span_enabled(&self) -> bool {
         self.span_tracker.is_some()
+    }
+
+    /// Whether the attached probe wants spans.
+    fn tracks_spans_for_probe(&self) -> bool {
+        self.probe.as_ref().is_some_and(|p| p.wants_spans())
+    }
+
+    /// Hands one closed span to the probe. Span sites run only while
+    /// the tracker exists, that is while the probe wants spans.
+    fn emit_span(&mut self, span: Span) {
+        if let Some(probe) = self.probe.as_mut() {
+            probe.record(&TraceEvent::Span(span));
+        }
     }
 
     /// Causal parent (request packet id) of `packet`, if it is a
@@ -554,8 +550,12 @@ impl PearlNetwork {
     pub fn step(&mut self) {
         let now = self.now;
         self.timed(Section::Faults, |net| {
-            net.fault.step();
-            net.drain_fault_events(now);
+            let probe = &mut net.probe;
+            net.fault.step(|router, kind| {
+                if let Some(probe) = probe.as_mut() {
+                    probe.record(&TraceEvent::Fault { router, at: now.as_u64(), kind });
+                }
+            });
         });
         self.timed(Section::Injection, |net| {
             net.timed(SubSection::InjectTraffic, |net| net.inject_workload(now));
@@ -599,15 +599,6 @@ impl PearlNetwork {
             phase.charge(profiler, t0);
         }
         out
-    }
-
-    /// Forwards structural fault events logged by the fault model this
-    /// cycle to the probe (the model logs only while one is attached).
-    fn drain_fault_events(&mut self, now: Cycle) {
-        let Some(probe) = self.probe.as_mut() else { return };
-        for (router, kind) in self.fault.drain_events() {
-            probe.record(&TraceEvent::Fault { router, at: now.as_u64(), kind });
-        }
     }
 
     fn sample_timeline(&mut self, now: Cycle) {
@@ -888,7 +879,7 @@ impl PearlNetwork {
                         start: now.as_u64(),
                         end: ready.as_u64(),
                     };
-                    self.span_sink.record_span(&span);
+                    self.emit_span(span);
                 }
                 self.retransmit[flight.src].push_back(RetryEntry {
                     ready,
@@ -1033,13 +1024,14 @@ impl PearlNetwork {
                 start: now.as_u64(),
                 end: busy_until.as_u64(),
             };
-            self.span_sink.record_span(&serialization);
-            self.span_sink.record_span(&Span {
+            let link = Span {
                 kind: SpanKind::LinkTraversal,
                 start: busy_until.as_u64(),
                 end: deliver_at.as_u64(),
                 ..serialization
-            });
+            };
+            self.emit_span(serialization);
+            self.emit_span(link);
         }
         self.routers[channel_owner].channels[channel] =
             Some(Transfer { packet_id: packet.id, busy_until });
@@ -1312,19 +1304,17 @@ impl PearlNetwork {
             start: injected,
             end: queue_end,
         };
-        self.span_sink.record_span(&base);
-        self.span_sink.record_span(&Span {
+        let reservation = Span {
             kind: SpanKind::ReservationWait,
             start: queue_end,
             end: queue_end + res,
             ..base
-        });
-        self.span_sink.record_span(&Span {
-            kind: SpanKind::Arbitration,
-            start: queue_end + res,
-            end: now.as_u64(),
-            ..base
-        });
+        };
+        let arbitration =
+            Span { kind: SpanKind::Arbitration, start: queue_end + res, end: now.as_u64(), ..base };
+        self.emit_span(base);
+        self.emit_span(reservation);
+        self.emit_span(arbitration);
     }
 
     /// Emits the reservation-wait span of a retry flight: the gap
@@ -1342,7 +1332,7 @@ impl PearlNetwork {
             start: entry.ready.as_u64(),
             end: now.as_u64(),
         };
-        self.span_sink.record_span(&span);
+        self.emit_span(span);
     }
 
     /// Emits the eject-drain span that closes a packet's causal trace:
@@ -1363,7 +1353,7 @@ impl PearlNetwork {
             start: landed_at,
             end: now.as_u64(),
         };
-        self.span_sink.record_span(&span);
+        self.emit_span(span);
     }
 
     fn sample_and_account(&mut self, now: Cycle) {

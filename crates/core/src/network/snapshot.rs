@@ -14,6 +14,11 @@
 //! bit-for-bit: identical stats, identical trace events, identical
 //! [`PearlNetwork::state_hash`].
 //!
+//! Two sections belong to observers: the timeline samples and the span
+//! tracker. A checkpoint carries them, so a traced resume stays
+//! byte-identical, but the state hash writes both as `null`, as a bare
+//! run does, so attaching observers never changes it.
+//!
 //! The restore model is *rebuild-then-import*: the restoring network is
 //! constructed from the identical builder inputs (config, policy, power
 //! model, fault config, seed, workload) and only dynamic state is
@@ -73,8 +78,26 @@ impl PearlNetwork {
     /// an internal invariant violation, never reachable from safe use of
     /// the network.
     pub fn snapshot(&self) -> Checkpoint {
+        let state = self.state(true);
+        Checkpoint::new(PEARL_SNAPSHOT_KIND, self.config_fingerprint(), self.now.as_u64(), state)
+    }
+
+    /// FNV-1a hash of the simulated state — the cheap whole-network
+    /// divergence detector of the golden ladder, chaos and `pearl-serve`.
+    /// It hashes the state [`Self::snapshot`] writes with the observer
+    /// sections (`timeline`, `spans`) written as `null`, so an observed
+    /// run hashes like a bare one.
+    pub fn state_hash(&self) -> u64 {
+        fingerprint(&self.state(false).to_string())
+    }
+
+    /// The checkpoint state; without `observers`, the timeline and span
+    /// sections are `null`, as a bare run writes them.
+    fn state(&self, observers: bool) -> JsonValue {
         let routers: Vec<_> = self.routers.iter().map(RouterState::export).collect();
-        let state = JsonValue::obj(vec![
+        let timeline = self.timeline.as_ref().filter(|_| observers).map(Timeline::export_state);
+        let spans = self.span_tracker.as_ref().filter(|_| observers);
+        JsonValue::obj(vec![
             ("rng", self.rng.encode()),
             ("now", self.now.encode()),
             ("next_packet_id", self.next_packet_id.encode()),
@@ -88,18 +111,11 @@ impl PearlNetwork {
             ("tokens", self.tokens.encode()),
             ("collection", self.collection.as_ref().map_or(JsonValue::Null, encode_dataset)),
             ("pending_features", self.pending_features.encode()),
-            ("timeline", self.timeline.as_ref().map(Timeline::export_state).encode()),
+            ("timeline", timeline.encode()),
             ("ladder", self.ladder.as_ref().map(DegradationLadder::export_state).encode()),
             ("pending_predictions", self.pending_predictions.encode()),
-            ("spans", self.span_tracker.encode()),
-        ]);
-        Checkpoint::new(PEARL_SNAPSHOT_KIND, self.config_fingerprint(), self.now.as_u64(), state)
-    }
-
-    /// FNV-1a hash of the canonical serialized state — the cheap
-    /// whole-network divergence detector used by the chaos harness.
-    pub fn state_hash(&self) -> u64 {
-        self.snapshot().state_hash()
+            ("spans", spans.map_or(JsonValue::Null, SpanTracker::encode)),
+        ])
     }
 
     /// Restores state captured by [`Self::snapshot`] onto a network
@@ -108,6 +124,11 @@ impl PearlNetwork {
     /// The checkpoint is validated (kind, config fingerprint) and fully
     /// parsed and checked against this network before any field is
     /// mutated, so a failed restore leaves the network untouched.
+    ///
+    /// Observers are attached before a restore, as every harness does:
+    /// the checkpoint's span tracker is kept, or a fresh one made, only
+    /// while the attached probe wants spans, and dropped otherwise. The
+    /// timeline comes back whenever the checkpoint carries one.
     ///
     /// # Errors
     ///
@@ -207,15 +228,9 @@ impl PearlNetwork {
             live.import_state(state);
         }
         self.pending_predictions = pending_predictions;
-        // Like timeline enablement, span tracking is runtime state:
-        // restoring a span-bearing checkpoint re-activates it (spans
-        // then flow to whatever sink is attached, NullSink included),
-        // and a live sink on the restoring side keeps tracking on even
-        // when the checkpoint predates span recording.
-        self.span_tracker = span_tracker;
-        if self.span_tracker.is_none() && !self.span_sink.is_null() {
-            self.span_tracker = Some(SpanTracker::new(endpoints));
-        }
+        self.span_tracker = self
+            .tracks_spans_for_probe()
+            .then(|| span_tracker.unwrap_or_else(|| SpanTracker::new(endpoints)));
         Ok(())
     }
 }
@@ -646,7 +661,8 @@ mod tests {
             resumed.timeline().unwrap().export_state(),
             golden.timeline().unwrap().export_state()
         );
-        assert_eq!(resumed.state_hash(), golden.state_hash());
+        // The state hash leaves the timeline out; the state text has it.
+        assert_eq!(resumed.snapshot().state.to_string(), golden.snapshot().state.to_string());
     }
 
     #[test]
@@ -694,6 +710,57 @@ mod tests {
         pearl_telemetry::jsonl::write_trace(&mut split_buf, &split_events).unwrap();
         assert!(!golden_buf.is_empty(), "faulted reactive run must emit events");
         assert_eq!(golden_buf, split_buf, "trace JSONL diverged across the resume");
+    }
+
+    /// Reactive RW500 with frequent λ and laser faults: plenty of
+    /// fault events on either side of a checkpoint at cycle 2,000.
+    fn fault_heavy() -> PearlNetwork {
+        build(PearlPolicy::reactive(500), FaultConfig::uniform(0.05, 7), false, 3)
+    }
+
+    #[test]
+    fn a_probe_attached_before_restoring_a_bare_checkpoint_sees_every_fault_event() {
+        // Fault events reach the probe whatever checkpoint the network
+        // resumed from: the checkpoint holds no trace of observers.
+        let traced_rec = SharedRecorder::new();
+        let mut traced = fault_heavy();
+        traced.attach_probe(Box::new(traced_rec.clone()));
+        traced.run(4_000);
+
+        let mut bare = fault_heavy();
+        bare.run(2_000);
+        let resumed_rec = SharedRecorder::new();
+        let mut resumed = fault_heavy();
+        resumed.attach_probe(Box::new(resumed_rec.clone()));
+        resumed.restore(&bare.snapshot()).unwrap();
+        resumed.run(2_000);
+
+        let after = |events: Vec<TraceEvent>| -> Vec<TraceEvent> {
+            events.into_iter().filter(|e| e.at() >= 2_000).collect()
+        };
+        let expected = after(traced_rec.events());
+        let faults = expected.iter().filter(|e| e.kind() == "fault").count();
+        assert!(faults > 100, "only {faults} fault events after the checkpoint");
+        assert_eq!(after(resumed_rec.events()), expected);
+    }
+
+    #[test]
+    fn a_bare_network_restored_from_a_traced_checkpoint_stays_bare() {
+        // An observer leaves nothing in the checkpoint for an unobserved
+        // network to inherit.
+        let mut traced = fault_heavy();
+        traced.attach_probe(Box::new(SharedRecorder::new()));
+        traced.run(2_000);
+        let mut resumed = fault_heavy();
+        resumed.restore(&traced.snapshot()).unwrap();
+        resumed.run(20_000);
+
+        let mut never_traced = fault_heavy();
+        never_traced.run(22_000);
+        assert_eq!(
+            resumed.snapshot().to_json().to_string(),
+            never_traced.snapshot().to_json().to_string()
+        );
     }
 
     #[test]
@@ -920,10 +987,10 @@ mod tests {
         )
     }
 
-    /// The network behind the pinned checkpoint `name` and the cycles it
-    /// runs before the snapshot. `observed` attaches the probe or span
-    /// sink the pin was taken with; a restoring twin is built without.
-    fn pinned(name: &str, observed: bool) -> (PearlNetwork, u64) {
+    /// The network behind the pinned checkpoint `name`, with the probe
+    /// the pin was taken with attached, and the cycles it runs before the
+    /// snapshot. A restoring twin is built the same way.
+    fn pinned(name: &str) -> (PearlNetwork, u64) {
         let at_pair = |builder: NetworkBuilder, pair: usize| {
             builder.seed(7).build(pearl_workloads::BenchmarkPair::test_pairs()[pair])
         };
@@ -952,20 +1019,6 @@ mod tests {
                 (net, 4_500)
             }
             "mwsr" => (build(PearlPolicy::dyn_64wl(), FaultConfig::off(), true, 31), 6_000),
-            "fault_log" => {
-                // The fault model keeps logging after a checkpoint taken
-                // with a probe is restored onto a network without one.
-                let make =
-                    || build(PearlPolicy::reactive(500), FaultConfig::uniform(0.03, 5), false, 53);
-                let mut net = make();
-                if observed {
-                    let mut traced = make();
-                    traced.attach_probe(Box::new(SharedRecorder::new()));
-                    traced.run(2_000);
-                    net.restore(&traced.snapshot()).unwrap();
-                }
-                (net, 1_000)
-            }
             "spans" => {
                 // At this cycle a retry waits out its backoff and a landed
                 // packet waits for ejection.
@@ -992,28 +1045,25 @@ mod tests {
             }
             other => panic!("unknown pin {other}"),
         };
-        if observed {
-            match name {
-                "faults_traced" => net.attach_probe(Box::new(SharedRecorder::new())),
-                "spans" | "ladder_faults_spans" => {
-                    net.attach_span_sink(Box::new(pearl_telemetry::SharedSpanRecorder::new()))
-                }
-                _ => {}
+        match name {
+            "faults_traced" => net.attach_probe(Box::new(SharedRecorder::new())),
+            "spans" | "ladder_faults_spans" => {
+                net.attach_probe(Box::new(pearl_telemetry::SharedSpanRecorder::new()))
             }
+            _ => {}
         }
         (net, cycles)
     }
 
     /// Byte length and FNV-1a of `snapshot().to_json().to_string()` for
     /// each pinned checkpoint, generated before the codec was rewritten.
-    /// The golden ladder only hashes states whose span, timeline,
-    /// collection and fault-log sections are empty; these pins cover
-    /// them.
+    /// The golden ladder hashes no timeline, span or collection section;
+    /// these pins cover them. `faults_traced` is taken with a probe
+    /// attached, and equals the bare checkpoint of its network.
     #[rustfmt::skip]
-    const PINS: [(&str, usize, u64); 10] = [
+    const PINS: [(&str, usize, u64); 9] = [
         ("faults", 56_355, 0xca5e2434d88db121),
-        ("faults_traced", 46_401, 0xdd444fc0e8bffd24),
-        ("fault_log", 39_858, 0x3aa3ac682cc13c2f),
+        ("faults_traced", 46_401, 0xb3d8f51d155acdfa),
         ("collecting", 105_751, 0xbbec6f21ee255923),
         ("ml_fallback", 26_070, 0x5fa67ca5935413b0),
         ("timeline", 26_920, 0x1dfea6a7e8f6e350),
@@ -1035,7 +1085,7 @@ mod tests {
 
     #[test]
     fn pinned_checkpoints_keep_their_bytes_and_restore_to_the_same_text() {
-        const SECTIONS: [(&str, &[&str]); 11] = [
+        const SECTIONS: [(&str, &[&str]); 10] = [
             ("spans", &["spans"]),
             ("spans.landed", &["spans", "landed"]),
             ("spans.parent", &["spans", "parent"]),
@@ -1044,7 +1094,6 @@ mod tests {
             ("collection", &["collection", "labels"]),
             ("pending_features", &["pending_features"]),
             ("pending_predictions", &["pending_predictions"]),
-            ("event_log", &["fault", "event_log"]),
             ("retransmit", &["retransmit"]),
             ("in_flight", &["in_flight"]),
         ];
@@ -1052,7 +1101,7 @@ mod tests {
         let mut diverged = Vec::new();
         let mut covered = [false; SECTIONS.len()];
         for (name, bytes, fnv) in PINS {
-            let (mut net, cycles) = pinned(name, true);
+            let (mut net, cycles) = pinned(name);
             net.run(cycles);
             let text = net.snapshot().to_json().to_string();
             let (len, hash) = (text.len(), fingerprint(&text));
@@ -1061,7 +1110,7 @@ mod tests {
                 diverged.push(name);
             }
             let cp = Checkpoint::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
-            let (mut twin, _) = pinned(name, false);
+            let (mut twin, _) = pinned(name);
             twin.restore(&cp).unwrap();
             assert_eq!(twin.snapshot().to_json().to_string(), text, "{name}: restore changed text");
             // Checkpoints written before span tracking have no `spans`.
@@ -1071,7 +1120,7 @@ mod tests {
                     panic!("state is an object")
                 };
                 fields.retain(|(key, _)| key != "spans");
-                let (mut twin, _) = pinned(name, false);
+                let (mut twin, _) = pinned(name);
                 twin.restore(&legacy).unwrap();
                 assert_eq!(twin.snapshot().to_json().to_string(), text, "{name} without spans");
             }

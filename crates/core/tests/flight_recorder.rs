@@ -1,16 +1,18 @@
 //! Flight-recorder integration tests: the black box obeys the same
-//! observer contract as every other probe/span consumer.
+//! observer contract as every other probe.
 //!
 //! Three properties anchor it. *Zero perturbation*: riding along as a
-//! probe and span sink (alone or teed behind a trace recorder through
-//! the fanout adapters) leaves the simulated trajectory — summary,
-//! state hash, and every traced byte — bit-identical to a bare run.
-//! *Liveness*: the ring actually captures the machinery the run
-//! exercises. *State separation*: recorder state never enters
-//! snapshots, so checkpoint/restore round-trips are oblivious to it.
+//! probe (alone or teed beside trace and span recorders through a
+//! fanout) leaves the simulated trajectory — summary, state hash, and
+//! every traced byte — bit-identical to a bare run. *Liveness*: the
+//! ring actually captures the machinery the run exercises. *State
+//! separation*: recorder state never enters snapshots, so
+//! checkpoint/restore round-trips are oblivious to it.
 
 use pearl_core::{NetworkBuilder, PearlPolicy};
-use pearl_telemetry::{FanoutProbe, FanoutSink, SharedFlightRecorder, SharedRecorder};
+use pearl_telemetry::{
+    FanoutProbe, SharedFlightRecorder, SharedRecorder, SharedSpanRecorder, TraceEvent,
+};
 use pearl_workloads::BenchmarkPair;
 
 fn pair() -> BenchmarkPair {
@@ -23,34 +25,36 @@ const CYCLES: u64 = 4_000;
 fn flight_recorder_never_perturbs_the_run() {
     let build = || NetworkBuilder::new().policy(PearlPolicy::reactive(500)).seed(11).build(pair());
 
-    // Span-milestone tracking is serialized into checkpoints (it must
-    // survive resume), so both sides get a live span sink; the claim
-    // under test is that teeing the flight recorder in through the
-    // fanout adapters changes nothing relative to plain observers.
     let mut bare = build();
-    let bare_probe = SharedRecorder::new();
-    let bare_sink = SharedFlightRecorder::new();
-    bare.attach_probe(Box::new(bare_probe.clone()));
-    bare.attach_span_sink(Box::new(bare_sink));
     let bare_summary = bare.run(CYCLES);
 
-    // The flight recorder tees behind the trace recorder exactly as the
-    // serve runner wires it: one fanout probe, both members live.
+    // The reference trace: a trace recorder alone.
+    let mut traced = build();
+    let traced_probe = SharedRecorder::new();
+    traced.attach_probe(Box::new(traced_probe.clone()));
+    traced.run(CYCLES);
+
+    // The flight recorder tees behind the trace recorder as the serve
+    // runner wires it, and a span recorder switches span tracking on.
     let mut observed = build();
     let observed_probe = SharedRecorder::new();
     let flight = SharedFlightRecorder::new();
     observed.attach_probe(Box::new(FanoutProbe::new(vec![
         Box::new(observed_probe.clone()),
         Box::new(flight.clone()),
+        Box::new(SharedSpanRecorder::new()),
     ])));
-    observed.attach_span_sink(Box::new(FanoutSink::new(vec![Box::new(flight.clone())])));
+    assert!(observed.span_enabled());
     let observed_summary = observed.run(CYCLES);
 
     assert_eq!(format!("{bare_summary:?}"), format!("{observed_summary:?}"));
     assert_eq!(bare.state_hash(), observed.state_hash());
+    assert_eq!(bare.state_hash(), traced.state_hash());
     // Byte-level trace equality: the tee may not shift a single traced
-    // event the offline recorder sees.
-    assert_eq!(format!("{:?}", bare_probe.events()), format!("{:?}", observed_probe.events()));
+    // event the offline recorder sees; the spans ride in between.
+    let events: Vec<TraceEvent> =
+        observed_probe.events().into_iter().filter(|e| !matches!(e, TraceEvent::Span(_))).collect();
+    assert_eq!(format!("{:?}", traced_probe.events()), format!("{events:?}"));
     // And the contract is not vacuous: the black box really recorded.
     assert!(flight.events_seen() > 0, "flight recorder saw the probe stream");
     assert!(flight.spans_seen() > 0, "flight recorder saw the span stream");
@@ -62,9 +66,15 @@ fn flight_recorder_is_excluded_from_snapshots_and_state_hashes() {
     let mut observed = build();
     let flight = SharedFlightRecorder::new();
     observed.attach_probe(Box::new(flight.clone()));
+    assert!(!observed.span_enabled(), "the flight recorder alone never tracks spans");
     observed.run(CYCLES);
     let seen_mid = flight.events_seen();
     assert!(seen_mid > 0, "the run recorded something");
+
+    // The observed run hashes like a bare one.
+    let mut bare = build();
+    bare.run(CYCLES);
+    assert_eq!(bare.state_hash(), observed.state_hash());
 
     // Restoring the checkpoint into a bare network reproduces the exact
     // state without ever seeing the recorder.

@@ -5,11 +5,11 @@
 //! ejected_at]` with no gap or overlap, so the per-stage breakdown sums
 //! exactly to the end-to-end latency — under faults, retransmissions
 //! and ML-ladder demotions alike. Second, *zero perturbation*: a
-//! [`NullSink`] leaves the run bit-identical (including the state
-//! hash), and a recording sink leaves the simulated trajectory
-//! bit-identical (spans are derived observers, never state). Third,
-//! *resumability*: the span stream across a snapshot/restore boundary
-//! is bit-identical to an uninterrupted run's.
+//! [`NullProbe`] leaves span tracking off, and a span recorder leaves
+//! the simulated trajectory and the state hash bit-identical (spans are
+//! derived observers, never state). Third, *resumability*: the span
+//! stream across a snapshot/restore boundary is bit-identical to an
+//! uninterrupted run's.
 
 use pearl_core::{
     FallbackConfig, FaultConfig, MlPowerScaler, NetworkBuilder, PearlNetwork, PearlPolicy,
@@ -18,7 +18,7 @@ use pearl_core::{
 use pearl_ml::{select_lambda, Dataset};
 use pearl_telemetry::{
     chrome_trace, critical_path, group_by_packet, latency_breakdown, validate_chrome_trace,
-    NullSink, PacketTrace, SharedSpanRecorder, Span, SpanKind,
+    NullProbe, PacketTrace, SharedRecorder, SharedSpanRecorder, Span, SpanKind,
 };
 use pearl_workloads::BenchmarkPair;
 use proptest::prelude::*;
@@ -81,7 +81,7 @@ fn faulty_ml_network(seed: u64) -> PearlNetwork {
 fn span_accounting_reconciles_under_faults_and_demotion() {
     let mut net = faulty_ml_network(29);
     let recorder = SharedSpanRecorder::new();
-    net.attach_span_sink(Box::new(recorder.clone()));
+    net.attach_probe(Box::new(recorder.clone()));
     assert!(net.span_enabled());
     let summary = net.run(20_000);
     assert!(summary.delivered_packets > 0);
@@ -127,7 +127,7 @@ fn no_packet_is_observed_before_injection() {
     for seed in [3u64, 29, 101] {
         let mut net = faulty_ml_network(seed);
         let recorder = SharedSpanRecorder::new();
-        net.attach_span_sink(Box::new(recorder.clone()));
+        net.attach_probe(Box::new(recorder.clone()));
         let summary = net.run(12_000);
         assert!(summary.delivered_packets > 0);
         // Belt and braces next to the debug_assert: every recorded span
@@ -150,7 +150,7 @@ fn no_packet_is_observed_before_injection() {
         (PearlPolicy::reactive(500), 13),
     ] {
         let mut net = NetworkBuilder::new().policy(policy).seed(seed).build(pair());
-        net.attach_span_sink(Box::new(NullSink));
+        net.attach_probe(Box::new(NullProbe));
         let summary = net.run(8_000);
         assert!(summary.delivered_packets > 0);
     }
@@ -160,7 +160,7 @@ fn no_packet_is_observed_before_injection() {
 fn breakdown_critical_path_and_chrome_trace_agree() {
     let mut net = faulty_ml_network(29);
     let recorder = SharedSpanRecorder::new();
-    net.attach_span_sink(Box::new(recorder.clone()));
+    net.attach_probe(Box::new(recorder.clone()));
     net.run(20_000);
     let spans = recorder.spans();
 
@@ -214,7 +214,7 @@ proptest! {
             .seed(seed)
             .build(pair());
         let recorder = SharedSpanRecorder::new();
-        instrumented.attach_span_sink(Box::new(recorder.clone()));
+        instrumented.attach_probe(Box::new(recorder.clone()));
         let summary = instrumented.run(4_000);
 
         prop_assert_eq!(
@@ -223,6 +223,7 @@ proptest! {
             "span recording perturbed seed {}",
             seed
         );
+        prop_assert_eq!(plain.state_hash(), instrumented.state_hash());
         let spans = recorder.spans();
         let traces = group_by_packet(&spans);
         let complete = traces.iter().filter(|t| t.ejected).count() as u64;
@@ -236,17 +237,33 @@ proptest! {
 
 #[test]
 fn null_sink_keeps_state_hash_identical() {
-    // NullSink must not arm the span path at all: same summary, same
-    // state hash as a never-instrumented network.
+    // The null probe must not arm the span path at all: same summary,
+    // same state hash as a never-instrumented network. Neither does a
+    // probe that does not want spans, and one that does still hashes
+    // like the bare run.
     let mut plain = faulty_ml_network(23);
     let plain_summary = plain.run(6_000);
 
     let mut with_null = faulty_ml_network(23);
-    with_null.attach_span_sink(Box::new(NullSink));
-    assert!(!with_null.span_enabled(), "NullSink must not arm the span path");
+    with_null.attach_probe(Box::new(NullProbe));
+    assert!(!with_null.span_enabled(), "NullProbe must not arm the span path");
     let null_summary = with_null.run(6_000);
     assert_eq!(format!("{plain_summary:?}"), format!("{null_summary:?}"));
     assert_eq!(plain.state_hash(), with_null.state_hash());
+
+    let mut with_events = faulty_ml_network(23);
+    with_events.attach_probe(Box::new(SharedRecorder::new()));
+    assert!(!with_events.span_enabled(), "an event recorder must not arm the span path");
+    let mut with_spans = faulty_ml_network(23);
+    with_spans.attach_probe(Box::new(SharedSpanRecorder::new()));
+    assert!(with_spans.span_enabled());
+    for observed in [&mut with_events, &mut with_spans] {
+        assert_eq!(format!("{plain_summary:?}"), format!("{:?}", observed.run(6_000)));
+        assert_eq!(plain.state_hash(), observed.state_hash());
+    }
+    // Attaching a probe that does not want spans drops the tracker.
+    with_spans.attach_probe(Box::new(SharedRecorder::new()));
+    assert!(!with_spans.span_enabled());
 }
 
 #[test]
@@ -265,18 +282,18 @@ fn span_stream_is_bit_identical_across_resume() {
 
     let mut golden_net = build();
     let golden_rec = SharedSpanRecorder::new();
-    golden_net.attach_span_sink(Box::new(golden_rec.clone()));
+    golden_net.attach_probe(Box::new(golden_rec.clone()));
     golden_net.run(n + m);
 
     let mut first = build();
     let pre_rec = SharedSpanRecorder::new();
-    first.attach_span_sink(Box::new(pre_rec.clone()));
+    first.attach_probe(Box::new(pre_rec.clone()));
     first.run(n);
     let cp = first.snapshot();
 
     let mut resumed = build();
     let post_rec = SharedSpanRecorder::new();
-    resumed.attach_span_sink(Box::new(post_rec.clone()));
+    resumed.attach_probe(Box::new(post_rec.clone()));
     resumed.restore(&cp).expect("restore");
     assert!(resumed.span_enabled());
     resumed.run(m);
@@ -284,40 +301,58 @@ fn span_stream_is_bit_identical_across_resume() {
     let mut stitched = pre_rec.spans();
     stitched.extend(post_rec.spans());
     assert_eq!(golden_rec.spans(), stitched, "span stream diverged across the resume boundary");
-    assert_eq!(golden_net.state_hash(), resumed.state_hash());
+    // The state text covers the span tracker; the state hash does not.
+    assert_eq!(golden_net.snapshot().state.to_string(), resumed.snapshot().state.to_string());
 }
 
 #[test]
 fn restore_reactivates_span_tracking_from_snapshot() {
-    // A checkpoint taken while spans were live must resume with the
-    // attribution state intact even when the restoring network has no
-    // sink attached — the tracker is part of the checkpointed state.
+    // Restore keeps a checkpoint's span tracker, or makes a fresh one,
+    // only for a probe that wants spans; without one it drops it.
     let mut golden = faulty_ml_network(41);
-    golden.attach_span_sink(Box::new(SharedSpanRecorder::new()));
+    golden.attach_probe(Box::new(SharedSpanRecorder::new()));
     golden.run(5_000);
 
     let mut first = faulty_ml_network(41);
-    first.attach_span_sink(Box::new(SharedSpanRecorder::new()));
+    first.attach_probe(Box::new(SharedSpanRecorder::new()));
     first.run(3_000);
     let cp = first.snapshot();
 
+    // With a span recorder attached first, the checkpoint's tracker
+    // resumes and the run rejoins the golden one, tracker included.
     let mut resumed = faulty_ml_network(41);
-    assert!(!resumed.span_enabled());
+    resumed.attach_probe(Box::new(SharedSpanRecorder::new()));
     resumed.restore(&cp).expect("restore");
-    assert!(resumed.span_enabled(), "span-bearing checkpoint must re-arm tracking");
+    assert!(resumed.span_enabled());
     resumed.run(2_000);
-    assert_eq!(golden.state_hash(), resumed.state_hash());
+    assert_eq!(golden.snapshot().state.to_string(), resumed.snapshot().state.to_string());
+
+    // Without one, the tracker is dropped and the run is a bare run.
+    let mut bare = faulty_ml_network(41);
+    bare.restore(&cp).expect("restore");
+    assert!(!bare.span_enabled(), "no probe wants spans, so none are tracked");
+    bare.run(2_000);
+    assert_eq!(golden.state_hash(), bare.state_hash());
+    assert_eq!(bare.snapshot().state.get("spans"), Some(&pearl_telemetry::JsonValue::Null));
+
+    // A checkpoint without a tracker gets a fresh one for such a probe.
+    let mut plain = faulty_ml_network(41);
+    plain.run(3_000);
+    let mut traced = faulty_ml_network(41);
+    traced.attach_probe(Box::new(SharedSpanRecorder::new()));
+    traced.restore(&plain.snapshot()).expect("restore");
+    assert!(traced.span_enabled());
 }
 
 #[test]
 fn repeated_checkpoint_restore_with_spans_is_stable() {
     let mut net = faulty_ml_network(31);
-    net.attach_span_sink(Box::new(SharedSpanRecorder::new()));
+    net.attach_probe(Box::new(SharedSpanRecorder::new()));
     net.run(2_500);
     let cp1 = net.snapshot();
 
     let mut twin = faulty_ml_network(31);
-    twin.attach_span_sink(Box::new(SharedSpanRecorder::new()));
+    twin.attach_probe(Box::new(SharedSpanRecorder::new()));
     twin.restore(&cp1).expect("restore");
     let cp2 = twin.snapshot();
     assert_eq!(

@@ -2,8 +2,9 @@
 //!
 //! Two properties anchor the layer. First, *zero perturbation*: a run
 //! with a probe attached (null or recording) must produce a
-//! bit-identical [`pearl_core::RunSummary`] to an uninstrumented run —
-//! the probe observes the simulation, it never steers it. Second,
+//! bit-identical [`pearl_core::RunSummary`] and state hash to an
+//! uninstrumented run — the probe observes the simulation, it never
+//! steers it. Second,
 //! *coverage*: an instrumented faulty run must surface every event
 //! kind the tracing taxonomy defines.
 
@@ -34,9 +35,11 @@ fn constant_scaler(value: f64) -> MlPowerScaler {
 }
 
 /// Debug output covers every `RunSummary` field, so equal renderings
-/// mean bit-identical summaries (floats print with full precision).
+/// mean bit-identical summaries (floats print with full precision); the
+/// state hash follows each summary.
 fn summary_fingerprint(policy: PearlPolicy, seed: u64, cycles: u64) -> (String, String, String) {
-    let plain = NetworkBuilder::new().policy(policy.clone()).seed(seed).build(pair()).run(cycles);
+    let mut plain = NetworkBuilder::new().policy(policy.clone()).seed(seed).build(pair());
+    let plain_summary = plain.run(cycles);
     let mut with_null = NetworkBuilder::new().policy(policy.clone()).seed(seed).build(pair());
     with_null.attach_probe(Box::new(NullProbe));
     assert!(!with_null.probe_enabled(), "NullProbe must not arm the probe path");
@@ -45,7 +48,11 @@ fn summary_fingerprint(policy: PearlPolicy, seed: u64, cycles: u64) -> (String, 
     with_recorder.attach_probe(Box::new(SharedRecorder::new()));
     assert!(with_recorder.probe_enabled());
     let rec_summary = with_recorder.run(cycles);
-    (format!("{plain:?}"), format!("{null_summary:?}"), format!("{rec_summary:?}"))
+    (
+        format!("{plain_summary:?} {:016x}", plain.state_hash()),
+        format!("{null_summary:?} {:016x}", with_null.state_hash()),
+        format!("{rec_summary:?} {:016x}", with_recorder.state_hash()),
+    )
 }
 
 proptest! {
@@ -64,20 +71,22 @@ proptest! {
 
 #[test]
 fn recording_a_faulty_ml_run_is_still_identical() {
-    // The heaviest instrumentation path: faults logging events, ladder
+    // The heaviest instrumentation path: fault events reported, ladder
     // active, retransmissions live. Identity must hold here too.
     let fault = FaultConfig { corruption_per_packet: 0.02, ..FaultConfig::uniform(0.01, 7) };
     let fallback = FallbackConfig { severe_below: f64::NEG_INFINITY, ..FallbackConfig::pearl() };
     let policy = PearlPolicy::ml_with_fallback(500, constant_scaler(1e6), true, fallback);
     let build =
         || NetworkBuilder::new().policy(policy.clone()).fault_config(fault).seed(23).build(pair());
-    let plain = build().run(6_000);
+    let mut bare = build();
+    let plain = bare.run(6_000);
     let mut instrumented = build();
     let recorder = SharedRecorder::new();
     instrumented.attach_probe(Box::new(recorder.clone()));
     let recorded = instrumented.run(6_000);
     assert_eq!(format!("{plain:?}"), format!("{recorded:?}"));
-    assert!(!recorder.is_empty(), "instrumented faulty run recorded nothing");
+    assert_eq!(bare.state_hash(), instrumented.state_hash());
+    assert!(recorder.events().iter().any(|e| e.kind() == "fault"), "no fault event recorded");
 }
 
 #[test]

@@ -25,9 +25,12 @@ fn enabled_counters_never_perturb_the_run() {
     let build = || NetworkBuilder::new().policy(PearlPolicy::reactive(500)).seed(11).build(pair());
 
     let mut bare = build();
-    let bare_probe = SharedRecorder::new();
-    bare.attach_probe(Box::new(bare_probe.clone()));
     let bare_summary = bare.run(CYCLES);
+
+    let mut traced = build();
+    let traced_probe = SharedRecorder::new();
+    traced.attach_probe(Box::new(traced_probe.clone()));
+    traced.run(CYCLES);
 
     let mut counted = build();
     let counted_probe = SharedRecorder::new();
@@ -39,7 +42,7 @@ fn enabled_counters_never_perturb_the_run() {
     assert_eq!(bare.state_hash(), counted.state_hash());
     // Byte-level trace equality: the counters may not shift a single
     // traced event.
-    assert_eq!(format!("{:?}", bare_probe.events()), format!("{:?}", counted_probe.events()));
+    assert_eq!(format!("{:?}", traced_probe.events()), format!("{:?}", counted_probe.events()));
 }
 
 #[test]

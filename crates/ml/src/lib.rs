@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod dataset;
-pub mod gradient;
 pub mod matrix;
 pub mod metrics;
 pub mod pipeline;
@@ -44,7 +43,6 @@ pub mod ridge;
 pub mod scaler;
 
 pub use dataset::{Dataset, DimensionError};
-pub use gradient::{k_fold_nrmse, GradientDescent};
 pub use matrix::{Matrix, NotPositiveDefiniteError};
 pub use metrics::{mse, nrmse_fit, r_squared, rmse};
 pub use pipeline::{select_lambda, LambdaSelection, DEFAULT_LAMBDA_GRID};

@@ -123,18 +123,6 @@ pub struct FittedRidge {
 }
 
 impl FittedRidge {
-    /// Builds a model from an explicit weight vector (trailing element
-    /// is the bias) — used by the iterative solver.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` has fewer than two elements (one feature plus
-    /// the bias).
-    pub(crate) fn from_weights(weights: Vec<f64>, lambda: f64) -> FittedRidge {
-        assert!(weights.len() >= 2, "weight vector must include at least one feature + bias");
-        FittedRidge { weights, lambda }
-    }
-
     /// Weight vector including the trailing bias weight.
     #[inline]
     pub fn weights(&self) -> &[f64] {

@@ -128,16 +128,6 @@ impl Frequency {
         Frequency(ghz * 1e9)
     }
 
-    /// Creates a frequency from a value in hertz.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hz` is not strictly positive and finite.
-    pub fn from_hz(hz: f64) -> Frequency {
-        assert!(hz.is_finite() && hz > 0.0, "frequency must be positive and finite, got {hz} Hz");
-        Frequency(hz)
-    }
-
     /// Returns the frequency in hertz.
     #[inline]
     pub fn as_hz(self) -> f64 {

@@ -161,8 +161,8 @@ impl RouterFaults {
     }
 }
 
-/// One discrete structural fault event, recorded per router when the
-/// model's event log is enabled (see [`FaultModel::set_event_log`]).
+/// One discrete structural fault event, handed to the caller of
+/// [`FaultModel::step`] as it happens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultEventKind {
     /// One λ knocked out of the waveguide group.
@@ -213,10 +213,6 @@ pub struct FaultModelState {
     pub corruption_rng: ([u64; 4], u64),
     /// Cumulative event counters.
     pub stats: FaultStats,
-    /// Whether the per-event log is enabled.
-    pub log_events: bool,
-    /// Undrained logged events.
-    pub event_log: Vec<(usize, FaultEventKind)>,
 }
 
 /// Deterministic, seeded fault injector for a set of routers.
@@ -227,8 +223,6 @@ pub struct FaultModel {
     structural_rng: SmallRng,
     corruption_rng: SmallRng,
     stats: FaultStats,
-    log_events: bool,
-    event_log: Vec<(usize, FaultEventKind)>,
 }
 
 impl FaultModel {
@@ -240,24 +234,7 @@ impl FaultModel {
             structural_rng: SmallRng::seed_from_u64(config.seed),
             corruption_rng: SmallRng::seed_from_u64(config.seed ^ CORRUPTION_SEED_SALT),
             stats: FaultStats::default(),
-            log_events: false,
-            event_log: Vec::new(),
         }
-    }
-
-    /// Enables or disables the per-event log. Off by default; the log
-    /// records only structural events (λ and laser), never corruption
-    /// draws, and has no effect on the RNG streams or fault state.
-    pub fn set_event_log(&mut self, enabled: bool) {
-        self.log_events = enabled;
-        if !enabled {
-            self.event_log.clear();
-        }
-    }
-
-    /// Takes all events logged since the last drain, in injection order.
-    pub fn drain_events(&mut self) -> Vec<(usize, FaultEventKind)> {
-        std::mem::take(&mut self.event_log)
     }
 
     /// A fault model that injects nothing and draws nothing.
@@ -295,11 +272,14 @@ impl FaultModel {
         self.routers[router].laser_ceiling
     }
 
-    /// Advances the structural fault processes by one cycle.
+    /// Advances the structural fault processes by one cycle, handing
+    /// each structural event (λ and laser, never corruption draws) to
+    /// `on_event` with its router, in injection order. What the caller
+    /// does with an event cannot reach the RNG streams or fault state.
     ///
     /// Draws exactly [`DRAWS_PER_ROUTER_CYCLE`] random values per
     /// router when enabled and **zero** when disabled.
-    pub fn step(&mut self) {
+    pub fn step(&mut self, mut on_event: impl FnMut(usize, FaultEventKind)) {
         if !self.is_enabled() {
             return;
         }
@@ -309,34 +289,26 @@ impl FaultModel {
             if fail < cfg.lambda_fail_per_cycle && router.failed_lambdas < MAX_FAILED_LAMBDAS {
                 router.failed_lambdas += 1;
                 self.stats.lambda_failures += 1;
-                if self.log_events {
-                    self.event_log.push((i, FaultEventKind::LambdaFail));
-                }
+                on_event(i, FaultEventKind::LambdaFail);
             }
             let repair: f64 = self.structural_rng.gen();
             if repair < cfg.lambda_repair_per_cycle && router.failed_lambdas > 0 {
                 router.failed_lambdas -= 1;
                 self.stats.lambda_repairs += 1;
-                if self.log_events {
-                    self.event_log.push((i, FaultEventKind::LambdaRepair));
-                }
+                on_event(i, FaultEventKind::LambdaRepair);
             }
             let degrade: f64 = self.structural_rng.gen();
             if degrade < cfg.laser_degrade_per_cycle && router.laser_ceiling > WavelengthState::W8 {
                 router.laser_ceiling = router.laser_ceiling.step_down();
                 self.stats.laser_degradations += 1;
-                if self.log_events {
-                    self.event_log.push((i, FaultEventKind::LaserDegrade));
-                }
+                on_event(i, FaultEventKind::LaserDegrade);
             }
             let recover: f64 = self.structural_rng.gen();
             if recover < cfg.laser_recover_per_cycle && router.laser_ceiling < WavelengthState::W64
             {
                 router.laser_ceiling = router.laser_ceiling.step_up();
                 self.stats.laser_recoveries += 1;
-                if self.log_events {
-                    self.event_log.push((i, FaultEventKind::LaserRecover));
-                }
+                on_event(i, FaultEventKind::LaserRecover);
             }
         }
     }
@@ -369,8 +341,6 @@ impl FaultModel {
             structural_rng: (self.structural_rng.state(), self.structural_rng.draws()),
             corruption_rng: (self.corruption_rng.state(), self.corruption_rng.draws()),
             stats: self.stats,
-            log_events: self.log_events,
-            event_log: self.event_log.clone(),
         }
     }
 
@@ -392,8 +362,6 @@ impl FaultModel {
         self.structural_rng = SmallRng::from_state(state.structural_rng.0, state.structural_rng.1);
         self.corruption_rng = SmallRng::from_state(state.corruption_rng.0, state.corruption_rng.1);
         self.stats = state.stats;
-        self.log_events = state.log_events;
-        self.event_log = state.event_log.clone();
     }
 
     /// Decides whether one in-flight packet is corrupted. Draws from
@@ -418,7 +386,7 @@ mod tests {
     fn disabled_model_never_mutates() {
         let mut m = FaultModel::disabled(16);
         for _ in 0..10_000 {
-            m.step();
+            m.step(|_, _| {});
             assert!(!m.corrupts_packet());
         }
         for r in 0..16 {
@@ -435,8 +403,8 @@ mod tests {
         let mut a = FaultModel::new(cfg, 8);
         let mut b = FaultModel::new(cfg, 8);
         for _ in 0..5_000 {
-            a.step();
-            b.step();
+            a.step(|_, _| {});
+            b.step(|_, _| {});
         }
         for r in 0..8 {
             assert_eq!(a.failed_lambdas(r), b.failed_lambdas(r));
@@ -457,8 +425,8 @@ mod tests {
         let mut a = FaultModel::new(low, 4);
         let mut b = FaultModel::new(high, 4);
         for _ in 0..20_000 {
-            a.step();
-            b.step();
+            a.step(|_, _| {});
+            b.step(|_, _| {});
             for r in 0..4 {
                 assert!(b.failed_lambdas(r) >= a.failed_lambdas(r));
             }
@@ -473,7 +441,7 @@ mod tests {
         // probability 1 so the count is deterministic.
         m.config.lambda_fail_per_cycle = 1.0;
         for _ in 0..20 {
-            m.step();
+            m.step(|_, _| {});
         }
         assert_eq!(m.failed_lambdas(0), 20);
         // 64 − 20 = 44 surviving λs → largest state ≤ 44 is W32.
@@ -481,7 +449,7 @@ mod tests {
         // A low nominal state passes through when it fits.
         assert_eq!(m.effective_state(0, WavelengthState::W16), WavelengthState::W16);
         for _ in 0..100 {
-            m.step();
+            m.step(|_, _| {});
         }
         // Saturates at MAX_FAILED_LAMBDAS; the W8 floor survives.
         assert_eq!(m.failed_lambdas(0), MAX_FAILED_LAMBDAS);
@@ -493,13 +461,13 @@ mod tests {
     fn laser_ceiling_caps_effective_state() {
         let mut m = FaultModel::disabled(1);
         m.config.laser_degrade_per_cycle = 1.0;
-        m.step();
-        m.step();
+        m.step(|_, _| {});
+        m.step(|_, _| {});
         assert_eq!(m.laser_ceiling(0), WavelengthState::W32);
         assert_eq!(m.effective_state(0, WavelengthState::W64), WavelengthState::W32);
         // Ceiling bottoms out at W8, never below.
         for _ in 0..10 {
-            m.step();
+            m.step(|_, _| {});
         }
         assert_eq!(m.laser_ceiling(0), WavelengthState::W8);
     }
@@ -509,12 +477,12 @@ mod tests {
         let mut m = FaultModel::disabled(1);
         m.config.lambda_fail_per_cycle = 1.0;
         for _ in 0..10 {
-            m.step();
+            m.step(|_, _| {});
         }
         m.config.lambda_fail_per_cycle = 0.0;
         m.config.lambda_repair_per_cycle = 1.0;
         for _ in 0..10 {
-            m.step();
+            m.step(|_, _| {});
         }
         assert_eq!(m.failed_lambdas(0), 0);
         assert_eq!(m.stats().lambda_repairs, 10);
@@ -538,22 +506,23 @@ mod tests {
 
     #[test]
     fn event_log_matches_counters_and_is_opt_in() {
+        // Events reach only a caller that collects them, and collecting
+        // them leaves no trace in the model.
         let cfg = FaultConfig::uniform(0.05, 11);
         let mut silent = FaultModel::new(cfg, 4);
         let mut logged = FaultModel::new(cfg, 4);
-        logged.set_event_log(true);
         let mut events = Vec::new();
         for _ in 0..2_000 {
-            silent.step();
-            logged.step();
-            events.extend(logged.drain_events());
+            silent.step(|_, _| {});
+            logged.step(|router, kind| events.push((router, kind)));
         }
-        // Logging must not perturb the fault trajectory.
+        // Collecting must not perturb the fault trajectory or state.
         for r in 0..4 {
             assert_eq!(silent.failed_lambdas(r), logged.failed_lambdas(r));
             assert_eq!(silent.laser_ceiling(r), logged.laser_ceiling(r));
         }
         assert_eq!(silent.stats(), logged.stats());
+        assert_eq!(silent.export_state(), logged.export_state());
         // Event counts reconcile exactly with the cumulative counters.
         let count = |k: FaultEventKind| events.iter().filter(|(_, kind)| *kind == k).count() as u64;
         assert_eq!(count(FaultEventKind::LambdaFail), logged.stats().lambda_failures);
@@ -561,12 +530,7 @@ mod tests {
         assert_eq!(count(FaultEventKind::LaserDegrade), logged.stats().laser_degradations);
         assert_eq!(count(FaultEventKind::LaserRecover), logged.stats().laser_recoveries);
         assert!(!events.is_empty());
-        // The silent model logged nothing.
-        assert!(silent.drain_events().is_empty());
-        // Disabling the log discards anything pending.
-        logged.step();
-        logged.set_event_log(false);
-        assert!(logged.drain_events().is_empty());
+        assert!(events.iter().all(|&(router, _)| router < 4));
     }
 
     #[test]

@@ -112,11 +112,6 @@ impl PowerModel {
         self.laser_power_w(state) * cycle_s
     }
 
-    /// Heating energy drawn over one clock period (J).
-    pub fn heating_energy_per_cycle_j(&self, state: WavelengthState, cycle_s: f64) -> f64 {
-        self.heating_power_w(state) * cycle_s
-    }
-
     /// Modulation energy for transmitting `bits` bits.
     ///
     /// Modeled as the modulation power held for the serialization time of

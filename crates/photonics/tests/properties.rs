@@ -124,7 +124,7 @@ fn laser_energy_under_faults(rate: f64, cycles: u64, seed: u64) -> f64 {
     let power = PowerModel::pearl();
     let mut energy = 0.0;
     for now in 0..cycles {
-        faults.step();
+        faults.step(|_, _| {});
         laser.apply_ceiling(faults.effective_state(0, WavelengthState::W64), now);
         laser.tick(now);
         energy += power.laser_power_w(laser.powered_state());
@@ -165,7 +165,7 @@ proptest! {
     ) {
         let mut faults = FaultModel::new(FaultConfig::uniform(rate, seed), 2);
         for _ in 0..2_000 {
-            faults.step();
+            faults.step(|_, _| {});
             for router in 0..2 {
                 let eff = faults.effective_state(router, nominal);
                 prop_assert!(eff <= nominal);
@@ -187,7 +187,7 @@ proptest! {
         let mut laser = OnChipLaser::new(WavelengthState::W64, 4);
         let mut last = WavelengthState::W64;
         for now in 0..4_000u64 {
-            faults.step();
+            faults.step(|_, _| {});
             laser.apply_ceiling(faults.laser_ceiling(0), now);
             laser.tick(now);
             prop_assert!(laser.usable_state() <= last);

@@ -1,16 +1,22 @@
-//! The typed event taxonomy and the [`Probe`] sink trait.
+//! The typed event taxonomy and the [`Probe`] trait — the one seam
+//! through which every observer watches a network.
 //!
-//! Simulators emit [`TraceEvent`]s into an `Option<Box<dyn Probe>>`.
+//! Simulators emit [`TraceEvent`]s, causal spans included (as
+//! [`TraceEvent::Span`]), into a single `Option<Box<dyn Probe>>` slot.
 //! Attaching a [`NullProbe`] stores `None`, so a disabled probe costs
-//! one predictable branch per emission site and allocates nothing — the
-//! overhead contract the property tests pin down is *bit-identical
-//! results*, not merely "close".
+//! one predictable branch per emission site and allocates nothing. A
+//! probe whose [`Probe::wants_spans`] is true also switches on the
+//! network's span bookkeeping; any other probe leaves it off, because
+//! that bookkeeping is the costly part of observing. Either way the
+//! probe only observes: an observed run is *bit-identical* to a bare
+//! one, state hash included.
 //!
-//! [`Recorder`] is the real sink: it buffers events up to a cap (with
-//! an explicit dropped-event counter — never silent truncation) and
-//! folds per-kind counts into a [`MetricsRegistry`]. Bench harnesses
-//! that need to read the recorder back after handing it to a network
-//! wrap it in [`SharedRecorder`].
+//! [`Recorder`] is the buffering probe: it keeps the head of the run up
+//! to a cap (with an explicit dropped-event counter — never silent
+//! truncation) and folds per-kind counts into a [`MetricsRegistry`].
+//! Bench harnesses that need to read the recorder back after handing
+//! it to a network wrap it in [`SharedRecorder`]; [`FanoutProbe`]
+//! shares the slot among several probes.
 
 use crate::registry::MetricsRegistry;
 use crate::span::Span;
@@ -234,6 +240,13 @@ pub trait Probe: fmt::Debug {
     fn is_null(&self) -> bool {
         false
     }
+
+    /// True when the probe wants [`TraceEvent::Span`]s. Owners keep
+    /// span bookkeeping exactly while the attached probe wants spans,
+    /// and emit spans only then.
+    fn wants_spans(&self) -> bool {
+        false
+    }
 }
 
 /// The no-op sink: never called in the hot path (owners skip emission
@@ -287,11 +300,6 @@ impl Recorder {
     /// `events.<kind>`).
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// Consumes the recorder, returning its buffered events.
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events
     }
 }
 
@@ -388,7 +396,9 @@ impl Probe for SharedRecorder {
 /// probe slot, so attaching both an offline [`SharedRecorder`] and a
 /// live [`crate::SharedFlightRecorder`] goes through a fanout. Null
 /// members are dropped at construction; a fanout with no live members
-/// reports `is_null()` so owners keep the zero-overhead contract.
+/// reports `is_null()` so owners keep the zero-overhead contract. The
+/// fanout wants spans when any member does, and then every member sees
+/// them.
 #[derive(Debug, Default)]
 pub struct FanoutProbe {
     members: Vec<Box<dyn Probe>>,
@@ -410,6 +420,10 @@ impl Probe for FanoutProbe {
 
     fn is_null(&self) -> bool {
         self.members.is_empty()
+    }
+
+    fn wants_spans(&self) -> bool {
+        self.members.iter().any(|m| m.wants_spans())
     }
 }
 
@@ -544,6 +558,23 @@ mod tests {
         }
         // A span event's cycle is its close.
         assert_eq!(events.last().unwrap().at(), 98);
+    }
+
+    #[test]
+    fn fanout_wants_spans_when_any_member_does_and_forwards_everything() {
+        let events = SharedRecorder::new();
+        let spans = crate::SharedSpanRecorder::new();
+        let mut plain = FanoutProbe::new(vec![Box::new(events.clone()), Box::new(NullProbe)]);
+        assert!(!plain.is_null() && !plain.wants_spans());
+        plain.record(&sample_event());
+        let mut fanout = FanoutProbe::new(vec![Box::new(events.clone()), Box::new(spans.clone())]);
+        assert!(fanout.wants_spans());
+        fanout.record(&sample_event());
+        fanout.record(&TraceEvent::Span(sample_span()));
+        // Every member sees every event; each keeps what it records.
+        assert_eq!(events.len(), 3);
+        assert_eq!(spans.spans(), [sample_span()]);
+        assert!(FanoutProbe::new(vec![Box::new(NullProbe)]).is_null());
     }
 
     #[test]

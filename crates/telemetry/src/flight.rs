@@ -18,16 +18,21 @@
 //! post-mortem dump must be reachable from a `std::panic::set_hook`
 //! closure (which requires `Send + Sync + 'static`) while the same
 //! recorder is attached to a network as a probe. The recorder obeys the
-//! zero-overhead observer contract: owners call it only while it is
-//! attached as a live probe or span sink, and it is never part of
-//! a checkpoint or a state hash, so attaching it cannot perturb
-//! simulation results.
+//! observer contract: owners call it only while it is attached as a
+//! live probe, and it is never part of a checkpoint or a state hash, so
+//! attaching it cannot perturb simulation results.
+//!
+//! The recorder does not ask for spans ([`Probe::wants_spans`] stays
+//! false): `pearl-serve` always attaches one, and span bookkeeping
+//! would cost every served run. It files any [`TraceEvent::Span`] it is
+//! handed — say, as a [`crate::FanoutProbe`] member beside a
+//! [`crate::SpanRecorder`] — into its span ring.
 
 use crate::event::{Probe, TraceEvent};
 use crate::journal::write_sealed_with;
 use crate::json::JsonValue;
 use crate::jsonl::{event_from_json, event_to_json};
-use crate::span::{Span, SpanSink};
+use crate::span::Span;
 use crate::storage::Storage;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
@@ -182,21 +187,19 @@ impl Default for FlightRecorder {
     }
 }
 
+/// Spans go to the span ring, every other event to the event ring.
 impl Probe for FlightRecorder {
     fn record(&mut self, event: &TraceEvent) {
-        self.record_event(event);
-    }
-}
-
-impl SpanSink for FlightRecorder {
-    fn record_span(&mut self, span: &Span) {
-        FlightRecorder::record_span(self, span);
+        match event {
+            TraceEvent::Span(span) => self.record_span(span),
+            event => self.record_event(event),
+        }
     }
 }
 
 /// A cloneable, thread-safe handle over a shared [`FlightRecorder`]: one
-/// clone rides in a network as the probe/span sink, another sits in a
-/// panic hook or watchdog ready to dump the post-mortem. `Arc<Mutex<_>>`
+/// clone rides in a network as its probe, another sits in a panic hook
+/// or watchdog ready to dump the post-mortem. `Arc<Mutex<_>>`
 /// rather than `Rc<RefCell<_>>` because `std::panic::set_hook` demands
 /// `Send + Sync + 'static`.
 #[derive(Debug, Clone, Default)]
@@ -243,13 +246,7 @@ impl SharedFlightRecorder {
 
 impl Probe for SharedFlightRecorder {
     fn record(&mut self, event: &TraceEvent) {
-        self.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner).record_event(event);
-    }
-}
-
-impl SpanSink for SharedFlightRecorder {
-    fn record_span(&mut self, span: &Span) {
-        self.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner).record_span(span);
+        self.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner).record(event);
     }
 }
 
@@ -513,9 +510,10 @@ mod tests {
     fn shared_handle_works_as_probe_sink_and_across_threads() {
         let shared = SharedFlightRecorder::with_caps(8, 8);
         let mut probe: Box<dyn Probe> = Box::new(shared.clone());
+        assert!(!probe.wants_spans(), "the flight recorder never switches span tracking on");
         probe.record(&event(1));
-        let mut sink: Box<dyn SpanSink> = Box::new(shared.clone());
-        sink.record_span(&span(2));
+        // A span handed to the probe lands in the span ring.
+        probe.record(&TraceEvent::Span(span(2)));
 
         // The same handle must be usable from another thread — the
         // panic-hook requirement.

@@ -6,11 +6,12 @@
 //! collapse. This crate gives every simulator a typed way to narrate
 //! that machinery:
 //!
-//! - [`TraceEvent`] / [`Probe`]: a typed event taxonomy and a sink
-//!   trait. The default [`NullProbe`] costs one cached-flag branch per
-//!   emission site; the contract (pinned by property tests in
-//!   `pearl-core`) is that instrumented runs are **bit-identical** to
-//!   uninstrumented ones.
+//! - [`TraceEvent`] / [`Probe`]: a typed event taxonomy and the one
+//!   observer trait; causal [`Span`]s ride it as [`TraceEvent::Span`]
+//!   for probes that ask for them. The default [`NullProbe`] costs one
+//!   cached-flag branch per emission site; the contract (pinned by
+//!   property tests in `pearl-core` and the golden ladder) is that
+//!   instrumented runs are **bit-identical** to uninstrumented ones.
 //! - [`Recorder`] / [`SharedRecorder`]: buffering sinks with an
 //!   explicit cap and dropped-event counter, feeding a
 //!   [`MetricsRegistry`] of counters, gauges and streaming histograms.
@@ -112,9 +113,8 @@ pub use snapshot::{
 };
 pub use span::{
     chrome_trace, critical_path, group_by_packet, latency_breakdown, percentile,
-    validate_chrome_trace, BreakdownRow, ChromeTraceSummary, CriticalPathEntry, FanoutSink,
-    NullSink, PacketTrace, SharedSpanRecorder, Span, SpanKind, SpanRecorder, SpanSink,
-    DEFAULT_SPAN_CAP,
+    validate_chrome_trace, BreakdownRow, ChromeTraceSummary, CriticalPathEntry, PacketTrace,
+    SharedSpanRecorder, Span, SpanKind, SpanRecorder, DEFAULT_SPAN_CAP,
 };
 pub use storage::{
     is_injected_crash, is_retry_exhausted, is_transient, FaultKind, FaultRecord, FaultSchedule,

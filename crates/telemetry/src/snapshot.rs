@@ -520,7 +520,11 @@ impl Codec for SimRng {
 
 /// Keyed like [`codec_object!`](crate::codec_object), except that both
 /// fault RNGs are flat [`RngState`]s rather than `([u64; 4], u64)`
-/// tuples.
+/// tuples, and that two keys of a retired event log stay: the golden
+/// ladder and the benchmark's golden digests pin bare-run state hashes,
+/// which cover these bytes. They are written as a bare run always wrote
+/// them (`"log_events": false`, `"event_log": []`); decoding still
+/// requires both with that shape, then discards them.
 impl Codec for FaultModelState {
     fn encode(&self) -> JsonValue {
         let rng = |(words, draws): ([u64; 4], u64)| RngState { words, draws }.encode();
@@ -529,19 +533,19 @@ impl Codec for FaultModelState {
             ("structural_rng", rng(self.structural_rng)),
             ("corruption_rng", rng(self.corruption_rng)),
             ("stats", self.stats.encode()),
-            ("log_events", self.log_events.encode()),
-            ("event_log", self.event_log.encode()),
+            ("log_events", false.encode()),
+            ("event_log", JsonValue::Arr(Vec::new())),
         ])
     }
     fn decode(v: &JsonValue, _: &'static str) -> Result<Self, SnapshotError> {
         let rng = |key| get(v, key).map(|s: RngState| (s.words, s.draws));
+        let _: bool = get(v, "log_events")?;
+        let _: Vec<(usize, FaultEventKind)> = get(v, "event_log")?;
         Ok(FaultModelState {
             routers: get(v, "routers")?,
             structural_rng: rng("structural_rng")?,
             corruption_rng: rng("corruption_rng")?,
             stats: get(v, "stats")?,
-            log_events: get(v, "log_events")?,
-            event_log: get(v, "event_log")?,
         })
     }
 }
@@ -600,8 +604,9 @@ impl Checkpoint {
         Checkpoint { kind: kind.into(), config_fingerprint, cycle, state }
     }
 
-    /// FNV-1a hash of the canonical serialized state — the cheap
-    /// divergence detector the chaos harness compares across runs.
+    /// FNV-1a hash of the whole serialized state payload — the seal
+    /// [`Checkpoint::from_json`] checks. A network's own `state_hash()`
+    /// leaves its observer sections out; this one covers everything.
     pub fn state_hash(&self) -> u64 {
         fingerprint(&self.state.to_string())
     }
@@ -883,10 +888,26 @@ mod tests {
                 laser_recoveries: 1,
                 corrupted_packets: 7,
             },
-            log_events: true,
-            event_log: vec![(0, FaultEventKind::LambdaFail), (1, FaultEventKind::LaserRecover)],
         };
         assert_eq!(FaultModelState::decode(&state.encode(), "fault").unwrap(), state);
+        // The retired log keys are written as a bare run wrote them, and
+        // a logged checkpoint still decodes, its log discarded.
+        let text = state.encode().to_string();
+        assert!(text.ends_with(r#""log_events":false,"event_log":[]}"#), "{text}");
+        let logged = text.replace(
+            r#""log_events":false,"event_log":[]"#,
+            r#""log_events":true,"event_log":[[0,0],[1,3]]"#,
+        );
+        let parsed = JsonValue::parse(&logged).unwrap();
+        assert_eq!(FaultModelState::decode(&parsed, "fault").unwrap(), state);
+        // Both keys stay required, with their old shape.
+        for broken in [
+            text.replace(r#","log_events":false"#, ""),
+            text.replace(r#""event_log":[]"#, r#""event_log":[7]"#),
+        ] {
+            let parsed = JsonValue::parse(&broken).unwrap();
+            assert!(FaultModelState::decode(&parsed, "fault").is_err(), "{broken}");
+        }
     }
 
     #[test]
@@ -939,8 +960,6 @@ mod tests {
             structural_rng: ([1, 2, 3, 4], 5),
             corruption_rng: ([6, 7, 8, 9], 10),
             stats: FaultStats::default(),
-            log_events: false,
-            event_log: vec![],
         };
         let text = state.encode().to_string().replace("[[0,4]]", "[[4294967296,4]]");
         assert_ne!(text, state.encode().to_string(), "the failed count is written as [[0,4]]");

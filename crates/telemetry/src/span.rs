@@ -1,22 +1,24 @@
 //! Per-packet causal spans and latency attribution.
 //!
-//! PR 2's [`TraceEvent`](crate::TraceEvent) stream records *that*
-//! things happened (a retransmission, a window close); it cannot say
-//! *why this packet was slow*. A [`Span`] is a closed cycle interval of
-//! one packet's life attributed to a pipeline stage ([`SpanKind`]):
+//! The [`TraceEvent`] stream records *that* things happened (a
+//! retransmission, a window close); it cannot say *why this packet was
+//! slow*. A [`Span`] is a closed cycle interval of one packet's life
+//! attributed to a pipeline stage ([`SpanKind`]):
 //! the simulators emit, for every delivered packet, a set of spans
 //! that tile `[injected_at, ejected_at]` exactly — no unattributed
 //! cycles, no double counting — so the sum of a packet's span
 //! durations *is* its end-to-end latency. That contract is pinned by
 //! property tests in `pearl-core` and `pearl-cmesh`.
 //!
-//! The sink side mirrors the `Probe`/`NullProbe` split: simulators
-//! emit into a `Box<dyn SpanSink>` only while they track spans, and
-//! attaching the default [`NullSink`] turns tracking off, so it costs
-//! one predictable branch per site and the bit-identity contract
-//! (instrumented ≡ uninstrumented) holds. [`SpanRecorder`] is the real sink — a capped *ring*: when
-//! full it evicts the oldest span (keeping the most recent window)
-//! and counts the eviction, never truncating silently.
+//! Spans ride the probe seam as [`TraceEvent::Span`]: a simulator
+//! tracks spans only while its attached [`Probe`] wants them
+//! ([`Probe::wants_spans`]), so without such a probe every span site
+//! costs one predictable branch, and with one the simulated state is
+//! still bit-identical (span bookkeeping never enters the state hash).
+//! [`SpanRecorder`] is the probe that wants them. It keeps only spans,
+//! in a capped *ring*: when full it evicts the oldest span (keeping the
+//! most recent window) and counts the eviction, never truncating
+//! silently.
 //!
 //! Post-processing lives here too: grouping spans into per-packet
 //! [`PacketTrace`]s, the per-stage percentile [`latency_breakdown`],
@@ -24,6 +26,7 @@
 //! [`chrome_trace`] exporter whose JSON loads directly in Perfetto or
 //! `chrome://tracing` (one track per router).
 
+use crate::event::{Probe, TraceEvent};
 use crate::json::JsonValue;
 use pearl_noc::CoreType;
 use std::cell::RefCell;
@@ -147,40 +150,10 @@ impl Span {
     }
 }
 
-/// A sink for [`Span`]s. Mirrors [`crate::Probe`]: `Debug` is a
-/// supertrait so networks holding a `Box<dyn SpanSink>` keep derived
-/// `Debug`, and attaching a sink whose `is_null()` is true turns span
-/// tracking off, so a [`NullSink`] sees no calls from the hot loop.
-pub trait SpanSink: fmt::Debug {
-    /// Receives one closed span. Only called while the owner tracks
-    /// spans.
-    fn record_span(&mut self, span: &Span);
-
-    /// True for [`NullSink`].
-    fn is_null(&self) -> bool {
-        false
-    }
-}
-
-/// The no-op sink: span bookkeeping is skipped entirely when it is
-/// attached, preserving bit-identical simulation at zero cost.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl SpanSink for NullSink {
-    #[inline]
-    fn record_span(&mut self, _span: &Span) {}
-
-    #[inline]
-    fn is_null(&self) -> bool {
-        true
-    }
-}
-
-/// A capped ring buffer of spans: when full, the *oldest* span is
-/// evicted (the most recent window survives — the opposite policy from
-/// [`crate::Recorder`], which keeps the head of the run) and the
-/// eviction is counted.
+/// A probe that wants spans and keeps only them, in a capped ring: when
+/// full, the *oldest* span is evicted (the most recent window survives
+/// — the opposite policy from [`crate::Recorder`], which keeps the head
+/// of the run) and the eviction is counted. Other events are ignored.
 #[derive(Debug)]
 pub struct SpanRecorder {
     spans: VecDeque<Span>,
@@ -218,11 +191,6 @@ impl SpanRecorder {
     pub fn overwritten(&self) -> u64 {
         self.overwritten
     }
-
-    /// Consumes the recorder, returning the surviving spans in order.
-    pub fn into_spans(self) -> Vec<Span> {
-        self.spans.into_iter().collect()
-    }
 }
 
 impl Default for SpanRecorder {
@@ -231,19 +199,24 @@ impl Default for SpanRecorder {
     }
 }
 
-impl SpanSink for SpanRecorder {
-    fn record_span(&mut self, span: &Span) {
+impl Probe for SpanRecorder {
+    fn record(&mut self, event: &TraceEvent) {
+        let TraceEvent::Span(span) = event else { return };
         if self.spans.len() == self.cap {
             self.spans.pop_front();
             self.overwritten += 1;
         }
         self.spans.push_back(span.clone());
     }
+
+    fn wants_spans(&self) -> bool {
+        true
+    }
 }
 
 /// A cloneable handle over a shared [`SpanRecorder`], so a harness can
-/// hand one end to a network (as `Box<dyn SpanSink>`) and read the
-/// spans back after the run. Mirrors [`crate::SharedRecorder`].
+/// hand one end to a network (as `Box<dyn Probe>`) and read the spans
+/// back after the run. Mirrors [`crate::SharedRecorder`].
 #[derive(Debug, Clone, Default)]
 pub struct SharedSpanRecorder(Rc<RefCell<SpanRecorder>>);
 
@@ -279,37 +252,13 @@ impl SharedSpanRecorder {
     }
 }
 
-impl SpanSink for SharedSpanRecorder {
-    fn record_span(&mut self, span: &Span) {
-        self.0.borrow_mut().record_span(span);
-    }
-}
-
-/// Forwards every closed span to several sinks — the span-side twin of
-/// [`crate::FanoutProbe`], for attaching an offline recorder and the
-/// live flight recorder to a network's single sink slot. Null members
-/// are dropped at construction; an empty fanout reports `is_null()`.
-#[derive(Debug, Default)]
-pub struct FanoutSink {
-    members: Vec<Box<dyn SpanSink>>,
-}
-
-impl FanoutSink {
-    /// A fanout over `members`, dropping any that are null.
-    pub fn new(members: Vec<Box<dyn SpanSink>>) -> FanoutSink {
-        FanoutSink { members: members.into_iter().filter(|m| !m.is_null()).collect() }
-    }
-}
-
-impl SpanSink for FanoutSink {
-    fn record_span(&mut self, span: &Span) {
-        for m in &mut self.members {
-            m.record_span(span);
-        }
+impl Probe for SharedSpanRecorder {
+    fn record(&mut self, event: &TraceEvent) {
+        self.0.borrow_mut().record(event);
     }
 
-    fn is_null(&self) -> bool {
-        self.members.is_empty()
+    fn wants_spans(&self) -> bool {
+        true
     }
 }
 
@@ -610,6 +559,7 @@ pub fn validate_chrome_trace(v: &JsonValue) -> Result<ChromeTraceSummary, &'stat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::NullProbe;
 
     fn span(packet: u64, kind: SpanKind, start: u64, end: u64) -> Span {
         Span {
@@ -650,31 +600,34 @@ mod tests {
 
     #[test]
     fn null_sink_identifies_itself() {
-        assert!(NullSink.is_null());
-        assert!(!SpanRecorder::new().is_null());
-        let mut s = NullSink;
-        s.record_span(&span(1, SpanKind::InjectQueue, 0, 1)); // no-op
+        // The null probe neither records nor asks for spans; the span
+        // recorder is a live probe that does.
+        assert!(NullProbe.is_null() && !NullProbe.wants_spans());
+        let recorder = SpanRecorder::new();
+        assert!(!recorder.is_null() && recorder.wants_spans());
+        assert!(SharedSpanRecorder::new().wants_spans());
     }
 
     #[test]
     fn recorder_ring_keeps_the_most_recent_window() {
         let mut r = SpanRecorder::with_cap(3);
         for i in 0..5 {
-            r.record_span(&span(i, SpanKind::Serialization, i, i + 1));
+            r.record(&TraceEvent::Span(span(i, SpanKind::Serialization, i, i + 1)));
         }
         assert_eq!(r.len(), 3);
         assert_eq!(r.overwritten(), 2);
         let kept: Vec<u64> = r.spans().map(|s| s.packet).collect();
         assert_eq!(kept, [2, 3, 4], "oldest spans are evicted first");
-        assert_eq!(r.into_spans().len(), 3);
     }
 
     #[test]
     fn shared_recorder_reads_back_what_the_sink_end_saw() {
         let shared = SharedSpanRecorder::new();
-        let mut sink: Box<dyn SpanSink> = Box::new(shared.clone());
-        assert!(!sink.is_null());
-        sink.record_span(&span(7, SpanKind::EjectDrain, 10, 12));
+        let mut probe: Box<dyn Probe> = Box::new(shared.clone());
+        assert!(!probe.is_null());
+        probe.record(&TraceEvent::Span(span(7, SpanKind::EjectDrain, 10, 12)));
+        // A span recorder keeps spans only.
+        probe.record(&TraceEvent::InjectionStall { router: 1, at: 11, core: CoreType::Gpu });
         assert_eq!(shared.len(), 1);
         assert_eq!(shared.spans()[0].kind, SpanKind::EjectDrain);
         assert_eq!(shared.overwritten(), 0);

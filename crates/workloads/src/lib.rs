@@ -42,7 +42,6 @@ pub mod profile;
 pub mod responder;
 pub mod state;
 pub mod synthetic;
-pub mod trace;
 pub mod traffic;
 
 pub use benchmark::{CpuBenchmark, GpuBenchmark};
@@ -53,5 +52,4 @@ pub use profile::{ClassMix, TrafficProfile};
 pub use responder::Responder;
 pub use state::{InjectorState, RngState, TrafficState, TrafficStateError};
 pub use synthetic::{SyntheticPattern, SyntheticTraffic};
-pub use trace::{TraceParseError, TraceReplay, TrafficTrace};
 pub use traffic::{Destination, InjectionRequest, TrafficModel, TrafficSource};

@@ -62,6 +62,6 @@ pub mod prelude {
     pub use pearl_telemetry::{NullProbe, Probe, Recorder, SharedRecorder, TraceEvent};
     pub use pearl_workloads::{
         BenchmarkPair, CpuBenchmark, GpuBenchmark, SyntheticPattern, SyntheticTraffic,
-        TrafficModel, TrafficSource, TrafficTrace,
+        TrafficModel, TrafficSource,
     };
 }

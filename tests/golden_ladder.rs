@@ -6,13 +6,14 @@
 //!
 //! The constants pin the complete simulated state, not a summary, so a
 //! kernel rewrite that changes any behaviour fails here and names the
-//! run and the first rung that diverged. A second pass with the
-//! self-profiler (and its work counters) on must reproduce every hash:
-//! profiling observes, it never steers. Probes and span sinks are not
-//! exercised here because their bookkeeping enters the snapshot (the
-//! fault model's event log, the span tracker); their identity tests are
-//! `crates/core/tests/telemetry.rs` and the `spans` and
-//! `flight_recorder` tests of both networks.
+//! run and the first rung that diverged. Two more passes must reproduce
+//! every hash, because observers observe and never steer: one with the
+//! self-profiler (and its work counters) on, and one with every
+//! observer at once — the profiler, a fanout probe of an event
+//! recorder, a span recorder (which switches span tracking on) and a
+//! flight recorder, and on PEARL runs a 500-cycle timeline. The state
+//! hash leaves the timeline and span sections out, so the observed pass
+//! hashes what a bare run hashes.
 //!
 //! After an intentional behaviour change, replace `GOLDEN` with the
 //! table the failing test prints and say why in the commit.
@@ -21,6 +22,7 @@ use pearl::cmesh::{CmeshBuilder, CmeshConfig, CmeshNetwork};
 use pearl::core::{FallbackConfig, FaultConfig, MlPowerScaler, FEATURE_COUNT};
 use pearl::ml::select_lambda;
 use pearl::prelude::*;
+use pearl::telemetry::{FanoutProbe, SharedFlightRecorder, SharedSpanRecorder};
 
 /// Cycles between two recorded hashes.
 const RUNG_CYCLES: u64 = 1_000;
@@ -30,6 +32,17 @@ const RUNGS: usize = 5;
 
 /// Workload seed of every run.
 const SEED: u64 = 7;
+
+/// Timeline cadence of the observed pass, in cycles.
+const TIMELINE_WINDOW: u64 = 500;
+
+/// What a ladder pass attaches before the first rung.
+#[derive(Debug, Clone, Copy)]
+enum Pass {
+    Bare,
+    Profiled,
+    Observed,
+}
 
 /// Either simulator, stepped and hashed the same way.
 enum Net {
@@ -43,6 +56,27 @@ impl Net {
             Net::Pearl(n) => n.enable_profiling(),
             Net::Cmesh(n) => n.enable_profiling(),
         }
+    }
+
+    /// Attaches every observer: the profiler, one fanout probe of an
+    /// event recorder, a span recorder and a flight recorder, and on
+    /// PEARL a timeline. Returns the span recorder, to show spans flowed.
+    fn observe(&mut self) -> SharedSpanRecorder {
+        self.enable_profiling();
+        let spans = SharedSpanRecorder::new();
+        let probe = Box::new(FanoutProbe::new(vec![
+            Box::new(SharedRecorder::new()),
+            Box::new(spans.clone()),
+            Box::new(SharedFlightRecorder::new()),
+        ]));
+        match self {
+            Net::Pearl(n) => {
+                n.attach_probe(probe);
+                n.enable_timeline(TIMELINE_WINDOW);
+            }
+            Net::Cmesh(n) => n.attach_probe(probe),
+        }
+        spans
     }
 
     fn run(&mut self, cycles: u64) {
@@ -137,24 +171,32 @@ const GOLDEN: [(&str, [u64; RUNGS]); 13] = [
     ("cmesh_quarter_bandwidth", [0x829f143d72a1de87, 0x7eee79826996e06f, 0xf53c775171cfd87c, 0x2a2b785f8f68af4e, 0x9c1b229d0d00f222]),
 ];
 
-fn ladder(name: &str, profiled: bool) -> [u64; RUNGS] {
+fn ladder(name: &str, pass: Pass) -> [u64; RUNGS] {
     let mut net = build(name);
-    if profiled {
-        net.enable_profiling();
-    }
+    let spans = match pass {
+        Pass::Bare => None,
+        Pass::Profiled => {
+            net.enable_profiling();
+            None
+        }
+        Pass::Observed => Some(net.observe()),
+    };
     let mut hashes = [0; RUNGS];
     for hash in &mut hashes {
         net.run(RUNG_CYCLES);
         *hash = net.state_hash();
+    }
+    if let Some(spans) = spans {
+        assert!(!spans.is_empty(), "{name}: the observed pass recorded no spans");
     }
     hashes
 }
 
 /// Runs every ladder and fails naming each run's first divergent rung,
 /// printing the whole measured table for re-blessing.
-fn check(profiled: bool) {
+fn check(pass: Pass) {
     let measured: Vec<(&str, [u64; RUNGS])> =
-        GOLDEN.iter().map(|&(name, _)| (name, ladder(name, profiled))).collect();
+        GOLDEN.iter().map(|&(name, _)| (name, ladder(name, pass))).collect();
     let mut diverged = Vec::new();
     for (&(name, golden), (_, hashes)) in GOLDEN.iter().zip(&measured) {
         if let Some(rung) = golden.iter().zip(hashes).position(|(g, h)| g != h) {
@@ -170,20 +212,21 @@ fn check(profiled: bool) {
                 format!("    (\"{name}\", [{}]),\n", hex.join(", "))
             })
             .collect();
-        panic!(
-            "{} (profiled: {profiled}):\n  {}\nmeasured table:\n{table}",
-            if profiled { "profiled ladder" } else { "ladder" },
-            diverged.join("\n  ")
-        );
+        panic!("ladder ({pass:?} pass):\n  {}\nmeasured table:\n{table}", diverged.join("\n  "));
     }
 }
 
 #[test]
 fn bare_runs_match_the_golden_ladder() {
-    check(false);
+    check(Pass::Bare);
 }
 
 #[test]
 fn profiled_runs_reproduce_the_golden_ladder() {
-    check(true);
+    check(Pass::Profiled);
+}
+
+#[test]
+fn observed_runs_reproduce_the_golden_ladder() {
+    check(Pass::Observed);
 }
