@@ -78,7 +78,7 @@ impl CliArgs {
         match self.value("--jobs") {
             // Validated positive at parse time.
             Some(v) => v.parse().unwrap_or(1),
-            None => crate::pool::available_jobs(),
+            None => crate::available_jobs(),
         }
     }
 
@@ -331,7 +331,7 @@ mod tests {
     #[test]
     fn jobs_defaults_to_available_parallelism() {
         let parsed = cli().parse_from(strings(&[])).unwrap();
-        assert_eq!(parsed.jobs(), crate::pool::available_jobs());
+        assert_eq!(parsed.jobs(), crate::available_jobs());
         assert!(parsed.jobs() >= 1);
     }
 

@@ -38,8 +38,8 @@
 //! [`Lab::pool`] inside its experiment.
 
 use crate::harness::{mean, sweep, Row, DEFAULT_CYCLES, SEED_BASE};
-use crate::pool::JobPool;
 use crate::report::Report;
+use crate::JobPool;
 use pearl_cmesh::{CmeshBuilder, CmeshConfig, CmeshSummary};
 use pearl_core::{
     reservation_packet_bits, BandwidthPolicy, MlTrainer, NetworkBuilder, OccupancyBounds,
@@ -97,15 +97,21 @@ impl Lab {
         &self.pool
     }
 
+    /// A trainer for reservation window `window` whose collection runs
+    /// on this lab's pool width.
+    fn trainer(&self, window: u64) -> MlTrainer {
+        MlTrainer { jobs: self.pool.jobs(), ..MlTrainer::new(window) }
+    }
+
     /// The ML power-scaling model for reservation window `window`. The
     /// first request trains it and prints progress to stderr, since
-    /// training takes tens of seconds per window.
+    /// training takes seconds to tens of seconds per window.
     pub fn model(&mut self, window: u64) -> TrainedModel {
         if let Some(model) = self.models.iter().find(|m| m.window == window) {
             return model.clone();
         }
         eprintln!("[training ML power-scaling model for RW{window}…]");
-        let model = MlTrainer::new(window).train().expect("ridge training");
+        let model = self.trainer(window).train().expect("ridge training");
         eprintln!(
             "[RW{window}: λ={} validation NRMSE={:.3} ({} samples)]",
             model.lambda, model.validation_nrmse, model.training_samples
@@ -554,8 +560,8 @@ fn nrmse(lab: &mut Lab, report: &mut Report) {
                 .run_collecting(DEFAULT_CYCLES)
         });
         let mut test = Dataset::new(FEATURE_COUNT);
-        for collected in &per_pair {
-            test.extend_from(collected).expect("fixed dimension");
+        for collected in per_pair {
+            test.append(collected).expect("fixed dimension");
         }
         let test_nrmse = model.scaler.selection().evaluate_nrmse(&test);
 
@@ -842,7 +848,7 @@ fn ablation_basis(lab: &mut Lab, report: &mut Report) {
         let (model, features) = match expansion {
             None => (lab.model(window), FEATURE_COUNT),
             Some(e) => {
-                let mut trainer = MlTrainer::new(window).with_expansion(e);
+                let mut trainer = lab.trainer(window).with_expansion(e);
                 if e.interactions {
                     // 495 features make the Gram matrix ~20× costlier;
                     // shorter collections keep the accuracy-ceiling

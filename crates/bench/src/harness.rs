@@ -2,7 +2,7 @@
 //! pairs, averaging and the ASCII table formatting the experiments and
 //! the sweep binaries print with.
 
-use crate::pool::JobPool;
+use crate::JobPool;
 use pearl_workloads::BenchmarkPair;
 
 /// Simulated cycles per (configuration, pair) run.

@@ -42,7 +42,6 @@ pub mod experiments;
 pub mod flightdump;
 pub mod harness;
 pub mod hotpath;
-pub mod pool;
 pub mod report;
 pub mod serve;
 pub mod watchdog;
@@ -59,7 +58,7 @@ pub use cli::{Cli, CliArgs, CliError};
 pub use flightdump::{dump_stall, postmortem_path, FlightGuard};
 pub use harness::{mean, table, Row, DEFAULT_CYCLES, SEED_BASE};
 pub use hotpath::{Hotpath, HOTPATH_SCHEMA_VERSION};
-pub use pool::{available_jobs, JobError, JobPool};
+pub use pearl_core::pool::{available_jobs, JobError, JobPool};
 pub use report::{Report, RESULTS_DIR};
 pub use serve::{Daemon, DaemonConfig, DaemonSummary, ExperimentSpec, Spool};
 pub use watchdog::{

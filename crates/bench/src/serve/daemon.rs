@@ -23,13 +23,13 @@
 //! were written but *before* the journal recorded `Done` simply re-runs
 //! its tail and atomically rewrites byte-identical artifacts.
 
-use crate::pool::JobPool;
 use crate::serve::http::StatusBoard;
 use crate::serve::journal::{backoff_ms, JobStatus, ServeJournal};
 use crate::serve::queueing::summarize_progress;
 use crate::serve::runner::{run_attempt, AttemptContext, AttemptEnd, StopWhy};
 use crate::serve::spec::ExperimentSpec;
 use crate::serve::{valid_job_id, Spool};
+use crate::JobPool;
 use pearl_telemetry::{
     atomic_write_file_with, prometheus_exposition, replay_progress_with, JsonValue,
     MetricsRegistry, OsStorage, ProgressEvent, ProgressLog, RetryPolicy, RetryStorage,
@@ -102,7 +102,7 @@ impl DaemonConfig {
     pub fn new(spool: Spool) -> DaemonConfig {
         DaemonConfig {
             spool,
-            jobs: crate::pool::available_jobs(),
+            jobs: crate::available_jobs(),
             drain: false,
             once: false,
             poll_ms: 200,
@@ -597,7 +597,7 @@ impl Daemon {
     fn settle(
         &mut self,
         id: &str,
-        result: Result<AttemptEnd, crate::pool::JobError>,
+        result: Result<AttemptEnd, crate::JobError>,
     ) -> std::io::Result<()> {
         let spool = self.config.spool.clone();
         let end = match result {

@@ -44,6 +44,7 @@ pub mod metrics;
 pub mod ml_scaling;
 pub mod network;
 pub mod policy;
+pub mod pool;
 pub mod power_scaling;
 pub mod reservation;
 pub mod router;

@@ -14,10 +14,18 @@
 //! random-wavelength collection over the 36 training pairs, λ selection
 //! on the 4 validation pairs, then a second collection pass driven by the
 //! first model "to best mimic the testing environment" (§IV-A).
+//!
+//! Each pass simulates its 40 pairs as one batch on a [`JobPool`] of
+//! [`MlTrainer::jobs`] workers. Every run's seed is fixed by its pair's
+//! index and the datasets are joined in pair order, so the trained model
+//! is the same at any width; `jobs: 1` runs the batch on the calling
+//! thread. The λ search of each pass then runs on the calling thread,
+//! from one Gram matrix for the whole λ grid ([`select_lambda`]).
 
 use crate::features::{FeatureVector, FEATURE_COUNT};
 use crate::network::NetworkBuilder;
 use crate::policy::PearlPolicy;
+use crate::pool::{available_jobs, JobPool};
 use crate::power_scaling::ReactiveThresholds;
 use pearl_ml::{
     select_lambda, Dataset, FitError, LambdaSelection, PolynomialExpansion, DEFAULT_LAMBDA_GRID,
@@ -146,6 +154,10 @@ pub struct MlTrainer {
     /// Optional degree-2 basis expansion (future-work extension; the
     /// paper's model is linear).
     pub expansion: Option<PolynomialExpansion>,
+    /// Worker threads for the collection runs (1 runs them one after
+    /// another on the calling thread). The trained model does not
+    /// depend on it.
+    pub jobs: usize,
 }
 
 impl MlTrainer {
@@ -154,7 +166,8 @@ impl MlTrainer {
     /// The default guard factor encodes the paper's observed trade-off:
     /// short windows (RW500) are tuned to maximize power savings
     /// (aggressive down-scaling, accepting throughput loss), long windows
-    /// (RW2000) to preserve throughput (§IV-C).
+    /// (RW2000) to preserve throughput (§IV-C). Collection runs on as
+    /// many workers as the machine has ([`available_jobs`]).
     pub fn new(window: u64) -> MlTrainer {
         let guard = if window >= 2000 { 1.25 } else { 0.8 };
         MlTrainer {
@@ -163,6 +176,7 @@ impl MlTrainer {
             seed: DEFAULT_TRAINER_SEED,
             guard,
             expansion: None,
+            jobs: available_jobs(),
         }
     }
 
@@ -172,11 +186,12 @@ impl MlTrainer {
         self
     }
 
-    /// Applies the configured basis expansion to a collected dataset.
-    fn expand(&self, data: &Dataset) -> Dataset {
+    /// Applies the configured basis expansion to a collected dataset,
+    /// handing it back untouched when there is none.
+    fn expand(&self, data: Dataset) -> Dataset {
         match &self.expansion {
-            Some(e) => e.expand_dataset(data),
-            None => data.clone(),
+            Some(e) => e.expand_dataset(&data),
+            None => data,
         }
     }
 
@@ -189,18 +204,45 @@ impl MlTrainer {
         }
     }
 
-    /// Collects one dataset by simulating every pair under `policy`.
+    /// The samples of one collection run: `pair` simulated under
+    /// `policy` for `cycles_per_pair` cycles, seeded `seed + index`.
+    fn collect_one(&self, pair: BenchmarkPair, index: usize, policy: &PearlPolicy) -> Dataset {
+        NetworkBuilder::new()
+            .policy(policy.clone())
+            .seed(self.seed.wrapping_add(index as u64))
+            .build(pair)
+            .run_collecting(self.cycles_per_pair)
+    }
+
+    /// Collects one dataset by simulating every pair under `policy`,
+    /// pair `i` seeded `seed + i`. The runs fan out on [`Self::jobs`]
+    /// workers and their samples are joined in pair order, so the
+    /// dataset is the same at any width.
     pub fn collect(&self, pairs: &[BenchmarkPair], policy: &PearlPolicy) -> Dataset {
-        let mut data = Dataset::new(FEATURE_COUNT);
-        for (i, &pair) in pairs.iter().enumerate() {
-            let mut net = NetworkBuilder::new()
-                .policy(policy.clone())
-                .seed(self.seed.wrapping_add(i as u64))
-                .build(pair);
-            let collected = net.run_collecting(self.cycles_per_pair);
-            data.extend_from(&collected).expect("feature dimension is fixed");
-        }
-        data
+        concat(JobPool::new(self.jobs).map(pairs, |i, &pair| self.collect_one(pair, i, policy)))
+    }
+
+    /// One pass of §IV-A: the training and the validation pairs are
+    /// collected under `policy` as one batch, then λ is chosen on the
+    /// validation samples. Validation pair `i` is seeded `seed + i`,
+    /// like training pair `i`. Returns the selection and the number of
+    /// training samples.
+    fn pass(&self, policy: &PearlPolicy) -> Result<(LambdaSelection, usize), FitError> {
+        let training = BenchmarkPair::training_pairs();
+        let runs: Vec<(usize, BenchmarkPair)> = training
+            .iter()
+            .copied()
+            .enumerate()
+            .chain(BenchmarkPair::validation_pairs().into_iter().enumerate())
+            .collect();
+        let mut collected =
+            JobPool::new(self.jobs).map(&runs, |_, &(i, pair)| self.collect_one(pair, i, policy));
+        let validation = concat(collected.split_off(training.len()));
+        let training = concat(collected);
+        let samples = training.len();
+        let selection =
+            select_lambda(&self.expand(training), &self.expand(validation), &DEFAULT_LAMBDA_GRID)?;
+        Ok((selection, samples))
     }
 
     /// Runs the full two-pass pipeline of §IV-A.
@@ -210,34 +252,32 @@ impl MlTrainer {
     /// Returns [`FitError`] if a ridge fit fails (cannot happen with a
     /// non-empty collection and λ > 0, but surfaced rather than hidden).
     pub fn train(&self) -> Result<TrainedModel, FitError> {
-        let training_pairs = BenchmarkPair::training_pairs();
-        let validation_pairs = BenchmarkPair::validation_pairs();
-
         // Pass 1: unbiased collection under random wavelength states.
-        let random = PearlPolicy::random_walk(self.window);
-        let train1 = self.collect(&training_pairs, &random);
-        let val1 = self.collect(&validation_pairs, &random);
-        let first =
-            select_lambda(&self.expand(&train1), &self.expand(&val1), &DEFAULT_LAMBDA_GRID)?;
-        let first_scaler = self.scaler_from(first);
+        let (first, _) = self.pass(&PearlPolicy::random_walk(self.window))?;
 
         // Pass 2: re-collect with the wavelength states the first model
         // would choose, mimicking the deployment environment. The 8 λ
         // state is excluded during training (§IV-B).
-        let driven = PearlPolicy::ml(self.window, first_scaler, false);
-        let train2 = self.collect(&training_pairs, &driven);
-        let val2 = self.collect(&validation_pairs, &driven);
-        let final_selection =
-            select_lambda(&self.expand(&train2), &self.expand(&val2), &DEFAULT_LAMBDA_GRID)?;
+        let driven = PearlPolicy::ml(self.window, self.scaler_from(first), false);
+        let (last, training_samples) = self.pass(&driven)?;
 
         Ok(TrainedModel {
-            lambda: final_selection.lambda,
-            validation_nrmse: final_selection.validation_nrmse,
-            training_samples: train2.len(),
+            lambda: last.lambda,
+            validation_nrmse: last.validation_nrmse,
+            training_samples,
             window: self.window,
-            scaler: self.scaler_from(final_selection),
+            scaler: self.scaler_from(last),
         })
     }
+}
+
+/// Joins collection runs in order, moving their samples.
+fn concat(runs: Vec<Dataset>) -> Dataset {
+    let mut data = Dataset::new(FEATURE_COUNT);
+    for run in runs {
+        data.append(run).expect("feature dimension is fixed");
+    }
+    data
 }
 
 /// Default master seed for training-data collection runs.
@@ -640,6 +680,19 @@ mod tests {
     #[should_panic(expected = "at least two samples")]
     fn degenerate_ladder_window_rejected() {
         let _ = DegradationLadder::new(FallbackConfig { samples: 1, ..FallbackConfig::pearl() });
+    }
+
+    #[test]
+    fn collection_does_not_depend_on_the_pool_width() {
+        let pairs: Vec<BenchmarkPair> =
+            BenchmarkPair::training_pairs().into_iter().take(6).collect();
+        // A 250-cycle window closes three times per router in 1,000
+        // cycles, so every run labels samples.
+        let trainer = |jobs| MlTrainer { cycles_per_pair: 1_000, jobs, ..MlTrainer::new(250) };
+        let policy = PearlPolicy::random_walk(250);
+        let sequential = trainer(1).collect(&pairs, &policy);
+        assert!(sequential.len() > 10 * pairs.len(), "{} samples", sequential.len());
+        assert_eq!(trainer(3).collect(&pairs, &policy), sequential);
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Deterministic parallel job pool for the experiment fan-out.
+//! Deterministic parallel job pool.
 //!
-//! Every experiment runs an embarrassingly parallel sweep:
-//! a grid of (configuration × benchmark pair) simulations whose seeds
-//! are fixed up front (`SEED_BASE + i`) and whose results are only
-//! combined after all runs finish. [`JobPool`] executes such a sweep on
-//! `N` worker threads while keeping the *output* bit-identical to the
-//! sequential reference path:
+//! The experiment harness and the ML trainer both run embarrassingly
+//! parallel batches: a grid of (configuration × benchmark pair)
+//! simulations, or a training pass's collection runs, whose seeds are
+//! fixed up front and whose results are only combined after all runs
+//! finish. [`JobPool`] executes such a batch on `N` worker threads
+//! while keeping the *output* bit-identical to the sequential reference
+//! path:
 //!
 //! - jobs are indexed `0..count` before any thread starts, so the
 //!   work-list (and every job's seed) never depends on scheduling;
@@ -23,15 +24,16 @@
 //! Two execution modes share that machinery:
 //!
 //! - [`JobPool::run`] / [`JobPool::map`] — **fail-fast**: a panicking
-//!   job aborts the whole sweep via `resume_unwind`. This is the right
-//!   contract for the figure/table experiments, where a panic means the
-//!   experiment itself is broken and partial output would be misleading.
-//! - [`JobPool::run_supervised`] — **supervised**: every job runs under
-//!   [`std::panic::catch_unwind`] and returns `Result<T, JobError>` with
-//!   the panic payload stringified and the job's index and seed
-//!   attached. One poisoned job cannot take down its batch — the
-//!   contract `pearl-serve` needs to keep draining a queue past a
-//!   panicking experiment.
+//!   job aborts the whole batch via `resume_unwind`. This is the right
+//!   contract for the figure/table experiments and for training, where
+//!   a panic means the computation itself is broken and partial output
+//!   would be misleading.
+//! - [`JobPool::run_supervised`] — **supervised**: [`JobPool::run`]
+//!   over jobs wrapped in [`std::panic::catch_unwind`], returning
+//!   `Result<T, JobError>` with the panic payload stringified and the
+//!   job's index and seed attached. One poisoned job cannot take down
+//!   its batch — the contract `pearl-serve` needs to keep draining a
+//!   queue past a panicking experiment.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -153,6 +155,12 @@ impl JobPool {
     /// always completes; result order is job-index order for any worker
     /// count. `seed_of(i)` reports job `i`'s seed for attribution only
     /// (pass the same seed map the jobs themselves use).
+    ///
+    /// # Panics
+    ///
+    /// A worker panic outside the job body (a pool bug, not a job
+    /// failure) is re-raised as [`JobPool::run`] does; it is never
+    /// swallowed.
     pub fn run_supervised<T, F, S>(
         &self,
         count: usize,
@@ -164,51 +172,13 @@ impl JobPool {
         F: Fn(usize) -> T + Sync,
         S: Fn(usize) -> u64 + Sync,
     {
-        let supervised = |i: usize| {
+        self.run(count, |i| {
             catch_unwind(AssertUnwindSafe(|| job(i))).map_err(|payload| JobError {
                 index: i,
                 seed: seed_of(i),
                 message: panic_message(payload.as_ref()),
             })
-        };
-        if self.jobs == 1 || count <= 1 {
-            return (0..count).map(supervised).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let workers = self.jobs.min(count);
-        let mut slots: Vec<Option<Result<T, JobError>>> = (0..count).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut done = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= count {
-                                break;
-                            }
-                            done.push((i, supervised(i)));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for handle in handles {
-                match handle.join() {
-                    Ok(done) => {
-                        for (i, value) in done {
-                            slots[i] = Some(value);
-                        }
-                    }
-                    // Unreachable in practice: every job panic is caught
-                    // above. A worker-thread panic outside the job body
-                    // still propagates — that is a pool bug, not a job
-                    // failure, and must not be swallowed.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        slots.into_iter().map(|slot| slot.expect("every job index committed")).collect()
+        })
     }
 
     /// Maps `f` over `items` on the pool, preserving item order.
@@ -237,6 +207,13 @@ mod tests {
         assert_eq!(JobPool::new(0).jobs(), 1);
         assert_eq!(JobPool::new(5).jobs(), 5);
         assert!(JobPool::machine_sized().jobs() >= 1);
+    }
+
+    #[test]
+    fn one_worker_runs_every_job_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ids = JobPool::new(1).run(5, |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller));
     }
 
     #[test]

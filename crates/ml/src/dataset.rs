@@ -86,17 +86,17 @@ impl Dataset {
         Ok(())
     }
 
-    /// Appends all samples of another dataset.
+    /// Moves all samples of another dataset to the end of this one.
     ///
     /// # Errors
     ///
     /// Returns [`DimensionError`] when dimensionalities disagree.
-    pub fn extend_from(&mut self, other: &Dataset) -> Result<(), DimensionError> {
+    pub fn append(&mut self, other: Dataset) -> Result<(), DimensionError> {
         if other.dimension != self.dimension {
             return Err(DimensionError { expected: self.dimension, actual: other.dimension });
         }
-        self.features.extend(other.features.iter().cloned());
-        self.labels.extend_from_slice(&other.labels);
+        self.features.extend(other.features);
+        self.labels.extend(other.labels);
         Ok(())
     }
 
@@ -191,18 +191,19 @@ mod tests {
     }
 
     #[test]
-    fn extend_from_concatenates() {
+    fn append_concatenates() {
         let mut a = sample_set(3);
-        let b = sample_set(2);
-        a.extend_from(&b).unwrap();
+        a.append(sample_set(2)).unwrap();
         assert_eq!(a.len(), 5);
+        assert_eq!(a.labels(), [0.0, 1.0, 2.0, 0.0, 1.0]);
+        assert_eq!(a.features()[4], [1.0, 1.0]);
     }
 
     #[test]
-    fn extend_from_rejects_mismatch() {
+    fn append_rejects_mismatch() {
         let mut a = sample_set(3);
-        let b = Dataset::new(5);
-        assert!(a.extend_from(&b).is_err());
+        assert!(a.append(Dataset::new(5)).is_err());
+        assert_eq!(a.len(), 3);
     }
 
     #[test]

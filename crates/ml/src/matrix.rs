@@ -157,17 +157,28 @@ impl Matrix {
         out
     }
 
-    /// Gram matrix `AᵀA` (symmetric, `cols × cols`), computed directly.
+    /// Gram matrix `AᵀA` (symmetric, `cols × cols`), accumulated one
+    /// row of `A` at a time into the upper triangle, then mirrored.
+    ///
+    /// Entry `(i, j)` starts at zero and adds `a[r][i]·a[r][j]` for
+    /// `r = 0, 1, …` — the same additions in the same order as a dot
+    /// product of columns `i` and `j`, so the bits do not depend on the
+    /// traversal; walking rows only keeps the reads sequential.
     pub fn gram(&self) -> Matrix {
-        let mut g = Matrix::zeros(self.cols, self.cols);
-        for i in 0..self.cols {
-            for j in i..self.cols {
-                let mut sum = 0.0;
-                for r in 0..self.rows {
-                    sum += self.get(r, i) * self.get(r, j);
+        let n = self.cols;
+        let mut g = Matrix::zeros(n, n);
+        for r in 0..self.rows {
+            let row = self.row(r);
+            for (i, &a) in row.iter().enumerate() {
+                let upper = &mut g.data[i * n + i..(i + 1) * n];
+                for (sum, &b) in upper.iter_mut().zip(&row[i..]) {
+                    *sum += a * b;
                 }
-                g.set(i, j, sum);
-                g.set(j, i, sum);
+            }
+        }
+        for i in 0..n {
+            for j in i + 1..n {
+                g.data[j * n + i] = g.data[i * n + j];
             }
         }
         g
@@ -299,9 +310,52 @@ impl fmt::Display for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-9
+    }
+
+    /// The column-order Gram loop `gram` replaced, kept as its oracle:
+    /// each entry is one dot product of two columns, summed in row order.
+    fn gram_by_columns(a: &Matrix) -> Matrix {
+        let mut g = Matrix::zeros(a.cols, a.cols);
+        for i in 0..a.cols {
+            for j in i..a.cols {
+                let mut sum = 0.0;
+                for r in 0..a.rows {
+                    sum += a.get(r, i) * a.get(r, j);
+                }
+                g.set(i, j, sum);
+                g.set(j, i, sum);
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn gram_matches_the_column_order_loop_bit_for_bit() {
+        // Signed values spread over twelve decades, so rounding depends
+        // on the order of every addition.
+        let mut rng = SmallRng::seed_from_u64(25);
+        let rows: Vec<Vec<f64>> = (0..500)
+            .map(|_| {
+                (0..40)
+                    .map(|_| {
+                        let mantissa: f64 = rng.gen_range(-1.0..1.0);
+                        mantissa * 10f64.powi(rng.gen_range(-6..6))
+                    })
+                    .collect()
+            })
+            .collect();
+        let a = Matrix::from_rows(&rows);
+        let (g, oracle) = (a.gram(), gram_by_columns(&a));
+        for i in 0..a.cols {
+            for j in 0..a.cols {
+                assert_eq!(g.get(i, j).to_bits(), oracle.get(i, j).to_bits(), "entry ({i},{j})");
+            }
+        }
     }
 
     #[test]

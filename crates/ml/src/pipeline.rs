@@ -6,7 +6,7 @@
 
 use crate::dataset::Dataset;
 use crate::metrics::nrmse_fit;
-use crate::ridge::{FitError, FittedRidge, RidgeRegression};
+use crate::ridge::{FitError, FittedRidge, NormalEquations, RidgeRegression};
 use crate::scaler::StandardScaler;
 
 /// Outcome of a λ search: the winning model, its scaler and diagnostics.
@@ -46,7 +46,10 @@ pub const DEFAULT_LAMBDA_GRID: [f64; 7] = [1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1
 /// `validation`, and returns the best.
 ///
 /// Features are standardized with statistics fitted on `training` only,
-/// so no validation information leaks into the scaler.
+/// so no validation information leaks into the scaler. The Gram matrix
+/// `ΦᵀΦ` and `Φᵀt` of the scaled training set are formed once; each λ
+/// then only shifts a copy of the Gram matrix and solves it, which gives
+/// every λ the bits [`RidgeRegression::fit`] gives it.
 ///
 /// # Errors
 ///
@@ -68,14 +71,14 @@ pub fn select_lambda(
         return Err(FitError::EmptyDataset);
     }
     let scaler = StandardScaler::fit(training);
-    let scaled_train = scaler.transform_dataset(training);
+    let equations = NormalEquations::new(&scaler.transform_dataset(training))?;
     let scaled_val = scaler.transform_dataset(validation);
 
     let mut best: Option<(FittedRidge, f64, f64)> = None;
     let mut trace = Vec::with_capacity(grid.len());
     let mut last_err = None;
     for &lambda in grid {
-        match RidgeRegression::new(lambda).fit(&scaled_train) {
+        match RidgeRegression::new(lambda).solve(&equations) {
             Ok(model) => {
                 let predicted = model.predict_all(&scaled_val);
                 let score = nrmse_fit(validation.labels(), &predicted);
@@ -140,6 +143,27 @@ mod tests {
         // Winning score is the max of the trace.
         let max = sel.trace.iter().map(|(_, s)| *s).fold(f64::NEG_INFINITY, f64::max);
         assert!((sel.validation_nrmse - max).abs() < 1e-12);
+    }
+
+    #[test]
+    fn one_gram_per_grid_matches_a_fit_per_lambda_bit_for_bit() {
+        let train = noisy_linear(300, 10);
+        let val = noisy_linear(60, 11);
+        let sel = select_lambda(&train, &val, &DEFAULT_LAMBDA_GRID).unwrap();
+        let scaler = StandardScaler::fit(&train);
+        let (scaled_train, scaled_val) =
+            (scaler.transform_dataset(&train), scaler.transform_dataset(&val));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(sel.scaler, scaler);
+        assert_eq!(sel.trace.len(), DEFAULT_LAMBDA_GRID.len());
+        for (&lambda, &(traced, score)) in DEFAULT_LAMBDA_GRID.iter().zip(&sel.trace) {
+            let model = RidgeRegression::new(lambda).fit(&scaled_train).unwrap();
+            let expected = nrmse_fit(val.labels(), &model.predict_all(&scaled_val));
+            assert_eq!((traced.to_bits(), score.to_bits()), (lambda.to_bits(), expected.to_bits()));
+            if lambda == sel.lambda {
+                assert_eq!(bits(sel.model.weights()), bits(model.weights()), "λ={lambda}");
+            }
+        }
     }
 
     #[test]

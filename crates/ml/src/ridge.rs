@@ -88,16 +88,34 @@ impl RidgeRegression {
     /// [`FitError::Singular`] when the (ridge-shifted) normal equations
     /// cannot be solved.
     pub fn fit(self, data: &Dataset) -> Result<FittedRidge, FitError> {
+        self.solve(&NormalEquations::new(data)?)
+    }
+
+    /// Solves `(λI + ΦᵀΦ) w = Φᵀ t` at this λ on a copy of the Gram
+    /// matrix, so one [`NormalEquations`] serves a whole λ grid.
+    pub(crate) fn solve(self, equations: &NormalEquations) -> Result<FittedRidge, FitError> {
+        let mut gram = equations.gram.clone();
+        gram.add_ridge(self.lambda);
+        let weights = gram.solve_spd(&equations.rhs)?;
+        Ok(FittedRidge { weights, lambda: self.lambda })
+    }
+}
+
+/// The λ-independent part of the normal equations of one dataset:
+/// `ΦᵀΦ` and `Φᵀt` for its design matrix `Φ` with a bias column.
+pub(crate) struct NormalEquations {
+    gram: Matrix,
+    rhs: Vec<f64>,
+}
+
+impl NormalEquations {
+    /// Builds `ΦᵀΦ` and `Φᵀt`; `Φ` is dropped once they are formed.
+    pub(crate) fn new(data: &Dataset) -> Result<NormalEquations, FitError> {
         if data.is_empty() {
             return Err(FitError::EmptyDataset);
         }
         let phi = design_with_bias(data);
-        // Normal equations: (λI + ΦᵀΦ) w = Φᵀ t.
-        let mut gram = phi.gram();
-        gram.add_ridge(self.lambda);
-        let rhs = phi.transpose_matvec(data.labels());
-        let weights = gram.solve_spd(&rhs)?;
-        Ok(FittedRidge { weights, lambda: self.lambda })
+        Ok(NormalEquations { gram: phi.gram(), rhs: phi.transpose_matvec(data.labels()) })
     }
 }
 

@@ -54,8 +54,14 @@ fn reactive_power_scaling_trades_throughput_for_power() {
 fn ml_pipeline_trains_and_deploys_end_to_end() {
     // Reduced-scale trainer: short collections keep this test fast while
     // still exercising both passes and λ selection.
-    let trainer =
-        MlTrainer { window: 500, cycles_per_pair: 4_000, seed: 9, guard: 1.0, expansion: None };
+    let trainer = MlTrainer {
+        window: 500,
+        cycles_per_pair: 4_000,
+        seed: 9,
+        guard: 1.0,
+        expansion: None,
+        jobs: 2,
+    };
     let model = trainer.train().expect("training succeeds");
     assert!(model.validation_nrmse > 0.0, "model should beat the mean predictor");
     assert!(model.training_samples > 1_000);
