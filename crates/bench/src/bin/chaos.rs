@@ -34,15 +34,14 @@
 
 use pearl_bench::serve::{JobStatus, ServeJournal};
 use pearl_bench::{
-    dump_stall, run_watched, Daemon, DaemonConfig, FlightGuard, JobPool, Report, Spool, Watchable,
-    RESULTS_DIR,
+    dump_stall, run_watched, Daemon, DaemonConfig, FlightGuard, JobPool, Report, Spool, RESULTS_DIR,
 };
-use pearl_cmesh::{CmeshBuilder, CmeshConfig, CmeshNetwork};
+use pearl_cmesh::{CmeshBuilder, CmeshConfig};
 use pearl_core::{FaultConfig, NetworkBuilder, PearlNetwork, PearlPolicy};
 use pearl_noc::SimRng;
 use pearl_telemetry::{
-    jsonl, Checkpoint, FaultSchedule, FaultStorage, FlightDump, JsonValue, OsStorage, Probe,
-    RetryPolicy, SharedFlightRecorder, SharedRecorder, SnapshotError, Storage,
+    jsonl, Checkpoint, FaultSchedule, FaultStorage, FlightDump, JsonValue, OsStorage, RetryPolicy,
+    SharedFlightRecorder, SharedRecorder, Simulator, Storage, Watchable,
 };
 use pearl_workloads::BenchmarkPair;
 use std::path::{Path, PathBuf};
@@ -61,76 +60,24 @@ const STALL_WINDOW: u64 = 2_000;
 /// Seed for the kill-point stream — the whole harness is reproducible.
 const KILL_SEED: u64 = 0xC4A0_5EED;
 
-/// What both simulators expose to the harness.
-trait ChaosNet {
-    fn attach(&mut self, probe: Box<dyn Probe>);
-    fn checkpoint(&self) -> Checkpoint;
-    fn restore_from(&mut self, cp: &Checkpoint) -> Result<(), SnapshotError>;
-    fn hash(&self) -> u64;
-    fn delivered(&self) -> u64;
-    fn advance_watched(&mut self, cycles: u64) -> Result<(), pearl_bench::StallError>;
-}
-
-impl ChaosNet for PearlNetwork {
-    fn attach(&mut self, probe: Box<dyn Probe>) {
-        self.attach_probe(probe);
-    }
-    fn checkpoint(&self) -> Checkpoint {
-        self.snapshot()
-    }
-    fn restore_from(&mut self, cp: &Checkpoint) -> Result<(), SnapshotError> {
-        self.restore(cp)
-    }
-    fn hash(&self) -> u64 {
-        self.state_hash()
-    }
-    fn delivered(&self) -> u64 {
-        self.stats().total_delivered_packets()
-    }
-    fn advance_watched(&mut self, cycles: u64) -> Result<(), pearl_bench::StallError> {
-        run_watched(self, cycles, STALL_WINDOW)
-    }
-}
-
-impl ChaosNet for CmeshNetwork {
-    fn attach(&mut self, probe: Box<dyn Probe>) {
-        self.attach_probe(probe);
-    }
-    fn checkpoint(&self) -> Checkpoint {
-        self.snapshot()
-    }
-    fn restore_from(&mut self, cp: &Checkpoint) -> Result<(), SnapshotError> {
-        self.restore(cp)
-    }
-    fn hash(&self) -> u64 {
-        self.state_hash()
-    }
-    fn delivered(&self) -> u64 {
-        self.stats().total_delivered_packets()
-    }
-    fn advance_watched(&mut self, cycles: u64) -> Result<(), pearl_bench::StallError> {
-        run_watched(self, cycles, STALL_WINDOW)
-    }
-}
-
 /// One scenario: a name plus a factory for identically built networks.
 /// The factory is `Send + Sync` so whole scenarios can run as pool jobs.
 struct Scenario {
     name: &'static str,
-    build: Box<dyn Fn() -> Box<dyn ChaosNet> + Send + Sync>,
+    build: Box<dyn Fn() -> Box<dyn Simulator> + Send + Sync>,
 }
 
 fn scenarios(smoke: bool) -> Vec<Scenario> {
     let pair = BenchmarkPair::test_pairs()[0];
     let pearl = |policy: fn() -> PearlPolicy, fault: fn() -> FaultConfig, seed: u64| {
-        Box::new(move || -> Box<dyn ChaosNet> {
+        Box::new(move || -> Box<dyn Simulator> {
             Box::new(
                 NetworkBuilder::new().policy(policy()).fault_config(fault()).seed(seed).build(pair),
             )
         })
     };
     let cmesh = |k: u64, seed: u64| {
-        Box::new(move || -> Box<dyn ChaosNet> {
+        Box::new(move || -> Box<dyn Simulator> {
             Box::new(
                 CmeshBuilder::new()
                     .config(CmeshConfig::bandwidth_reduced(k))
@@ -179,11 +126,12 @@ fn trace_bytes(recorders: &[SharedRecorder]) -> Vec<u8> {
 fn golden(scenario: &Scenario, cycles: u64) -> Result<Outcome, String> {
     let recorder = SharedRecorder::new();
     let mut net = (scenario.build)();
-    net.attach(Box::new(recorder.clone()));
-    net.advance_watched(cycles).map_err(|e| format!("golden run stalled: {e}"))?;
+    net.attach_probe(Box::new(recorder.clone()));
+    run_watched(net.as_mut(), cycles, STALL_WINDOW)
+        .map_err(|e| format!("golden run stalled: {e}"))?;
     Ok(Outcome {
-        hash: net.hash(),
-        delivered: net.delivered(),
+        hash: net.state_hash(),
+        delivered: net.delivered_packets(),
         trace: trace_bytes(std::slice::from_ref(&recorder)),
     })
 }
@@ -198,9 +146,10 @@ fn kill_and_resume(
 ) -> Result<Outcome, String> {
     let pre = SharedRecorder::new();
     let mut victim = (scenario.build)();
-    victim.attach(Box::new(pre.clone()));
-    victim.advance_watched(kill).map_err(|e| format!("pre-kill leg stalled: {e}"))?;
-    let checkpoint = victim.checkpoint();
+    victim.attach_probe(Box::new(pre.clone()));
+    run_watched(victim.as_mut(), kill, STALL_WINDOW)
+        .map_err(|e| format!("pre-kill leg stalled: {e}"))?;
+    let checkpoint = victim.snapshot();
     let path = dir.join(format!("{}-k{kill}.ckpt.json", scenario.name));
     checkpoint.write_file(&path).map_err(|e| format!("write checkpoint: {e}"))?;
     drop(victim); // the "crash"
@@ -208,12 +157,13 @@ fn kill_and_resume(
     let loaded = Checkpoint::read_file(&path).map_err(|e| format!("read checkpoint: {e:?}"))?;
     let post = SharedRecorder::new();
     let mut resumed = (scenario.build)();
-    resumed.attach(Box::new(post.clone()));
-    resumed.restore_from(&loaded).map_err(|e| format!("restore: {e:?}"))?;
-    resumed.advance_watched(cycles - kill).map_err(|e| format!("post-resume leg stalled: {e}"))?;
+    resumed.attach_probe(Box::new(post.clone()));
+    resumed.restore(&loaded).map_err(|e| format!("restore: {e:?}"))?;
+    run_watched(resumed.as_mut(), cycles - kill, STALL_WINDOW)
+        .map_err(|e| format!("post-resume leg stalled: {e}"))?;
     Ok(Outcome {
-        hash: resumed.hash(),
-        delivered: resumed.delivered(),
+        hash: resumed.state_hash(),
+        delivered: resumed.delivered_packets(),
         trace: trace_bytes(&[pre, post]),
     })
 }

@@ -43,7 +43,7 @@ use crate::JobPool;
 use pearl_cmesh::{CmeshBuilder, CmeshConfig, CmeshSummary};
 use pearl_core::{
     reservation_packet_bits, BandwidthPolicy, MlTrainer, NetworkBuilder, OccupancyBounds,
-    PearlConfig, PearlPolicy, PowerPolicy, ReactiveThresholds, RunSummary, TrainedModel,
+    PearlConfig, PearlPolicy, PowerPolicy, ReactiveThresholds, RunSummary, Timeline, TrainedModel,
     FEATURE_COUNT, FEATURE_NAMES,
 };
 use pearl_ml::{Dataset, PolynomialExpansion};
@@ -959,9 +959,9 @@ fn timeline(lab: &mut Lab, report: &mut Report) {
     ];
     let timelines = lab.pool().map(&variants, |_, (_, policy)| {
         let mut net = NetworkBuilder::new().policy(policy.clone()).seed(7).build(pair);
-        net.enable_timeline(sample_window);
-        net.run(cycles);
-        net.timeline().expect("enabled above").clone()
+        let mut timeline = Timeline::new(sample_window);
+        timeline.run(&mut net, cycles);
+        timeline
     });
     for ((name, _), timeline) in variants.iter().zip(&timelines) {
         println!("\n--- {name} ---");

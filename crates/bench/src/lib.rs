@@ -61,6 +61,4 @@ pub use hotpath::{Hotpath, HOTPATH_SCHEMA_VERSION};
 pub use pearl_core::pool::{available_jobs, JobError, JobPool};
 pub use report::{Report, RESULTS_DIR};
 pub use serve::{Daemon, DaemonConfig, DaemonSummary, ExperimentSpec, Spool};
-pub use watchdog::{
-    run_watched, run_watched_with, StallError, WatchError, Watchable, DEFAULT_STALL_WINDOW,
-};
+pub use watchdog::{run_watched, run_watched_with, StallError, WatchError, DEFAULT_STALL_WINDOW};

@@ -34,14 +34,12 @@
 //! is rendered once however many bundles carry it. The bundles and the
 //! final `out/<id>.trace.jsonl` are all cut from the same text.
 
-use crate::serve::spec::{ExperimentSpec, SpecKind};
+use crate::serve::spec::ExperimentSpec;
 use crate::serve::Spool;
-use crate::watchdog::{run_watched_with, WatchError, Watchable};
-use pearl_cmesh::{CmeshBuilder, CmeshConfig, CmeshNetwork};
-use pearl_core::{FaultConfig, NetworkBuilder, PearlNetwork};
+use crate::watchdog::{run_watched_with, WatchError};
 use pearl_telemetry::{
     jsonl, read_sealed_with, write_sealed_with, Checkpoint, FanoutProbe, JsonValue, Probe,
-    ProgressEvent, ProgressLog, RunManifest, SharedFlightRecorder, SharedRecorder, SnapshotError,
+    ProgressEvent, ProgressLog, RunManifest, SharedFlightRecorder, SharedRecorder, Simulator,
     Storage,
 };
 use std::ops::ControlFlow;
@@ -113,141 +111,6 @@ pub struct AttemptContext<'a> {
     pub flight: Option<&'a SharedFlightRecorder>,
 }
 
-/// Either simulator, driven uniformly by the runner. Both variants are
-/// boxed: the networks are kilobytes of inline state, and the enum
-/// lives on worker-thread stacks.
-pub enum BuiltNet {
-    /// The PEARL photonic network.
-    Pearl(Box<PearlNetwork>),
-    /// The electrical CMESH baseline.
-    Cmesh(Box<CmeshNetwork>),
-}
-
-impl Watchable for BuiltNet {
-    fn advance(&mut self, cycles: u64) {
-        match self {
-            BuiltNet::Pearl(n) => n.advance(cycles),
-            BuiltNet::Cmesh(n) => n.advance(cycles),
-        }
-    }
-    fn delivered_packets(&self) -> u64 {
-        match self {
-            BuiltNet::Pearl(n) => n.delivered_packets(),
-            BuiltNet::Cmesh(n) => n.delivered_packets(),
-        }
-    }
-    fn cycle(&self) -> u64 {
-        match self {
-            BuiltNet::Pearl(n) => n.cycle(),
-            BuiltNet::Cmesh(n) => n.cycle(),
-        }
-    }
-}
-
-impl BuiltNet {
-    /// Builds the network a validated spec describes. The spec was
-    /// test-built at acceptance, so construction here cannot fail for
-    /// config reasons; if it somehow panics, supervision catches it.
-    pub fn build(spec: &ExperimentSpec) -> BuiltNet {
-        match &spec.kind {
-            SpecKind::Pearl { policy, fault_rate, fault_seed } => {
-                let fault = if *fault_rate > 0.0 {
-                    FaultConfig::uniform(*fault_rate, *fault_seed)
-                } else {
-                    FaultConfig::off()
-                };
-                BuiltNet::Pearl(Box::new(
-                    NetworkBuilder::new()
-                        .policy(policy.build())
-                        .fault_config(fault)
-                        .seed(spec.seed)
-                        .build(spec.pair()),
-                ))
-            }
-            SpecKind::Cmesh { bandwidth_factor } => BuiltNet::Cmesh(Box::new(
-                CmeshBuilder::new()
-                    .config(CmeshConfig::bandwidth_reduced(*bandwidth_factor))
-                    .seed(spec.seed)
-                    .build(spec.pair()),
-            )),
-        }
-    }
-
-    fn attach(&mut self, probe: Box<dyn Probe>) {
-        match self {
-            BuiltNet::Pearl(n) => n.attach_probe(probe),
-            BuiltNet::Cmesh(n) => n.attach_probe(probe),
-        }
-    }
-
-    fn checkpoint(&self) -> Checkpoint {
-        match self {
-            BuiltNet::Pearl(n) => n.snapshot(),
-            BuiltNet::Cmesh(n) => n.snapshot(),
-        }
-    }
-
-    fn restore(&mut self, cp: &Checkpoint) -> Result<(), SnapshotError> {
-        match self {
-            BuiltNet::Pearl(n) => n.restore(cp),
-            BuiltNet::Cmesh(n) => n.restore(cp),
-        }
-    }
-
-    fn state_hash(&self) -> u64 {
-        match self {
-            BuiltNet::Pearl(n) => n.state_hash(),
-            BuiltNet::Cmesh(n) => n.state_hash(),
-        }
-    }
-
-    fn config_fingerprint(&self) -> u64 {
-        match self {
-            BuiltNet::Pearl(n) => n.config_fingerprint(),
-            BuiltNet::Cmesh(n) => n.config_fingerprint(),
-        }
-    }
-
-    /// The simulator's summary rendered as deterministic JSON. Counters
-    /// are exact; floats serialize through the shared JSON writer, so
-    /// identical runs render identical bytes.
-    fn summary_json(&self) -> JsonValue {
-        match self {
-            BuiltNet::Pearl(n) => {
-                let s = n.summary();
-                JsonValue::obj(vec![
-                    ("cycles", JsonValue::u64(s.cycles)),
-                    ("delivered_packets", JsonValue::u64(s.delivered_packets)),
-                    ("delivered_flits", JsonValue::u64(s.delivered_flits)),
-                    ("throughput_flits_per_cycle", JsonValue::Num(s.throughput_flits_per_cycle)),
-                    ("avg_latency_cpu", JsonValue::Num(s.avg_latency_cpu)),
-                    ("avg_latency_gpu", JsonValue::Num(s.avg_latency_gpu)),
-                    ("latency_p99", JsonValue::Num(s.latency_p99)),
-                    ("avg_laser_power_w", JsonValue::Num(s.avg_laser_power_w)),
-                    ("avg_total_power_w", JsonValue::Num(s.avg_total_power_w)),
-                    ("energy_per_bit_j", JsonValue::Num(s.energy_per_bit_j)),
-                    ("injection_stalls", JsonValue::u64(s.injection_stalls)),
-                    ("retransmitted_packets", JsonValue::u64(s.retransmitted_packets)),
-                ])
-            }
-            BuiltNet::Cmesh(n) => {
-                let s = n.summary();
-                JsonValue::obj(vec![
-                    ("cycles", JsonValue::u64(s.cycles)),
-                    ("delivered_packets", JsonValue::u64(s.delivered_packets)),
-                    ("delivered_flits", JsonValue::u64(s.delivered_flits)),
-                    ("throughput_flits_per_cycle", JsonValue::Num(s.throughput_flits_per_cycle)),
-                    ("avg_latency_cpu", JsonValue::Num(s.avg_latency_cpu)),
-                    ("avg_latency_gpu", JsonValue::Num(s.avg_latency_gpu)),
-                    ("avg_power_w", JsonValue::Num(s.avg_power_w)),
-                    ("energy_per_bit_j", JsonValue::Num(s.energy_per_bit_j)),
-                    ("injection_stalls", JsonValue::u64(s.injection_stalls)),
-                ])
-            }
-        }
-    }
-}
-
 /// A parsed resume bundle.
 struct ResumeBundle {
     checkpoint: Checkpoint,
@@ -274,11 +137,11 @@ fn write_resume_bundle(
     storage: &dyn Storage,
     spool: &Spool,
     id: &str,
-    net: &BuiltNet,
+    net: &dyn Simulator,
     trace: &mut Trace,
 ) -> std::io::Result<()> {
     let payload = JsonValue::obj(vec![
-        ("checkpoint", net.checkpoint().to_json()),
+        ("checkpoint", net.snapshot().to_json()),
         ("trace", JsonValue::str(trace.render())),
         ("dropped", JsonValue::str(trace.dropped().to_string())),
     ]);
@@ -330,7 +193,12 @@ pub fn run_attempt(ctx: &AttemptContext<'_>) -> AttemptEnd {
     let deadline = spec.deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
 
     let mut trace = Trace::default();
-    let mut net = BuiltNet::build(spec);
+    // Acceptance built this spec once already, so an error here means
+    // the build changed under a queued job.
+    let mut net = match spec.build() {
+        Ok(net) => net,
+        Err(e) => return AttemptEnd::Failed { reason: format!("spec no longer builds: {e}") },
+    };
     // One probe slot per network: the offline recorder (traced specs)
     // and the flight recorder share it through a fanout when both ride.
     let mut probes: Vec<Box<dyn Probe>> = Vec::new();
@@ -342,8 +210,8 @@ pub fn run_attempt(ctx: &AttemptContext<'_>) -> AttemptEnd {
     }
     match probes.len() {
         0 => {}
-        1 => net.attach(probes.pop().expect("one probe")),
-        _ => net.attach(Box::new(FanoutProbe::new(probes))),
+        1 => net.attach_probe(probes.pop().expect("one probe")),
+        _ => net.attach_probe(Box::new(FanoutProbe::new(probes))),
     }
 
     if ctx.resume {
@@ -364,7 +232,7 @@ pub fn run_attempt(ctx: &AttemptContext<'_>) -> AttemptEnd {
     let remaining = spec.cycles.saturating_sub(start_cycle);
     let mut stop_why: Option<StopWhy> = None;
     let mut last_checkpoint = start_cycle;
-    let outcome = run_watched_with(&mut net, remaining, spec.stall_window, |n| {
+    let outcome = run_watched_with(net.as_mut(), remaining, spec.stall_window, |n| {
         if let Some(at) = spec.panic_at_cycle {
             if n.cycle() >= at {
                 panic!("poison spec: panic_at_cycle {at} reached at cycle {}", n.cycle());
@@ -406,7 +274,7 @@ pub fn run_attempt(ctx: &AttemptContext<'_>) -> AttemptEnd {
     match outcome {
         Ok(()) => {
             let state_hash = net.state_hash();
-            match write_artifacts(ctx, &net, state_hash, &mut trace) {
+            match write_artifacts(ctx, net.as_ref(), state_hash, &mut trace) {
                 Ok(()) => AttemptEnd::Completed {
                     at_cycle: net.cycle(),
                     delivered: net.delivered_packets(),
@@ -442,7 +310,7 @@ pub fn run_attempt(ctx: &AttemptContext<'_>) -> AttemptEnd {
 /// kills, resumes or retries preceded completion.
 fn write_artifacts(
     ctx: &AttemptContext<'_>,
-    net: &BuiltNet,
+    net: &dyn Simulator,
     state_hash: u64,
     trace: &mut Trace,
 ) -> std::io::Result<()> {
@@ -557,6 +425,40 @@ mod tests {
             std::fs::read_to_string(spool.result_path(id)).unwrap(),
             std::fs::read_to_string(spool.trace_path(id)).unwrap(),
         )
+    }
+
+    /// Byte length and FNV-1a of the result and manifest artifacts of a
+    /// traced, faulted PEARL spec and a half-bandwidth CMESH spec,
+    /// generated before the summary rendering moved into the network
+    /// crates.
+    #[test]
+    fn artifacts_keep_their_bytes() {
+        let cases = [
+            (
+                "pin_pearl",
+                r#"{"kind": "pearl", "policy": "reactive", "window": 500, "cycles": 4000,
+                    "stall_window": 1000, "fault_rate": 0.02, "fault_seed": 7, "trace": true}"#,
+                [(482, 0xc0e50d9750c8ac23), (209, 0x212606c7362c2a52)],
+            ),
+            (
+                "pin_cmesh",
+                r#"{"kind": "cmesh", "bandwidth_factor": 2, "cycles": 4000, "stall_window": 1000}"#,
+                [(393, 0xa0200c75c7ccd0de), (207, 0x4f74fd5b7ec4f63c)],
+            ),
+        ];
+        for (id, body, pins) in cases {
+            let spool = scratch(id);
+            let progress = ProgressLog::resuming_after(0);
+            let spec = spec(id, body);
+            let end = run_attempt(&attempt(&spool, &spec, false, &progress));
+            assert!(matches!(end, AttemptEnd::Completed { .. }), "{end:?}");
+            for (path, pin) in [spool.result_path(id), spool.manifest_path(id)].iter().zip(pins) {
+                let text = std::fs::read_to_string(path).unwrap();
+                let measured = (text.len(), pearl_telemetry::fingerprint(&text));
+                assert_eq!(measured, pin, "{} moved:\n{text}", path.display());
+            }
+            std::fs::remove_dir_all(spool.root()).ok();
+        }
     }
 
     #[test]

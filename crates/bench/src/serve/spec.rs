@@ -3,13 +3,14 @@
 //!
 //! Parsing is **strict**: unknown fields, missing required fields and
 //! out-of-range values are typed [`SpecError`]s, and a spec that parses
-//! is still test-built through the typed config layer
-//! ([`NetworkBuilder::try_build`] / [`PearlPolicy`] checks) before the
-//! daemon accepts it — a spec that cannot build is rejected at the
-//! spool boundary with a post-mortem, never discovered mid-queue.
+//! is still test-built through [`ExperimentSpec::build`], the one
+//! mapping from a spec to its network, which the runner calls for every
+//! attempt — a spec that cannot build is rejected at the spool boundary
+//! with a post-mortem, never discovered mid-queue.
 
+use pearl_cmesh::{CmeshBuilder, CmeshConfig};
 use pearl_core::{ConfigError, FaultConfig, NetworkBuilder, PearlPolicy};
-use pearl_telemetry::{JsonError, JsonValue};
+use pearl_telemetry::{JsonError, JsonValue, Simulator};
 use pearl_workloads::BenchmarkPair;
 
 use crate::watchdog::DEFAULT_STALL_WINDOW;
@@ -189,8 +190,8 @@ impl ExperimentSpec {
     }
 
     /// Parses and validates a spec document. `id` is the spec file
-    /// stem. Beyond shape checks, a PEARL spec is test-built through
-    /// [`NetworkBuilder::try_build`] so the typed config layer vets it.
+    /// stem. Beyond shape checks, the spec is test-built through
+    /// [`Self::build`] so the typed config layer vets it.
     ///
     /// # Errors
     ///
@@ -304,26 +305,40 @@ impl ExperimentSpec {
             trace,
             panic_at_cycle,
         };
-        spec.check_buildable()?;
+        spec.build()?;
         Ok(spec)
     }
 
-    /// Test-builds the spec through the typed config layer so an
-    /// unbuildable configuration is rejected at the spool boundary.
-    fn check_buildable(&self) -> Result<(), SpecError> {
-        if let SpecKind::Pearl { policy, fault_rate, fault_seed } = &self.kind {
-            let fault = if *fault_rate > 0.0 {
-                FaultConfig::uniform(*fault_rate, *fault_seed)
-            } else {
-                FaultConfig::off()
-            };
-            NetworkBuilder::new()
-                .policy(policy.build())
-                .fault_config(fault)
-                .seed(self.seed)
-                .try_build(self.pair())?;
-        }
-        Ok(())
+    /// Builds the network the spec describes through the typed config
+    /// layer. Acceptance calls it to vet the spec; the runner calls it
+    /// for every attempt.
+    ///
+    /// # Errors
+    ///
+    /// The [`ConfigError`] of a PEARL configuration that cannot build.
+    pub fn build(&self) -> Result<Box<dyn Simulator>, ConfigError> {
+        Ok(match &self.kind {
+            SpecKind::Pearl { policy, fault_rate, fault_seed } => {
+                let fault = if *fault_rate > 0.0 {
+                    FaultConfig::uniform(*fault_rate, *fault_seed)
+                } else {
+                    FaultConfig::off()
+                };
+                Box::new(
+                    NetworkBuilder::new()
+                        .policy(policy.build())
+                        .fault_config(fault)
+                        .seed(self.seed)
+                        .try_build(self.pair())?,
+                )
+            }
+            SpecKind::Cmesh { bandwidth_factor } => Box::new(
+                CmeshBuilder::new()
+                    .config(CmeshConfig::bandwidth_reduced(*bandwidth_factor))
+                    .seed(self.seed)
+                    .build(self.pair()),
+            ),
+        })
     }
 }
 

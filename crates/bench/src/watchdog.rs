@@ -2,12 +2,12 @@
 //!
 //! A hung simulation (a flow-control deadlock, a checkpoint restored
 //! into an inconsistent state) used to burn the full CI time budget
-//! before anyone noticed. [`run_watched`] drives a network in chunks
-//! and fails with a typed [`StallError`] as soon as a whole window of
-//! cycles passes without a single packet draining.
+//! before anyone noticed. [`run_watched`] drives any [`Watchable`]
+//! network (both simulators, or a test fake) in chunks and fails with a
+//! typed [`StallError`] as soon as a whole window of cycles passes
+//! without a single packet draining.
 
-use pearl_cmesh::CmeshNetwork;
-use pearl_core::PearlNetwork;
+use pearl_telemetry::Watchable;
 
 /// Cycles without a delivery after which a run counts as stalled. Under
 /// the heaviest fault sweeps the closed-loop workloads still deliver
@@ -37,40 +37,6 @@ impl std::fmt::Display for StallError {
 }
 
 impl std::error::Error for StallError {}
-
-/// A network the watchdog can drive: advance time, report deliveries.
-pub trait Watchable {
-    /// Advances the simulation by `cycles` cycles.
-    fn advance(&mut self, cycles: u64);
-    /// Total packets delivered since construction (monotone).
-    fn delivered_packets(&self) -> u64;
-    /// Current simulation cycle.
-    fn cycle(&self) -> u64;
-}
-
-impl Watchable for PearlNetwork {
-    fn advance(&mut self, cycles: u64) {
-        self.run(cycles);
-    }
-    fn delivered_packets(&self) -> u64 {
-        self.stats().total_delivered_packets()
-    }
-    fn cycle(&self) -> u64 {
-        self.stats().cycles()
-    }
-}
-
-impl Watchable for CmeshNetwork {
-    fn advance(&mut self, cycles: u64) {
-        self.run(cycles);
-    }
-    fn delivered_packets(&self) -> u64 {
-        self.stats().total_delivered_packets()
-    }
-    fn cycle(&self) -> u64 {
-        self.stats().cycles()
-    }
-}
 
 /// Why a controlled run ([`run_watched_with`]) stopped early.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,7 +81,11 @@ impl std::error::Error for WatchError {}
 /// # Panics
 ///
 /// Panics if `window` is zero.
-pub fn run_watched<N: Watchable>(net: &mut N, cycles: u64, window: u64) -> Result<(), StallError> {
+pub fn run_watched<N: Watchable + ?Sized>(
+    net: &mut N,
+    cycles: u64,
+    window: u64,
+) -> Result<(), StallError> {
     match run_watched_with(net, cycles, window, |_| std::ops::ControlFlow::Continue(())) {
         Ok(()) => Ok(()),
         Err(WatchError::Stalled(e)) => Err(e),
@@ -141,7 +111,7 @@ pub fn run_watched<N: Watchable>(net: &mut N, cycles: u64, window: u64) -> Resul
 /// # Panics
 ///
 /// Panics if `window` is zero.
-pub fn run_watched_with<N: Watchable>(
+pub fn run_watched_with<N: Watchable + ?Sized>(
     net: &mut N,
     cycles: u64,
     window: u64,
@@ -179,8 +149,11 @@ pub fn run_watched_with<N: Watchable>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pearl_cmesh::CmeshBuilder;
     use pearl_core::{NetworkBuilder, PearlPolicy};
+    use pearl_telemetry::Simulator;
     use pearl_workloads::BenchmarkPair;
+    use std::ops::ControlFlow;
 
     /// A network that delivers steadily for a while, then hangs.
     struct HangsAfter {
@@ -262,6 +235,41 @@ mod tests {
         );
         assert_eq!(net.cycle(), 2_000);
         assert!(err.to_string().contains("deadline exceeded"));
+    }
+
+    /// The chunk boundary is an observer seam: snapshotting there leaves
+    /// either network on its plain run's trajectory, whether the chunk
+    /// divides the run or the run ends on a short chunk.
+    #[test]
+    fn boundary_snapshots_keep_chunked_runs_identical_to_plain_runs() {
+        let pair = BenchmarkPair::test_pairs()[0];
+        let pearl = || -> Box<dyn Simulator> {
+            Box::new(NetworkBuilder::new().policy(PearlPolicy::reactive(500)).seed(9).build(pair))
+        };
+        let cmesh = || -> Box<dyn Simulator> { Box::new(CmeshBuilder::new().seed(5).build(pair)) };
+        let builds: [&dyn Fn() -> Box<dyn Simulator>; 2] = [&pearl, &cmesh];
+        for build in builds {
+            let mut plain = build();
+            plain.advance(6_000);
+            let chunkings = [
+                (1_000, &[1_000, 2_000, 3_000, 4_000, 5_000, 6_000][..]),
+                (2_500, &[2_500, 5_000, 6_000]),
+            ];
+            for (chunk, boundaries) in chunkings {
+                let mut net = build();
+                let mut seen = Vec::new();
+                run_watched_with(net.as_mut(), 6_000, chunk, |n| {
+                    seen.push(n.cycle());
+                    let _ = n.snapshot();
+                    ControlFlow::Continue(())
+                })
+                .unwrap();
+                assert_eq!(seen, boundaries, "one controller call per {chunk}-cycle chunk");
+                assert_eq!(net.state_hash(), plain.state_hash());
+                assert_eq!(net.delivered_packets(), plain.delivered_packets());
+                assert_eq!(net.summary_json().to_string(), plain.summary_json().to_string());
+            }
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@ use crate::router::CmeshRouter;
 use crate::routing::{neighbor, xy_route, Direction, Port};
 use pearl_noc::{CoreType, Cycle, Flit, Flits, Grid, NetworkStats, NodeId, Packet, PacketKind};
 use pearl_telemetry::{
-    set_alloc_section, Phase, Probe, ProfileReport, Section, SelfProfiler, Span, SpanKind,
-    SubSection, TraceEvent, WorkCounters,
+    set_alloc_section, Checkpoint, JsonValue, Phase, Probe, ProfileReport, Section, SelfProfiler,
+    Simulator, SnapshotError, Span, SpanKind, SubSection, TraceEvent, Watchable, WorkCounters,
 };
 use pearl_workloads::{BenchmarkPair, Destination, TrafficModel, TrafficSource};
 use std::collections::{HashMap, VecDeque};
@@ -397,38 +397,6 @@ impl CmeshNetwork {
     pub fn run(&mut self, cycles: u64) -> CmeshSummary {
         for _ in 0..cycles {
             self.step();
-        }
-        self.summary()
-    }
-
-    /// Runs `cycles` cycles, pausing every `every` cycles to hand the
-    /// network to `hook` at a consistent cycle boundary — the periodic-
-    /// checkpoint seam mirroring [`pearl-core`'s]: `pearl-serve`
-    /// snapshots from the hook so a killed daemon resumes mid-run. The
-    /// hook observes, never mutates, so the simulated state stream is
-    /// bit-identical to a plain [`CmeshNetwork::run`] of the same
-    /// length.
-    ///
-    /// [`pearl-core`'s]: https://docs.rs/pearl-core
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is zero.
-    pub fn run_hooked(
-        &mut self,
-        cycles: u64,
-        every: u64,
-        mut hook: impl FnMut(&CmeshNetwork),
-    ) -> CmeshSummary {
-        assert!(every > 0, "hook interval must be non-zero");
-        let mut remaining = cycles;
-        while remaining > 0 {
-            let chunk = remaining.min(every);
-            for _ in 0..chunk {
-                self.step();
-            }
-            remaining -= chunk;
-            hook(self);
         }
         self.summary()
     }
@@ -830,6 +798,53 @@ impl CmeshNetwork {
         flits.extend(Flits::of(&packet));
         self.inject_current[i].push(InjectState { vc, flits });
         true
+    }
+}
+
+impl Watchable for CmeshNetwork {
+    fn advance(&mut self, cycles: u64) {
+        self.run(cycles);
+    }
+    fn delivered_packets(&self) -> u64 {
+        self.stats.total_delivered_packets()
+    }
+    fn cycle(&self) -> u64 {
+        self.stats.cycles()
+    }
+}
+
+impl Simulator for CmeshNetwork {
+    fn attach_probe(&mut self, probe: Box<dyn Probe>) {
+        CmeshNetwork::attach_probe(self, probe);
+    }
+    fn enable_profiling(&mut self) {
+        CmeshNetwork::enable_profiling(self);
+    }
+    fn snapshot(&self) -> Checkpoint {
+        CmeshNetwork::snapshot(self)
+    }
+    fn restore(&mut self, checkpoint: &Checkpoint) -> Result<(), SnapshotError> {
+        CmeshNetwork::restore(self, checkpoint)
+    }
+    fn state_hash(&self) -> u64 {
+        CmeshNetwork::state_hash(self)
+    }
+    fn config_fingerprint(&self) -> u64 {
+        CmeshNetwork::config_fingerprint(self)
+    }
+    fn summary_json(&self) -> JsonValue {
+        let s = self.summary();
+        JsonValue::obj(vec![
+            ("cycles", JsonValue::u64(s.cycles)),
+            ("delivered_packets", JsonValue::u64(s.delivered_packets)),
+            ("delivered_flits", JsonValue::u64(s.delivered_flits)),
+            ("throughput_flits_per_cycle", JsonValue::Num(s.throughput_flits_per_cycle)),
+            ("avg_latency_cpu", JsonValue::Num(s.avg_latency_cpu)),
+            ("avg_latency_gpu", JsonValue::Num(s.avg_latency_gpu)),
+            ("avg_power_w", JsonValue::Num(s.avg_power_w)),
+            ("energy_per_bit_j", JsonValue::Num(s.energy_per_bit_j)),
+            ("injection_stalls", JsonValue::u64(s.injection_stalls)),
+        ])
     }
 }
 

@@ -12,8 +12,8 @@ fn any_pair() -> impl Strategy<Value = BenchmarkPair> {
 
 #[test]
 fn hooked_run_is_bit_identical_to_plain_run() {
-    // The periodic-checkpoint seam must be an observer: chunking a run
-    // into hook intervals cannot perturb the simulated state stream.
+    // Checkpointing between chunks must be an observer: chunking a run
+    // and snapshotting at every boundary cannot perturb the state stream.
     let pair = BenchmarkPair::test_pairs()[0];
     let build = || CmeshBuilder::new().seed(5).build(pair);
     let mut plain = build();
@@ -21,10 +21,16 @@ fn hooked_run_is_bit_identical_to_plain_run() {
 
     let mut hooked = build();
     let mut hook_cycles = Vec::new();
-    let hooked_summary = hooked.run_hooked(4_000, 1_500, |net| {
-        hook_cycles.push(net.stats().cycles());
-        let _ = net.snapshot();
-    });
+    let mut remaining = 4_000u64;
+    let mut hooked_summary = None;
+    while remaining > 0 {
+        let chunk = remaining.min(1_500);
+        hooked_summary = Some(hooked.run(chunk));
+        remaining -= chunk;
+        hook_cycles.push(hooked.stats().cycles());
+        let _ = hooked.snapshot();
+    }
+    let hooked_summary = hooked_summary.expect("at least one chunk ran");
     assert_eq!(hook_cycles, vec![1_500, 3_000, 4_000]);
     assert_eq!(plain.state_hash(), hooked.state_hash());
     assert_eq!(plain_summary.delivered_flits, hooked_summary.delivered_flits);

@@ -122,6 +122,12 @@ pub enum ConfigError {
         /// The rejected guard factor.
         guard: f64,
     },
+    /// A fine-grained share step must lie in (0, 0.5] and divide 1
+    /// evenly (NaN is also rejected).
+    InvalidFineStep {
+        /// The rejected step.
+        step: f64,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -144,6 +150,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroWindow => write!(f, "reservation window must be non-zero"),
             ConfigError::NonPositiveGuard { guard } => {
                 write!(f, "guard factor must be positive, got {guard}")
+            }
+            ConfigError::InvalidFineStep { step } => {
+                write!(f, "allocation step {step} must lie in (0, 0.5] and divide 1 evenly")
             }
         }
     }

@@ -7,6 +7,7 @@
 //! bounds — 16 % of CPU buffer space, 6 % of GPU buffer space — were
 //! determined experimentally by the authors on a separate benchmark set.
 
+use crate::policy::BandwidthPolicy;
 use pearl_noc::CoreType;
 use std::fmt;
 
@@ -177,14 +178,12 @@ impl FineGrainedAllocator {
     ///
     /// # Panics
     ///
-    /// Panics unless `step` divides 1 evenly and lies in `(0, 0.5]`.
+    /// Panics unless `step` divides 1 evenly and lies in `(0, 0.5]`;
+    /// [`BandwidthPolicy::check`] is the non-panicking form.
     pub fn new(step: f64) -> FineGrainedAllocator {
-        assert!(step > 0.0 && step <= 0.5, "allocation step {step} outside (0, 0.5]");
-        let slots = 1.0 / step;
-        assert!(
-            (slots - slots.round()).abs() < 1e-9,
-            "allocation step {step} must divide 1 evenly"
-        );
+        if let Err(e) = (BandwidthPolicy::DynamicFine { step }).check() {
+            panic!("{e}");
+        }
         FineGrainedAllocator { step }
     }
 

@@ -68,4 +68,4 @@ pub use policy::{BandwidthPolicy, PearlPolicy, PowerPolicy};
 pub use power_scaling::ReactiveThresholds;
 pub use reservation::reservation_packet_bits;
 pub use router::PearlRouter;
-pub use timeline::{ModeTransition, Timeline, TimelinePoint, TimelineState};
+pub use timeline::{ModeTransition, Timeline, TimelinePoint};

@@ -24,7 +24,7 @@ use crate::metrics::RunSummary;
 use crate::ml_scaling::{DegradationLadder, ScalingMode};
 use crate::policy::{BandwidthPolicy, PearlPolicy, PowerPolicy};
 use crate::router::{lane_index, PearlRouter, Transfer};
-use crate::timeline::{mean_wavelengths, ModeTransition, Timeline};
+use crate::timeline::ModeTransition;
 use pearl_ml::Dataset;
 use pearl_noc::{
     packet_checksum, CoreType, Cycle, NetworkStats, NodeId, Packet, PacketKind, SimRng,
@@ -33,8 +33,9 @@ use pearl_photonics::{
     FaultConfig, FaultModel, FaultStats, PowerModel, StateResidency, WavelengthState,
 };
 use pearl_telemetry::{
-    set_alloc_section, Phase, Probe, ProfileReport, Section, SelfProfiler, Span, SpanKind,
-    SubSection, TraceEvent, TransitionCause, WorkCounters,
+    set_alloc_section, Checkpoint, JsonValue, Phase, Probe, ProfileReport, Section, SelfProfiler,
+    Simulator, SnapshotError, Span, SpanKind, SubSection, TraceEvent, TransitionCause, Watchable,
+    WorkCounters,
 };
 use pearl_workloads::{BenchmarkPair, Destination, TrafficModel, TrafficSource};
 use std::collections::{HashMap, VecDeque};
@@ -201,6 +202,7 @@ impl NetworkBuilder {
     /// and policy problems as a typed [`ConfigError`] instead of a panic.
     pub fn try_build(self, pair: BenchmarkPair) -> Result<PearlNetwork, ConfigError> {
         self.config.check()?;
+        self.policy.bandwidth.check()?;
         self.policy.power.check()?;
         Ok(self.build(pair))
     }
@@ -281,7 +283,6 @@ pub struct PearlNetwork {
     /// previous window awaiting its label.
     collection: Option<Dataset>,
     pending_features: Vec<Option<FeatureVector>>,
-    timeline: Option<Timeline>,
     /// Graceful-degradation ladder (ML policies with fallback enabled).
     ladder: Option<DegradationLadder>,
     /// Per-router prediction of the window now ending, awaiting its
@@ -374,7 +375,6 @@ impl PearlNetwork {
             retransmit: vec![VecDeque::new(); endpoints],
             collection: None,
             pending_features: vec![None; endpoints],
-            timeline: None,
             ladder,
             pending_predictions: vec![None; endpoints],
             cycle_seconds,
@@ -520,17 +520,6 @@ impl PearlNetwork {
         self.now
     }
 
-    /// Enables per-window timeline sampling (throughput, mean powered
-    /// wavelengths, stalls) at the given cadence.
-    pub fn enable_timeline(&mut self, window: u64) {
-        self.timeline = Some(Timeline::new(window));
-    }
-
-    /// The recorded timeline, if enabled.
-    pub fn timeline(&self) -> Option<&Timeline> {
-        self.timeline.as_ref()
-    }
-
     fn fresh_id(&mut self) -> u64 {
         let id = self.next_packet_id;
         self.next_packet_id += 1;
@@ -573,7 +562,6 @@ impl PearlNetwork {
             net.timed(SubSection::PowerScale, |net| net.scale_power(now));
         });
         self.timed(Section::Accounting, |net| {
-            net.sample_timeline(now);
             net.now += 1;
             net.stats.tick();
         });
@@ -601,56 +589,10 @@ impl PearlNetwork {
         out
     }
 
-    fn sample_timeline(&mut self, now: Cycle) {
-        let Some(timeline) = self.timeline.as_mut() else { return };
-        if !timeline.due(now.as_u64()) {
-            return;
-        }
-        let mean_wl = mean_wavelengths(self.routers.iter().map(|r| r.laser.powered_state()));
-        timeline.record(
-            now.as_u64(),
-            self.stats.total_delivered_flits(),
-            self.stats.injection_stalls(),
-            mean_wl,
-            self.stats.retransmitted_packets(),
-            self.stats.corrupted_packets(),
-        );
-    }
-
     /// Runs `cycles` cycles and summarizes the run.
     pub fn run(&mut self, cycles: u64) -> RunSummary {
         for _ in 0..cycles {
             self.step();
-        }
-        self.summary()
-    }
-
-    /// Runs `cycles` cycles, pausing every `every` cycles to hand the
-    /// network to `hook` at a consistent cycle boundary — the periodic-
-    /// checkpoint seam for long supervised runs (`pearl-serve` snapshots
-    /// from the hook so a killed daemon resumes mid-run instead of from
-    /// cycle 0). The hook observes, never mutates, so the simulated
-    /// state stream is bit-identical to a plain [`PearlNetwork::run`]
-    /// of the same length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is zero.
-    pub fn run_hooked(
-        &mut self,
-        cycles: u64,
-        every: u64,
-        mut hook: impl FnMut(&PearlNetwork),
-    ) -> RunSummary {
-        assert!(every > 0, "hook interval must be non-zero");
-        let mut remaining = cycles;
-        while remaining > 0 {
-            let chunk = remaining.min(every);
-            for _ in 0..chunk {
-                self.step();
-            }
-            remaining -= chunk;
-            hook(self);
         }
         self.summary()
     }
@@ -1561,6 +1503,56 @@ impl PearlNetwork {
     }
 }
 
+impl Watchable for PearlNetwork {
+    fn advance(&mut self, cycles: u64) {
+        self.run(cycles);
+    }
+    fn delivered_packets(&self) -> u64 {
+        self.stats.total_delivered_packets()
+    }
+    fn cycle(&self) -> u64 {
+        self.stats.cycles()
+    }
+}
+
+impl Simulator for PearlNetwork {
+    fn attach_probe(&mut self, probe: Box<dyn Probe>) {
+        PearlNetwork::attach_probe(self, probe);
+    }
+    fn enable_profiling(&mut self) {
+        PearlNetwork::enable_profiling(self);
+    }
+    fn snapshot(&self) -> Checkpoint {
+        PearlNetwork::snapshot(self)
+    }
+    fn restore(&mut self, checkpoint: &Checkpoint) -> Result<(), SnapshotError> {
+        PearlNetwork::restore(self, checkpoint)
+    }
+    fn state_hash(&self) -> u64 {
+        PearlNetwork::state_hash(self)
+    }
+    fn config_fingerprint(&self) -> u64 {
+        PearlNetwork::config_fingerprint(self)
+    }
+    fn summary_json(&self) -> JsonValue {
+        let s = self.summary();
+        JsonValue::obj(vec![
+            ("cycles", JsonValue::u64(s.cycles)),
+            ("delivered_packets", JsonValue::u64(s.delivered_packets)),
+            ("delivered_flits", JsonValue::u64(s.delivered_flits)),
+            ("throughput_flits_per_cycle", JsonValue::Num(s.throughput_flits_per_cycle)),
+            ("avg_latency_cpu", JsonValue::Num(s.avg_latency_cpu)),
+            ("avg_latency_gpu", JsonValue::Num(s.avg_latency_gpu)),
+            ("latency_p99", JsonValue::Num(s.latency_p99)),
+            ("avg_laser_power_w", JsonValue::Num(s.avg_laser_power_w)),
+            ("avg_total_power_w", JsonValue::Num(s.avg_total_power_w)),
+            ("energy_per_bit_j", JsonValue::Num(s.energy_per_bit_j)),
+            ("injection_stalls", JsonValue::u64(s.injection_stalls)),
+            ("retransmitted_packets", JsonValue::u64(s.retransmitted_packets)),
+        ])
+    }
+}
+
 /// Salt decorrelating the policy RNG (random-walk states) from the
 /// workload seed so changing one does not perturb the other.
 const POLICY_SEED_SALT: u64 = 0x00D1_CE0F_5EED_5A17;
@@ -1755,6 +1747,13 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, ConfigError::TooFewClusters { clusters: 1 });
         assert!(NetworkBuilder::new().try_build(BenchmarkPair::test_pairs()[0]).is_ok());
+        // A fine-grained step the allocator would panic on is a typed error.
+        let err = NetworkBuilder::new()
+            .policy(PearlPolicy::dyn_fine(0.7))
+            .try_build(BenchmarkPair::test_pairs()[0])
+            .map(|_| "built an allocator with a 0.7 step")
+            .unwrap_err();
+        assert_eq!(err, ConfigError::InvalidFineStep { step: 0.7 });
     }
 
     #[test]

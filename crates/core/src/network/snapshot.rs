@@ -4,8 +4,8 @@
 //! stream positions, every buffer, backlog and receive reservation, the
 //! arbiter credits, laser FSMs, in-flight and retransmitting packets,
 //! outstanding-miss windows, MWSR tokens, pending ML features and
-//! predictions, the degradation ladder, timeline samples, stats and the
-//! fault model — such that
+//! predictions, the degradation ladder, stats and the fault model —
+//! such that
 //!
 //! ```text
 //! run(N); snapshot(); restore(); run(M)   ≡   run(N + M)
@@ -14,10 +14,12 @@
 //! bit-for-bit: identical stats, identical trace events, identical
 //! [`PearlNetwork::state_hash`].
 //!
-//! Two sections belong to observers: the timeline samples and the span
-//! tracker. A checkpoint carries them, so a traced resume stays
-//! byte-identical, but the state hash writes both as `null`, as a bare
-//! run does, so attaching observers never changes it.
+//! One section belongs to observers: the span tracker. A checkpoint
+//! carries it, so a traced resume stays byte-identical, but the state
+//! hash writes it as `null`, as a bare run does, so attaching observers
+//! never changes it. The `timeline` section is always `null`: a timeline
+//! samples the network from outside (`crate::timeline`), and the key
+//! stays so that checkpoint bytes and state hashes match a bare run's.
 //!
 //! The restore model is *rebuild-then-import*: the restoring network is
 //! constructed from the identical builder inputs (config, policy, power
@@ -38,7 +40,6 @@ use crate::dba::BandwidthAllocation;
 use crate::features::WindowCounters;
 use crate::ml_scaling::LadderState;
 use crate::router::responses_in_release_order;
-use crate::timeline::{TimelinePoint, TimelineState};
 use pearl_noc::{BufferState, StatsState};
 use pearl_photonics::{FaultModelState, LaserState};
 use pearl_telemetry::snapshot::{field, get, items};
@@ -84,18 +85,17 @@ impl PearlNetwork {
 
     /// FNV-1a hash of the simulated state — the cheap whole-network
     /// divergence detector of the golden ladder, chaos and `pearl-serve`.
-    /// It hashes the state [`Self::snapshot`] writes with the observer
-    /// sections (`timeline`, `spans`) written as `null`, so an observed
-    /// run hashes like a bare one.
+    /// It hashes the state [`Self::snapshot`] writes with the span
+    /// tracker written as `null`, so an observed run hashes like a bare
+    /// one.
     pub fn state_hash(&self) -> u64 {
         fingerprint(&self.state(false).to_string())
     }
 
-    /// The checkpoint state; without `observers`, the timeline and span
-    /// sections are `null`, as a bare run writes them.
+    /// The checkpoint state; without `observers`, the span section is
+    /// `null`, as a bare run writes it.
     fn state(&self, observers: bool) -> JsonValue {
         let routers: Vec<_> = self.routers.iter().map(RouterState::export).collect();
-        let timeline = self.timeline.as_ref().filter(|_| observers).map(Timeline::export_state);
         let spans = self.span_tracker.as_ref().filter(|_| observers);
         JsonValue::obj(vec![
             ("rng", self.rng.encode()),
@@ -111,7 +111,7 @@ impl PearlNetwork {
             ("tokens", self.tokens.encode()),
             ("collection", self.collection.as_ref().map_or(JsonValue::Null, encode_dataset)),
             ("pending_features", self.pending_features.encode()),
-            ("timeline", timeline.encode()),
+            ("timeline", JsonValue::Null),
             ("ladder", self.ladder.as_ref().map(DegradationLadder::export_state).encode()),
             ("pending_predictions", self.pending_predictions.encode()),
             ("spans", spans.map_or(JsonValue::Null, SpanTracker::encode)),
@@ -127,16 +127,16 @@ impl PearlNetwork {
     ///
     /// Observers are attached before a restore, as every harness does:
     /// the checkpoint's span tracker is kept, or a fresh one made, only
-    /// while the attached probe wants spans, and dropped otherwise. The
-    /// timeline comes back whenever the checkpoint carries one.
+    /// while the attached probe wants spans, and dropped otherwise.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::KindMismatch`] /
     /// [`SnapshotError::FingerprintMismatch`] when the checkpoint was
     /// taken by a different simulator or configuration, and
-    /// [`SnapshotError::BadShape`] on any structural decode mismatch or
-    /// router index out of range.
+    /// [`SnapshotError::BadShape`] on any structural decode mismatch,
+    /// router index out of range or a `timeline` section that is not
+    /// `null`.
     pub fn restore(&mut self, checkpoint: &Checkpoint) -> Result<(), SnapshotError> {
         checkpoint.validate(PEARL_SNAPSHOT_KIND, self.config_fingerprint())?;
         let v = &checkpoint.state;
@@ -159,7 +159,11 @@ impl PearlNetwork {
             other => Some(decode_dataset(other)?),
         };
         let pending_features: Vec<Option<FeatureVector>> = get(v, "pending_features")?;
-        let timeline: Option<TimelineState> = get(v, "timeline")?;
+        // Timelines sample the network from outside; a checkpoint that
+        // carries one was not written by this network.
+        if !matches!(field(v, "timeline")?, JsonValue::Null) {
+            return Err(SnapshotError::BadShape { context: "timeline" });
+        }
         let ladder: Option<LadderState> = get(v, "ladder")?;
         let pending_predictions: Vec<Option<f64>> = get(v, "pending_predictions")?;
         // Span-tracker state is optional (absent in pre-span checkpoints).
@@ -191,9 +195,6 @@ impl PearlNetwork {
         if tokens.iter().any(|&holder| holder >= endpoints) {
             return Err(SnapshotError::BadShape { context: "tokens" });
         }
-        if timeline.as_ref().is_some_and(|t| t.window == 0) {
-            return Err(SnapshotError::BadShape { context: "timeline.window" });
-        }
         // Ladder presence is derived from the policy, which the
         // fingerprint pins — a disagreement here means a malformed
         // payload, not a config mismatch.
@@ -223,7 +224,6 @@ impl PearlNetwork {
         self.tokens = tokens;
         self.collection = collection;
         self.pending_features = pending_features;
-        self.timeline = timeline.map(Timeline::from_state);
         if let (Some(live), Some(state)) = (self.ladder.as_mut(), ladder.as_ref()) {
             live.import_state(state);
         }
@@ -317,7 +317,6 @@ codec_array! {
     Transfer [packet_id, busy_until];
     RetryEntry [ready, attempts, packet];
     HeadWait [packet, reservation, arbitration];
-    TimelinePoint [at, flits, mean_wavelengths, stalls, retransmissions, corruptions];
     ModeTransition [at, from, to];
 }
 codec_object! {
@@ -356,7 +355,6 @@ codec_object! {
         responses_received: "resp_recv",
         class_movements: "class",
     };
-    TimelineState { window, points, last_flits, last_stalls, last_retransmissions, last_corruptions };
     LadderState { mode, window, healthy_streak, last_score, transitions };
 }
 
@@ -643,42 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn resume_preserves_timeline_samples() {
-        let make = || {
-            let mut net = build(PearlPolicy::reactive(500), FaultConfig::off(), false, 43);
-            net.enable_timeline(1_000);
-            net
-        };
-        let mut golden = make();
-        golden.run(9_000);
-        let mut first = make();
-        first.run(4_500);
-        let cp = first.snapshot();
-        let mut resumed = make();
-        resumed.restore(&cp).unwrap();
-        resumed.run(4_500);
-        assert_eq!(
-            resumed.timeline().unwrap().export_state(),
-            golden.timeline().unwrap().export_state()
-        );
-        // The state hash leaves the timeline out; the state text has it.
-        assert_eq!(resumed.snapshot().state.to_string(), golden.snapshot().state.to_string());
-    }
-
-    #[test]
-    fn resume_restores_timeline_enablement_from_snapshot() {
-        // Timeline enablement is runtime state, not config: restoring a
-        // timeline-bearing checkpoint onto a plain twin turns it on.
-        let mut first = build(PearlPolicy::dyn_64wl(), FaultConfig::off(), false, 47);
-        first.enable_timeline(500);
-        first.run(2_000);
-        let cp = first.snapshot();
-        let mut resumed = build(PearlPolicy::dyn_64wl(), FaultConfig::off(), false, 47);
-        resumed.restore(&cp).unwrap();
-        assert_eq!(resumed.timeline().unwrap().points().len(), 4);
-    }
-
-    #[test]
     fn trace_jsonl_is_bit_identical_across_resume() {
         // The interrupted run's trace (pre-kill ++ post-resume) must be
         // byte-identical JSONL to the golden run's trace.
@@ -816,7 +778,8 @@ mod tests {
     }
 
     /// Restoring used to accept router indices past the router count;
-    /// the next cycle then indexed out of bounds and panicked.
+    /// the next cycle then indexed out of bounds and panicked. A
+    /// `timeline` section that is not `null` is refused the same way.
     #[test]
     fn stray_router_indices_are_rejected_before_any_mutation() {
         let reject = |mwsr: bool, corrupt: &dyn Fn(&mut JsonValue), expected: &str| {
@@ -854,6 +817,14 @@ mod tests {
             tokens[0] = 99usize.encode();
         };
         reject(true, &corrupt, "tokens");
+        // Timelines sample the network from outside; no network writes one.
+        let corrupt = |state: &mut JsonValue| {
+            *field_mut(state, "timeline") = JsonValue::obj(vec![
+                ("window", 1_000u64.encode()),
+                ("points", JsonValue::Arr(Vec::new())),
+            ]);
+        };
+        reject(false, &corrupt, "timeline");
     }
 
     /// Restore rejects a response queue that breaks the order the
@@ -1013,11 +984,7 @@ mod tests {
                     PearlPolicy::ml_with_fallback(500, constant_scaler(1e6), true, fallback);
                 (build(policy, FaultConfig::off(), false, 41), 1_200)
             }
-            "timeline" => {
-                let mut net = build(PearlPolicy::reactive(500), FaultConfig::off(), false, 43);
-                net.enable_timeline(1_000);
-                (net, 4_500)
-            }
+            "timeline" => (build(PearlPolicy::reactive(500), FaultConfig::off(), false, 43), 4_500),
             "mwsr" => (build(PearlPolicy::dyn_64wl(), FaultConfig::off(), true, 31), 6_000),
             "spans" => {
                 // At this cycle a retry waits out its backoff and a landed
@@ -1036,9 +1003,7 @@ mod tests {
                 let builder = NetworkBuilder::new()
                     .policy(policy)
                     .fault_config(FaultConfig::uniform(0.02, 7));
-                let mut net = at_pair(builder, 7);
-                net.enable_timeline(500);
-                (net, 3_000)
+                (at_pair(builder, 7), 3_000)
             }
             "dyn_64wl" => {
                 (at_pair(NetworkBuilder::new().policy(PearlPolicy::dyn_64wl()), 1), 3_000)
@@ -1057,19 +1022,22 @@ mod tests {
 
     /// Byte length and FNV-1a of `snapshot().to_json().to_string()` for
     /// each pinned checkpoint, generated before the codec was rewritten.
-    /// The golden ladder hashes no timeline, span or collection section;
-    /// these pins cover them. `faults_traced` is taken with a probe
-    /// attached, and equals the bare checkpoint of its network.
+    /// The golden ladder hashes no span or collection section; these pins
+    /// cover them. `faults_traced` is taken with a probe attached, and
+    /// equals the bare checkpoint of its network. `timeline` and
+    /// `ladder_faults_spans` once carried a timeline; their `timeline`
+    /// section is now `null`, and their bytes are those of the same
+    /// networks run without one before timelines left the network.
     #[rustfmt::skip]
     const PINS: [(&str, usize, u64); 9] = [
         ("faults", 56_355, 0xca5e2434d88db121),
         ("faults_traced", 46_401, 0xb3d8f51d155acdfa),
         ("collecting", 105_751, 0xbbec6f21ee255923),
         ("ml_fallback", 26_070, 0x5fa67ca5935413b0),
-        ("timeline", 26_920, 0x1dfea6a7e8f6e350),
+        ("timeline", 26_619, 0x39968e3bcf75da65),
         ("mwsr", 66_896, 0xaa86c283713fedeb),
         ("spans", 50_680, 0x60887945295c2932),
-        ("ladder_faults_spans", 46_362, 0x01d8ea7bba522a55),
+        ("ladder_faults_spans", 45_965, 0x79c5d323d53239a9),
         ("dyn_64wl", 23_448, 0x48fdac5238ae109a),
     ];
 
@@ -1085,11 +1053,10 @@ mod tests {
 
     #[test]
     fn pinned_checkpoints_keep_their_bytes_and_restore_to_the_same_text() {
-        const SECTIONS: [(&str, &[&str]); 10] = [
+        const SECTIONS: [(&str, &[&str]); 9] = [
             ("spans", &["spans"]),
             ("spans.landed", &["spans", "landed"]),
             ("spans.parent", &["spans", "parent"]),
-            ("timeline", &["timeline", "points"]),
             ("ladder", &["ladder", "transitions"]),
             ("collection", &["collection", "labels"]),
             ("pending_features", &["pending_features"]),

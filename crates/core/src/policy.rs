@@ -11,6 +11,7 @@
 //! | ML RW500 / RW2000     | Dynamic   | [`PowerPolicy::Ml`] |
 //! | (training collection) | Dynamic   | [`PowerPolicy::RandomWalk`] |
 
+use crate::config::ConfigError;
 use crate::dba::OccupancyBounds;
 use crate::ml_scaling::{FallbackConfig, MlPowerScaler};
 use crate::power_scaling::ReactiveThresholds;
@@ -32,6 +33,21 @@ pub enum BandwidthPolicy {
         /// Share quantization step (0.0625 or 0.125 in the paper).
         step: f64,
     },
+}
+
+impl BandwidthPolicy {
+    /// Checks the fine-grained share step, returning
+    /// [`ConfigError::InvalidFineStep`] unless it lies in (0, 0.5] and
+    /// divides 1 evenly.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        let BandwidthPolicy::DynamicFine { step } = *self else { return Ok(()) };
+        let slots = 1.0 / step;
+        if step > 0.0 && step <= 0.5 && (slots - slots.round()).abs() < 1e-9 {
+            Ok(())
+        } else {
+            Err(ConfigError::InvalidFineStep { step })
+        }
+    }
 }
 
 /// How each router's laser power state evolves.
@@ -84,9 +100,8 @@ pub enum PowerPolicy {
 
 impl PowerPolicy {
     /// Checks policy invariants, returning the first violation as a
-    /// typed [`crate::config::ConfigError`].
-    pub fn check(&self) -> Result<(), crate::config::ConfigError> {
-        use crate::config::ConfigError;
+    /// typed [`ConfigError`].
+    pub fn check(&self) -> Result<(), ConfigError> {
         if self.window() == Some(0) {
             return Err(ConfigError::ZeroWindow);
         }
@@ -252,6 +267,15 @@ mod tests {
             PearlPolicy::naive_power(500, f64::NAN, true).power.check(),
             Err(ConfigError::NonPositiveGuard { .. })
         ));
+        assert_eq!(PearlPolicy::dyn_fine(0.0625).bandwidth.check(), Ok(()));
+        assert_eq!(PearlPolicy::dyn_fine(0.5).bandwidth.check(), Ok(()));
+        for step in [0.0, -0.25, 0.7, 0.3, f64::INFINITY] {
+            assert_eq!(
+                PearlPolicy::dyn_fine(step).bandwidth.check(),
+                Err(ConfigError::InvalidFineStep { step })
+            );
+        }
+        assert!(PearlPolicy::dyn_fine(f64::NAN).bandwidth.check().is_err());
     }
 
     #[test]

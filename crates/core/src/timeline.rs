@@ -3,9 +3,12 @@
 //! The paper's figures report run-level aggregates; watching the same
 //! quantities *over time* shows the reconfiguration machinery at work —
 //! bandwidth splits tracking GPU bursts, wavelength states tracking
-//! phases. [`Timeline`] samples both at a fixed cadence.
+//! phases. [`Timeline`] samples both at a fixed cadence, from outside
+//! the network: it steps a [`PearlNetwork`] and reads it after every
+//! cycle that closes a window, so the network carries no timeline state.
 
 use crate::ml_scaling::ScalingMode;
+use crate::network::PearlNetwork;
 use pearl_photonics::WavelengthState;
 
 /// One degradation-ladder mode change (see
@@ -38,23 +41,6 @@ pub struct TimelinePoint {
     pub retransmissions: u64,
     /// Packets that arrived corrupted (CRC mismatch) during the window.
     pub corruptions: u64,
-}
-
-/// Complete dynamic state of a [`Timeline`], for checkpointing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimelineState {
-    /// Sampling cadence in cycles.
-    pub window: u64,
-    /// Samples recorded so far.
-    pub points: Vec<TimelinePoint>,
-    /// Cumulative flit count at the last sample.
-    pub last_flits: u64,
-    /// Cumulative stall count at the last sample.
-    pub last_stalls: u64,
-    /// Cumulative retransmission count at the last sample.
-    pub last_retransmissions: u64,
-    /// Cumulative corruption count at the last sample.
-    pub last_corruptions: u64,
 }
 
 /// A fixed-cadence recorder of [`TimelinePoint`]s.
@@ -98,15 +84,40 @@ impl Timeline {
         &self.points
     }
 
-    /// True when `now` (0-based, end of cycle) closes a window.
-    pub(crate) fn due(&self, now: u64) -> bool {
-        (now + 1).is_multiple_of(self.window)
+    /// Steps `net` for `cycles` cycles, sampling it after every cycle
+    /// that closes a window (counted from cycle 0). A trailing partial
+    /// window is run but not sampled.
+    pub fn run(&mut self, net: &mut PearlNetwork, cycles: u64) {
+        for _ in 0..cycles {
+            net.step();
+            if self.due(net.now().as_u64()) {
+                self.sample(net);
+            }
+        }
     }
 
-    /// Records a sample from cumulative counters.
-    pub(crate) fn record(
+    /// Records the window that `net` has just closed.
+    fn sample(&mut self, net: &PearlNetwork) {
+        let stats = net.stats();
+        self.record(
+            net.now().as_u64(),
+            stats.total_delivered_flits(),
+            stats.injection_stalls(),
+            mean_wavelengths(net.routers().iter().map(|r| r.laser().powered_state())),
+            stats.retransmitted_packets(),
+            stats.corrupted_packets(),
+        );
+    }
+
+    /// True when the network's cycle count `at` ends a window.
+    fn due(&self, at: u64) -> bool {
+        at.is_multiple_of(self.window)
+    }
+
+    /// Records a sample taken at cycle `at` from cumulative counters.
+    fn record(
         &mut self,
-        now: u64,
+        at: u64,
         total_flits: u64,
         total_stalls: u64,
         mean_wavelengths: f64,
@@ -114,7 +125,7 @@ impl Timeline {
         total_corruptions: u64,
     ) {
         self.points.push(TimelinePoint {
-            at: now + 1,
+            at,
             flits: total_flits - self.last_flits,
             mean_wavelengths,
             stalls: total_stalls - self.last_stalls,
@@ -125,35 +136,6 @@ impl Timeline {
         self.last_stalls = total_stalls;
         self.last_retransmissions = total_retransmissions;
         self.last_corruptions = total_corruptions;
-    }
-
-    /// Captures the complete state for a checkpoint.
-    pub fn export_state(&self) -> TimelineState {
-        TimelineState {
-            window: self.window,
-            points: self.points.clone(),
-            last_flits: self.last_flits,
-            last_stalls: self.last_stalls,
-            last_retransmissions: self.last_retransmissions,
-            last_corruptions: self.last_corruptions,
-        }
-    }
-
-    /// Rebuilds a timeline from state captured by [`Self::export_state`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the captured window is zero.
-    pub fn from_state(state: TimelineState) -> Timeline {
-        assert!(state.window > 0, "timeline window must be non-zero");
-        Timeline {
-            window: state.window,
-            points: state.points,
-            last_flits: state.last_flits,
-            last_stalls: state.last_stalls,
-            last_retransmissions: state.last_retransmissions,
-            last_corruptions: state.last_corruptions,
-        }
     }
 
     /// Mean per-window throughput in flits/cycle across all samples.
@@ -173,7 +155,7 @@ impl Timeline {
 }
 
 /// Mean powered wavelength count across a set of laser states.
-pub(crate) fn mean_wavelengths(states: impl Iterator<Item = WavelengthState>) -> f64 {
+fn mean_wavelengths(states: impl Iterator<Item = WavelengthState>) -> f64 {
     let mut total = 0u64;
     let mut n = 0u64;
     for s in states {
@@ -194,8 +176,8 @@ mod tests {
     #[test]
     fn records_deltas_not_totals() {
         let mut t = Timeline::new(100);
-        t.record(99, 500, 2, 64.0, 3, 4);
-        t.record(199, 800, 2, 32.0, 3, 9);
+        t.record(100, 500, 2, 64.0, 3, 4);
+        t.record(200, 800, 2, 32.0, 3, 9);
         assert_eq!(t.points()[0].flits, 500);
         assert_eq!(t.points()[1].flits, 300);
         assert_eq!(t.points()[1].stalls, 0);
@@ -212,17 +194,18 @@ mod tests {
     #[test]
     fn due_fires_on_window_boundaries() {
         let t = Timeline::new(500);
-        assert!(t.due(499));
-        assert!(!t.due(500));
-        assert!(t.due(999));
+        assert!(t.due(500));
+        assert!(!t.due(499));
+        assert!(!t.due(501));
+        assert!(t.due(1_000));
     }
 
     #[test]
     fn deepest_scaling_finds_the_minimum() {
         let mut t = Timeline::new(10);
-        t.record(9, 10, 0, 64.0, 0, 0);
-        t.record(19, 20, 0, 12.5, 0, 0);
-        t.record(29, 30, 0, 40.0, 0, 0);
+        t.record(10, 10, 0, 64.0, 0, 0);
+        t.record(20, 20, 0, 12.5, 0, 0);
+        t.record(30, 30, 0, 40.0, 0, 0);
         assert_eq!(t.deepest_scaling().unwrap().at, 20);
     }
 

@@ -2,7 +2,10 @@
 //! feature collection, timelines, stabilization modes and the MWSR
 //! ablation fabric.
 
-use pearl_core::{Fabric, NetworkBuilder, PearlConfig, PearlPolicy, FEATURE_COUNT};
+use pearl_core::{
+    Fabric, FaultConfig, NetworkBuilder, PearlConfig, PearlPolicy, Timeline, TimelinePoint,
+    FEATURE_COUNT,
+};
 use pearl_workloads::BenchmarkPair;
 
 fn pair() -> BenchmarkPair {
@@ -11,34 +14,36 @@ fn pair() -> BenchmarkPair {
 
 #[test]
 fn hooked_run_is_bit_identical_to_plain_run() {
-    // The periodic-checkpoint seam must be an observer: chunking a run
-    // into hook intervals cannot perturb the simulated state stream.
+    // Checkpointing between chunks (what pearl-serve does at each
+    // watchdog boundary) must be an observer: chunking a run and
+    // snapshotting at every boundary cannot perturb the state stream.
     let build = || NetworkBuilder::new().policy(PearlPolicy::reactive(500)).seed(9).build(pair());
     let mut plain = build();
     let plain_summary = plain.run(6_000);
 
-    let mut hooked = build();
-    let mut hook_cycles = Vec::new();
-    let hooked_summary = hooked.run_hooked(6_000, 1_000, |net| {
-        hook_cycles.push(net.stats().cycles());
-        // Snapshotting from the hook (what pearl-serve does) must not
-        // disturb the run either.
-        let _ = net.snapshot();
-    });
-    assert_eq!(hook_cycles, vec![1_000, 2_000, 3_000, 4_000, 5_000, 6_000]);
-    assert_eq!(plain.state_hash(), hooked.state_hash());
-    assert_eq!(plain_summary.delivered_flits, hooked_summary.delivered_flits);
-    assert_eq!(
-        plain_summary.avg_laser_power_w.to_bits(),
-        hooked_summary.avg_laser_power_w.to_bits()
-    );
-
-    // A non-divisor interval covers the tail with a short chunk.
-    let mut ragged = build();
-    let mut last = 0;
-    ragged.run_hooked(6_000, 2_500, |net| last = net.stats().cycles());
-    assert_eq!(last, 6_000);
-    assert_eq!(ragged.state_hash(), plain.state_hash());
+    for (every, boundaries) in
+        [(1_000, &[1_000, 2_000, 3_000, 4_000, 5_000, 6_000][..]), (2_500, &[2_500, 5_000, 6_000])]
+    {
+        let mut hooked = build();
+        let mut hook_cycles = Vec::new();
+        let mut remaining = 6_000u64;
+        let mut hooked_summary = None;
+        while remaining > 0 {
+            let chunk = remaining.min(every);
+            hooked_summary = Some(hooked.run(chunk));
+            remaining -= chunk;
+            hook_cycles.push(hooked.stats().cycles());
+            let _ = hooked.snapshot();
+        }
+        let hooked_summary = hooked_summary.expect("at least one chunk ran");
+        assert_eq!(hook_cycles, boundaries);
+        assert_eq!(plain.state_hash(), hooked.state_hash());
+        assert_eq!(plain_summary.delivered_flits, hooked_summary.delivered_flits);
+        assert_eq!(
+            plain_summary.avg_laser_power_w.to_bits(),
+            hooked_summary.avg_laser_power_w.to_bits()
+        );
+    }
 }
 
 #[test]
@@ -68,20 +73,59 @@ fn collected_features_are_well_formed() {
     assert!((fraction - 1.0 / 17.0).abs() < 0.02, "L3 rows fraction {fraction}");
 }
 
+/// `(at, flits, mean_wavelengths bits, stalls, retransmissions,
+/// corruptions)` of each point.
+type PointPin = (u64, u64, u64, u64, u64, u64);
+
+fn pin(p: &TimelinePoint) -> PointPin {
+    (p.at, p.flits, p.mean_wavelengths.to_bits(), p.stalls, p.retransmissions, p.corruptions)
+}
+
+/// Reactive RW500 at seed 5 sampled every 2,000 cycles for 20,000.
+#[rustfmt::skip]
+const REACTIVE_POINTS: [PointPin; 10] = [
+    (2_000, 8_384, 0x4033c3c3c3c3c3c4, 0, 0, 0),
+    (4_000, 6_299, 0x4033c3c3c3c3c3c4, 0, 0, 0),
+    (6_000, 7_058, 0x4035a5a5a5a5a5a6, 0, 0, 0),
+    (8_000, 9_258, 0x403e1e1e1e1e1e1e, 0, 0, 0),
+    (10_000, 7_131, 0x4029696969696969, 0, 0, 0),
+    (12_000, 10_439, 0x40343c3c3c3c3c3c, 0, 0, 0),
+    (14_000, 8_981, 0x403a5a5a5a5a5a5a, 0, 0, 0),
+    (16_000, 7_353, 0x403c3c3c3c3c3c3c, 0, 0, 0),
+    (18_000, 9_786, 0x40334b4b4b4b4b4b, 0, 0, 0),
+    (20_000, 9_714, 0x40334b4b4b4b4b4b, 0, 0, 0),
+];
+
+/// The same run with faults and corruption, 9,000 cycles long: four
+/// full windows and a trailing partial one that is never sampled.
+#[rustfmt::skip]
+const FAULTED_POINTS: [PointPin; 4] = [
+    (2_000, 5_923, 0x40361e1e1e1e1e1e, 0, 109, 109),
+    (4_000, 2_005, 0x4020000000000000, 0, 35, 35),
+    (6_000, 1_807, 0x4020000000000000, 0, 33, 33),
+    (8_000, 1_904, 0x4020000000000000, 0, 38, 38),
+];
+
 #[test]
 fn timeline_samples_cover_the_run() {
-    let mut net = NetworkBuilder::new().policy(PearlPolicy::reactive(500)).seed(5).build(pair());
-    net.enable_timeline(2_000);
-    net.run(20_000);
-    let timeline = net.timeline().expect("enabled");
-    assert_eq!(timeline.points().len(), 10);
-    assert_eq!(timeline.points().last().unwrap().at, 20_000);
+    let builder = || NetworkBuilder::new().policy(PearlPolicy::reactive(500)).seed(5);
+    let mut net = builder().build(pair());
+    let mut timeline = Timeline::new(2_000);
+    timeline.run(&mut net, 20_000);
+    assert_eq!(timeline.points().iter().map(pin).collect::<Vec<_>>(), REACTIVE_POINTS);
     // Sum of window flits equals total delivered flits.
     let sum: u64 = timeline.points().iter().map(|p| p.flits).sum();
     assert_eq!(sum, net.stats().total_delivered_flits());
     // Scaling actually happened somewhere.
     let deepest = timeline.deepest_scaling().unwrap();
     assert!(deepest.mean_wavelengths < 64.0);
+
+    let fault = FaultConfig { corruption_per_packet: 0.04, ..FaultConfig::uniform(0.02, 5) };
+    let mut net = builder().fault_config(fault).build(pair());
+    let mut timeline = Timeline::new(2_000);
+    timeline.run(&mut net, 9_000);
+    assert_eq!(timeline.points().iter().map(pin).collect::<Vec<_>>(), FAULTED_POINTS);
+    assert_eq!(net.now().as_u64(), 9_000);
 }
 
 #[test]

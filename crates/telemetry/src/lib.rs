@@ -31,6 +31,9 @@
 //! - [`Checkpoint`] / [`Codec`]: sealed, versioned simulation
 //!   checkpoints, and the one codec every piece of checkpointed state
 //!   encodes through ([`snapshot`], DESIGN §4b).
+//! - [`Simulator`] / [`Watchable`]: the one interface both networks
+//!   implement, through which every harness builds, observes, advances
+//!   under the watchdog, checkpoints and hashes a run.
 //! - [`alloc`]: with `--features alloc-count`, a counting global
 //!   allocator attributing allocation count/bytes to the active
 //!   profiler section (no-op stubs, and no unsafe code, otherwise).
@@ -76,6 +79,7 @@ pub mod manifest;
 pub mod profiler;
 pub mod prometheus;
 pub mod registry;
+pub mod simulator;
 pub mod snapshot;
 pub mod span;
 pub mod storage;
@@ -108,6 +112,7 @@ pub use prometheus::{
     escape_label_value, prometheus_exposition, sanitize_metric_name, validate_exposition,
 };
 pub use registry::{HistogramSummary, MetricsRegistry, MetricsSnapshot};
+pub use simulator::{Simulator, Watchable};
 pub use snapshot::{
     atomic_write_file, atomic_write_file_with, Checkpoint, Codec, SnapshotError, SNAPSHOT_VERSION,
 };

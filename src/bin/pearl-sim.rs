@@ -13,6 +13,7 @@
 //! (ML policies need a trained model; use the `pearl-bench` binaries or
 //! the `ml_power_scaling` example for those.)
 
+use pearl::core::Timeline;
 use pearl::prelude::*;
 use std::process::ExitCode;
 
@@ -75,8 +76,12 @@ fn parse_args() -> Result<Args, String> {
                     Some(value("--turn-on")?.parse().map_err(|e| format!("--turn-on: {e}"))?)
             }
             "--timeline" => {
-                args.timeline =
-                    Some(value("--timeline")?.parse().map_err(|e| format!("--timeline: {e}"))?)
+                let window: u64 =
+                    value("--timeline")?.parse().map_err(|e| format!("--timeline: {e}"))?;
+                if window == 0 {
+                    return Err("--timeline: the window must be at least one cycle".into());
+                }
+                args.timeline = Some(window);
             }
             "--help" | "-h" => {
                 println!("{}", usage());
@@ -128,40 +133,29 @@ fn parse_policy(spec: &str) -> Result<PearlPolicy, String> {
     }
 }
 
+/// Every rejected input ends here: its message on stderr, exit 1.
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let pair = match find_pair(&args.pair) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    match args.arch.as_str() {
-        "cmesh" => run_cmesh(pair, &args),
-        "pearl" | "mwsr" => run_pearl(pair, &args),
-        other => {
-            eprintln!("unknown arch {other:?} (pearl|cmesh|mwsr)");
             ExitCode::FAILURE
         }
     }
 }
 
-fn run_pearl(pair: BenchmarkPair, args: &Args) -> ExitCode {
-    let policy = match parse_policy(&args.policy) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn run() -> Result<(), String> {
+    let args = parse_args()?;
+    let pair = find_pair(&args.pair)?;
+    match args.arch.as_str() {
+        "cmesh" => run_cmesh(pair, &args),
+        "pearl" | "mwsr" => run_pearl(pair, &args),
+        other => Err(format!("unknown arch {other:?} (pearl|cmesh|mwsr)")),
+    }
+}
+
+fn run_pearl(pair: BenchmarkPair, args: &Args) -> Result<(), String> {
+    let policy = parse_policy(&args.policy)?;
     let mut config = if args.arch == "mwsr" {
         pearl::core::PearlConfig::pearl_mwsr()
     } else {
@@ -170,11 +164,20 @@ fn run_pearl(pair: BenchmarkPair, args: &Args) -> ExitCode {
     if let Some(ns) = args.turn_on_ns {
         config.laser_turn_on_ns = ns;
     }
-    let mut net = NetworkBuilder::new().config(config).policy(policy).seed(args.seed).build(pair);
-    if let Some(window) = args.timeline {
-        net.enable_timeline(window);
+    let mut net = NetworkBuilder::new()
+        .config(config)
+        .policy(policy)
+        .seed(args.seed)
+        .try_build(pair)
+        .map_err(|e| format!("invalid configuration: {e}"))?;
+    let mut timeline = args.timeline.map(Timeline::new);
+    match timeline.as_mut() {
+        Some(timeline) => timeline.run(&mut net, args.cycles),
+        None => {
+            net.run(args.cycles);
+        }
     }
-    let s = net.run(args.cycles);
+    let s = net.summary();
 
     println!("arch            {} ({})", args.arch, args.policy);
     println!("pair            {pair}");
@@ -202,7 +205,7 @@ fn run_pearl(pair: BenchmarkPair, args: &Args) -> ExitCode {
         print!("{}:{:.0}% ", state.wavelengths(), s.residency.fraction(state) * 100.0);
     }
     println!();
-    if let Some(timeline) = net.timeline() {
+    if let Some(timeline) = timeline {
         println!("\ntimeline (window {} cycles):", timeline.window());
         println!("{:>10} {:>12} {:>10} {:>8}", "cycle", "flits/cyc", "mean λ", "stalls");
         for p in timeline.points() {
@@ -215,10 +218,10 @@ fn run_pearl(pair: BenchmarkPair, args: &Args) -> ExitCode {
             );
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn run_cmesh(pair: BenchmarkPair, args: &Args) -> ExitCode {
+fn run_cmesh(pair: BenchmarkPair, args: &Args) -> Result<(), String> {
     let mut net = CmeshBuilder::new().seed(args.seed).build(pair);
     let s = net.run(args.cycles);
     println!("arch            cmesh");
@@ -229,5 +232,5 @@ fn run_cmesh(pair: BenchmarkPair, args: &Args) -> ExitCode {
     println!("power           {:.2} W", s.avg_power_w);
     println!("energy/bit      {:.1} pJ", s.energy_per_bit_j * 1e12);
     println!("stalls          {}", s.injection_stalls);
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -1,6 +1,6 @@
 //! Cross-crate integration tests: the full PEARL stack against the full
-//! CMESH stack on identical workloads, plus the complete ML training
-//! pipeline at reduced scale.
+//! CMESH stack on identical workloads, the complete ML training
+//! pipeline at reduced scale, and the `pearl-sim` front end.
 
 use pearl::prelude::*;
 
@@ -131,4 +131,27 @@ fn residency_accounts_every_router_cycle() {
     let s = run_pearl(PearlPolicy::reactive(2000), pair, 6);
     // 17 routers × CYCLES cycles of laser residency.
     assert_eq!(s.residency.total_cycles(), 17 * CYCLES);
+}
+
+#[test]
+fn pearl_sim_rejects_bad_input_with_a_message() {
+    let cases: [&[&str]; 7] = [
+        &["--timeline", "0"],
+        &["--turn-on", "-5"],
+        &["--turn-on", "nan"],
+        &["--policy", "fine:0"],
+        &["--policy", "fine:0.7"],
+        &["--policy", "reactive:0"],
+        &["--policy", "naive:0"],
+    ];
+    for args in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_pearl-sim"))
+            .args(args)
+            .args(["--cycles", "100"])
+            .output()
+            .expect("pearl-sim starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.trim().is_empty() && !stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }

@@ -9,20 +9,20 @@
 //! run and the first rung that diverged. Two more passes must reproduce
 //! every hash, because observers observe and never steer: one with the
 //! self-profiler (and its work counters) on, and one with every
-//! observer at once — the profiler, a fanout probe of an event
+//! observer at once — the profiler and a fanout probe of an event
 //! recorder, a span recorder (which switches span tracking on) and a
-//! flight recorder, and on PEARL runs a 500-cycle timeline. The state
-//! hash leaves the timeline and span sections out, so the observed pass
-//! hashes what a bare run hashes.
+//! flight recorder. The state hash leaves the span section out, so the
+//! observed pass hashes what a bare run hashes. Every run is built and
+//! driven through the one `Simulator` interface both networks implement.
 //!
 //! After an intentional behaviour change, replace `GOLDEN` with the
 //! table the failing test prints and say why in the commit.
 
-use pearl::cmesh::{CmeshBuilder, CmeshConfig, CmeshNetwork};
+use pearl::cmesh::{CmeshBuilder, CmeshConfig};
 use pearl::core::{FallbackConfig, FaultConfig, MlPowerScaler, FEATURE_COUNT};
 use pearl::ml::select_lambda;
 use pearl::prelude::*;
-use pearl::telemetry::{FanoutProbe, SharedFlightRecorder, SharedSpanRecorder};
+use pearl::telemetry::{FanoutProbe, SharedFlightRecorder, SharedSpanRecorder, Simulator};
 
 /// Cycles between two recorded hashes.
 const RUNG_CYCLES: u64 = 1_000;
@@ -33,9 +33,6 @@ const RUNGS: usize = 5;
 /// Workload seed of every run.
 const SEED: u64 = 7;
 
-/// Timeline cadence of the observed pass, in cycles.
-const TIMELINE_WINDOW: u64 = 500;
-
 /// What a ladder pass attaches before the first rung.
 #[derive(Debug, Clone, Copy)]
 enum Pass {
@@ -44,58 +41,18 @@ enum Pass {
     Observed,
 }
 
-/// Either simulator, stepped and hashed the same way.
-enum Net {
-    Pearl(Box<PearlNetwork>),
-    Cmesh(Box<CmeshNetwork>),
-}
-
-impl Net {
-    fn enable_profiling(&mut self) {
-        match self {
-            Net::Pearl(n) => n.enable_profiling(),
-            Net::Cmesh(n) => n.enable_profiling(),
-        }
-    }
-
-    /// Attaches every observer: the profiler, one fanout probe of an
-    /// event recorder, a span recorder and a flight recorder, and on
-    /// PEARL a timeline. Returns the span recorder, to show spans flowed.
-    fn observe(&mut self) -> SharedSpanRecorder {
-        self.enable_profiling();
-        let spans = SharedSpanRecorder::new();
-        let probe = Box::new(FanoutProbe::new(vec![
-            Box::new(SharedRecorder::new()),
-            Box::new(spans.clone()),
-            Box::new(SharedFlightRecorder::new()),
-        ]));
-        match self {
-            Net::Pearl(n) => {
-                n.attach_probe(probe);
-                n.enable_timeline(TIMELINE_WINDOW);
-            }
-            Net::Cmesh(n) => n.attach_probe(probe),
-        }
-        spans
-    }
-
-    fn run(&mut self, cycles: u64) {
-        match self {
-            Net::Pearl(n) => {
-                n.run(cycles);
-            }
-            Net::Cmesh(n) => {
-                n.run(cycles);
-            }
-        }
-    }
-
-    fn state_hash(&self) -> u64 {
-        match self {
-            Net::Pearl(n) => n.state_hash(),
-            Net::Cmesh(n) => n.state_hash(),
-        }
-    }
+/// Attaches every observer: the profiler and one fanout probe of an
+/// event recorder, a span recorder and a flight recorder. Returns the
+/// span recorder, to show spans flowed.
+fn observe(net: &mut dyn Simulator) -> SharedSpanRecorder {
+    net.enable_profiling();
+    let spans = SharedSpanRecorder::new();
+    net.attach_probe(Box::new(FanoutProbe::new(vec![
+        Box::new(SharedRecorder::new()),
+        Box::new(spans.clone()),
+        Box::new(SharedFlightRecorder::new()),
+    ])));
+    spans
 }
 
 /// A scaler fitted on a small fixed dataset whose label steps with the
@@ -111,22 +68,20 @@ fn fitted_scaler() -> MlPowerScaler {
     MlPowerScaler::new(select_lambda(&train, &validation, &[1.0]).expect("ridge fits"))
 }
 
-fn pearl(policy: PearlPolicy, pair: usize) -> Net {
+fn pearl(policy: PearlPolicy, pair: usize) -> Box<dyn Simulator> {
     pearl_with(NetworkBuilder::new().policy(policy), pair)
 }
 
-fn pearl_with(builder: NetworkBuilder, pair: usize) -> Net {
-    Net::Pearl(Box::new(builder.seed(SEED).build(BenchmarkPair::test_pairs()[pair])))
+fn pearl_with(builder: NetworkBuilder, pair: usize) -> Box<dyn Simulator> {
+    Box::new(builder.seed(SEED).build(BenchmarkPair::test_pairs()[pair]))
 }
 
-fn cmesh(config: CmeshConfig, pair: usize) -> Net {
-    Net::Cmesh(Box::new(
-        CmeshBuilder::new().config(config).seed(SEED).build(BenchmarkPair::test_pairs()[pair]),
-    ))
+fn cmesh(config: CmeshConfig, pair: usize) -> Box<dyn Simulator> {
+    Box::new(CmeshBuilder::new().config(config).seed(SEED).build(BenchmarkPair::test_pairs()[pair]))
 }
 
 /// The ladder's runs, by name.
-fn build(name: &str) -> Net {
+fn build(name: &str) -> Box<dyn Simulator> {
     match name {
         "fcfs_64wl" => pearl(PearlPolicy::fcfs_64wl(), 0),
         "dyn_64wl" => pearl(PearlPolicy::dyn_64wl(), 1),
@@ -179,11 +134,11 @@ fn ladder(name: &str, pass: Pass) -> [u64; RUNGS] {
             net.enable_profiling();
             None
         }
-        Pass::Observed => Some(net.observe()),
+        Pass::Observed => Some(observe(net.as_mut())),
     };
     let mut hashes = [0; RUNGS];
     for hash in &mut hashes {
-        net.run(RUNG_CYCLES);
+        net.advance(RUNG_CYCLES);
         *hash = net.state_hash();
     }
     if let Some(spans) = spans {
