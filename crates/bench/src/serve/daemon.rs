@@ -1111,4 +1111,161 @@ mod tests {
         assert!(!spool.resume_path("longrun").exists(), "no stale bundle left behind");
         std::fs::remove_dir_all(spool.root()).ok();
     }
+
+    /// The `chaos --disk` workload: a traced, checkpointing PEARL job
+    /// and a plain CMESH job.
+    const DISK_SPECS: [(&str, &str); 2] = [
+        (
+            "alpha",
+            r#"{"kind": "pearl", "policy": "reactive", "window": 500, "seed": 31,
+                "cycles": 3000, "stall_window": 1000, "retry_budget": 3,
+                "checkpoint_every": 1000, "trace": true}"#,
+        ),
+        ("beta", r#"{"kind": "cmesh", "cycles": 1500, "stall_window": 1000, "retry_budget": 3}"#),
+    ];
+
+    /// Drains the `chaos --disk` workload under its golden settings
+    /// through a counting storage, publishing to `status` when given.
+    fn disk_drain(name: &str, status: Option<StatusBoard>) -> (Spool, Vec<String>) {
+        let spool = scratch(name);
+        for (id, body) in DISK_SPECS {
+            drop_spec(&spool, id, body);
+        }
+        let storage = Arc::new(pearl_telemetry::FaultStorage::counting());
+        let mut config = DaemonConfig::new(spool.clone());
+        config.drain = true;
+        config.jobs = 1;
+        config.poll_ms = 1;
+        config.backoff_base_ms = 1;
+        config.backoff_cap_ms = 2;
+        config.storage = storage.clone();
+        config.io_retry = RetryPolicy { attempts: 4, base_ms: 1, cap_ms: 2 };
+        config.status = status;
+        let summary = Daemon::new(config).unwrap().run().unwrap();
+        assert_eq!(summary.completed, 2);
+        let root = format!("{}/", spool.root().display());
+        let ops = storage
+            .op_log()
+            .iter()
+            .map(|r| format!("{} {}", r.op, r.path.strip_prefix(&root).unwrap_or(&r.path)))
+            .collect();
+        (spool, ops)
+    }
+
+    /// Every storage op of the `chaos --disk` golden drain, in order.
+    /// Its length is the number of crash points `chaos --disk` explores.
+    #[test]
+    fn disk_drain_keeps_its_storage_ops() {
+        let (spool, ops) = disk_drain("disk-ops", None);
+        let pinned: Vec<&str> = DISK_DRAIN_OPS.lines().map(str::trim).collect();
+        assert_eq!(ops, pinned, "the golden drain's op sequence moved");
+        std::fs::remove_dir_all(spool.root()).ok();
+    }
+
+    const DISK_DRAIN_OPS: &str = "\
+        list incoming
+        list accepted
+        list done
+        list rejected
+        list failed
+        list cancelled
+        list out
+        list state
+        list accepted
+        write_atomic state/journal.json
+        list incoming
+        read incoming/alpha.json
+        rename incoming/alpha.json
+        append_line progress.jsonl
+        read incoming/beta.json
+        rename incoming/beta.json
+        append_line progress.jsonl
+        write_atomic state/journal.json
+        list cancel
+        append_line progress.jsonl
+        append_line progress.jsonl
+        write_atomic state/journal.json
+        write_atomic state/alpha.resume.json
+        append_line progress.jsonl
+        write_atomic state/alpha.resume.json
+        append_line progress.jsonl
+        write_atomic state/alpha.resume.json
+        append_line progress.jsonl
+        write_atomic out/alpha.result.json
+        write_atomic out/alpha.trace.jsonl
+        write_atomic out/alpha.manifest.json
+        write_atomic out/beta.result.json
+        write_atomic out/beta.manifest.json
+        rename accepted/alpha.json
+        remove state/alpha.resume.json
+        append_line progress.jsonl
+        rename accepted/beta.json
+        append_line progress.jsonl
+        write_atomic state/journal.json
+        list incoming
+        list incoming
+        list cancel
+        list incoming
+        list incoming
+        write_atomic state/journal.json";
+
+    /// `/metrics` and `/status` after the `chaos --disk` drain. The
+    /// daemon never feeds a histogram, so the exposition is counters and
+    /// gauges only.
+    #[test]
+    fn disk_drain_keeps_its_metrics_and_status() {
+        let board = StatusBoard::new();
+        let (spool, _) = disk_drain("disk-board", Some(board.clone()));
+        assert_eq!(board.metrics_text(), DISK_DRAIN_METRICS, "/metrics moved");
+        assert_eq!(board.status_json(), DISK_DRAIN_STATUS, "/status moved");
+        std::fs::remove_dir_all(spool.root()).ok();
+    }
+
+    const DISK_DRAIN_METRICS: &str = "\
+# TYPE serve_cancelled counter
+serve_cancelled 0
+# TYPE serve_completed counter
+serve_completed 2
+# TYPE serve_failed_attempts counter
+serve_failed_attempts 0
+# TYPE serve_progress_gaps counter
+serve_progress_gaps 0
+# TYPE serve_progress_torn counter
+serve_progress_torn 0
+# TYPE serve_quarantined counter
+serve_quarantined 0
+# TYPE serve_recovered counter
+serve_recovered 0
+# TYPE serve_rejected counter
+serve_rejected 0
+# TYPE serve_retries counter
+serve_retries 0
+# TYPE serve_waves counter
+serve_waves 1
+# TYPE serve_jobs_running gauge
+serve_jobs_running 0
+# TYPE serve_jobs_total gauge
+serve_jobs_total 2
+# TYPE serve_progress_seq gauge
+serve_progress_seq 9
+# TYPE serve_queue_depth gauge
+serve_queue_depth 0
+";
+
+    const DISK_DRAIN_STATUS: &str = concat!(
+        r#"{"state":"drained","progress_seq":9,"counts":{"queued":0,"running":0,"#,
+        r#""done":2,"quarantined":0,"rejected":0,"cancelled":0},"summary":{"completed":2,"#,
+        r#""failed_attempts":0,"quarantined":0,"rejected":0,"cancelled":0,"#,
+        r#""recovered":0,"scavenged_tmp":0,"orphaned_specs":0,"torn_progress":0,"#,
+        r#""progress_gaps":0,"shutdown":false},"queue":{"events":9,"waves":1,"#,
+        r#""max_queue_depth":2,"mean_waves_in_queue":0,"max_waves_in_queue":0,"#,
+        r#""total_retries":0,"completed":2,"quarantined":0,"rejected":0,"#,
+        r#""cancelled":0,"jobs":[{"job":"alpha","waves_in_queue":0,"attempts":1,"#,
+        r#""retries":0,"quarantines":0,"outcome":"completed","final_cycle":3000,"#,
+        r#""delivered":5383},{"job":"beta","waves_in_queue":0,"attempts":1,"#,
+        r#""retries":0,"quarantines":0,"outcome":"completed","final_cycle":1500,"#,
+        r#""delivered":2069}]},"jobs":[{"id":"alpha","status":"done","priority":4,"#,
+        r#""attempts":1,"retry_budget":3,"resume":false},{"id":"beta","status":"done","#,
+        r#""priority":4,"attempts":1,"retry_budget":3,"resume":false}]}"#,
+    );
 }
