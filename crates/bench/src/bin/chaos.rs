@@ -151,10 +151,11 @@ fn kill_and_resume(
         .map_err(|e| format!("pre-kill leg stalled: {e}"))?;
     let checkpoint = victim.snapshot();
     let path = dir.join(format!("{}-k{kill}.ckpt.json", scenario.name));
-    checkpoint.write_file(&path).map_err(|e| format!("write checkpoint: {e}"))?;
+    checkpoint.write_file(&OsStorage, &path).map_err(|e| format!("write checkpoint: {e}"))?;
     drop(victim); // the "crash"
 
-    let loaded = Checkpoint::read_file(&path).map_err(|e| format!("read checkpoint: {e:?}"))?;
+    let loaded =
+        Checkpoint::read_file(&OsStorage, &path).map_err(|e| format!("read checkpoint: {e:?}"))?;
     let post = SharedRecorder::new();
     let mut resumed = (scenario.build)();
     resumed.attach_probe(Box::new(post.clone()));
@@ -187,8 +188,7 @@ fn divergence_report(
         ("trace_bytes_resumed", JsonValue::u64(resumed.trace.len() as u64)),
         ("traces_identical", JsonValue::Bool(golden.trace == resumed.trace)),
     ]);
-    pearl_telemetry::atomic_write_file(&path, &format!("{body}\n"))
-        .expect("write divergence report");
+    OsStorage.write_atomic(&path, &format!("{body}\n")).expect("write divergence report");
     path
 }
 
@@ -323,7 +323,7 @@ fn run_flight_stall_case(dir: &Path) -> Result<String, String> {
         .ok_or("clamped network never tripped the watchdog")?;
     let path =
         dump_stall(&recorder, &OsStorage, dir, "chaos", &stall).ok_or("stall dump failed")?;
-    let dump = FlightDump::read_with(&OsStorage, &path)?;
+    let dump = FlightDump::read(&OsStorage, &path)?;
     dump.reconcile()?;
     if dump.events_seen == 0 {
         return Err("stall post-mortem recorded no events".to_string());
@@ -370,7 +370,7 @@ fn run_flight_panic_case(dir: &Path) -> Result<String, String> {
     let [path] = dumps.as_slice() else {
         return Err(format!("expected exactly one post-mortem, found {}", dumps.len()));
     };
-    let dump = FlightDump::read_with(&OsStorage, path)?;
+    let dump = FlightDump::read(&OsStorage, path)?;
     dump.reconcile()?;
     if dump.events_seen == 0 {
         return Err("panic post-mortem recorded no events".to_string());
@@ -625,7 +625,7 @@ fn disk_fault_case(
 fn verify_disk_invariants(spool: &Spool, golden: &DiskGolden) -> Result<(), String> {
     // No job lost or duplicated: exactly one journal record per spec,
     // every one terminal-Done, every spec filed in done/ and only there.
-    let journal = ServeJournal::load(spool.journal_path())
+    let journal = ServeJournal::load(&OsStorage, spool.journal_path())
         .map_err(|e| format!("recovered journal unreadable: {e:?}"))?;
     if journal.jobs.len() != DISK_SPECS.len() {
         return Err(format!(
@@ -690,7 +690,7 @@ fn verify_disk_invariants(spool: &Spool, golden: &DiskGolden) -> Result<(), Stri
 
     // The progress log replays end to end; torn lines are tolerated and
     // reported, and every job's completion made it into the log.
-    let replay = pearl_telemetry::replay_progress(spool.progress_path())
+    let replay = pearl_telemetry::replay_progress(&OsStorage, spool.progress_path())
         .map_err(|e| format!("progress replay: {e}"))?;
     for (id, _, _) in DISK_SPECS {
         if !replay.events.iter().any(|e| e.job == *id && e.kind == "completed") {

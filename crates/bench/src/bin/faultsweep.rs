@@ -31,7 +31,7 @@ use pearl_core::{
     FallbackConfig, FaultConfig, MlPowerScaler, NetworkBuilder, PearlPolicy, FEATURE_COUNT,
 };
 use pearl_ml::{select_lambda, Dataset};
-use pearl_telemetry::{fingerprint, write_trace_file, RunManifest, SharedRecorder};
+use pearl_telemetry::{fingerprint, write_trace_file, OsStorage, RunManifest, SharedRecorder};
 use pearl_workloads::BenchmarkPair;
 
 /// Shorter than the figure runs: the sweep multiplies 6 rates by all
@@ -168,7 +168,7 @@ fn write_trace_artifacts() {
         );
     }
     let trace_path = format!("{RESULTS_DIR}/faultsweep_trace.jsonl");
-    write_trace_file(&trace_path, &events).expect("write trace");
+    write_trace_file(&OsStorage, &trace_path, &events).expect("write trace");
     let manifest = RunManifest::new("faultsweep_trace", TRACE_SEED, TRACE_CYCLES)
         .with_config(&(&policy, &fault, pair.label()))
         .with_trace_counts(events.len() as u64, recorder.dropped())
@@ -181,7 +181,7 @@ fn write_trace_artifacts() {
             )),
         );
     let manifest_path = format!("{RESULTS_DIR}/faultsweep_manifest.json");
-    manifest.write_file(&manifest_path).expect("write manifest");
+    manifest.write_file(&OsStorage, &manifest_path).expect("write manifest");
     eprintln!("[wrote {trace_path} ({} events) and {manifest_path}]", events.len());
 }
 

@@ -27,7 +27,8 @@ use pearl_core::{FaultConfig, NetworkBuilder, PearlPolicy};
 use pearl_noc::CoreType;
 use pearl_telemetry::{
     alloc_stats, reset_alloc_stats, write_trace_file, AllocStats, FanoutProbe, JsonValue,
-    ProfileReport, RunManifest, SharedRecorder, SharedSpanRecorder, SpanKind, TraceEvent,
+    OsStorage, ProfileReport, RunManifest, SharedRecorder, SharedSpanRecorder, SpanKind,
+    TraceEvent,
 };
 use pearl_workloads::{BenchmarkPair, SyntheticPattern, SyntheticTraffic};
 
@@ -77,14 +78,14 @@ fn write_trace_artifacts() {
     lines.sort_by_key(TraceEvent::at);
 
     let trace_path = format!("{RESULTS_DIR}/loadcurve_trace.jsonl");
-    write_trace_file(&trace_path, &lines).expect("write trace");
+    write_trace_file(&OsStorage, &trace_path, &lines).expect("write trace");
     let manifest = RunManifest::new("loadcurve_trace", TRACE_SEED, TRACE_CYCLES)
         .with_config(&(&policy, pair.label()))
         .with_trace_counts(lines.len() as u64, probe.dropped() + spans.overwritten())
         .with_extra("pair", JsonValue::str(pair.label()))
         .with_extra("span_count", JsonValue::u64(span_list.len() as u64));
     let manifest_path = format!("{RESULTS_DIR}/loadcurve_manifest.json");
-    manifest.write_file(&manifest_path).expect("write manifest");
+    manifest.write_file(&OsStorage, &manifest_path).expect("write manifest");
     eprintln!(
         "[wrote {trace_path} ({} events, {} spans) and {manifest_path}]",
         lines.len(),
@@ -235,7 +236,7 @@ fn main() {
         }
         let hotpath = Hotpath::new("loadcurve", merged_profile, alloc);
         hotpath.validate().expect("hotpath invariants hold on the PEARL observation");
-        let (json_path, folded_path) = hotpath.write().expect("write hotpath artifacts");
+        let (json_path, folded_path) = hotpath.write(&OsStorage).expect("write hotpath artifacts");
         eprintln!("[wrote {} and {}]", json_path.display(), folded_path.display());
 
         let cmesh_hotpath = Hotpath::new(
@@ -244,7 +245,8 @@ fn main() {
             sum_alloc(cmesh_allocs),
         );
         cmesh_hotpath.validate().expect("hotpath invariants hold on the CMESH observation");
-        let (json_path, folded_path) = cmesh_hotpath.write().expect("write hotpath artifacts");
+        let (json_path, folded_path) =
+            cmesh_hotpath.write(&OsStorage).expect("write hotpath artifacts");
         eprintln!("[wrote {} and {}]", json_path.display(), folded_path.display());
     }
     println!(

@@ -18,9 +18,9 @@
 use pearl_bench::serve::summarize_progress;
 use pearl_bench::{Hotpath, Report, RESULTS_DIR};
 use pearl_telemetry::{
-    atomic_write_file, chrome_trace, critical_path, group_by_packet, latency_breakdown,
-    read_trace_file, replay_progress, validate_chrome_trace, FlightDump, JsonValue, OsStorage,
-    RunManifest, Span, TraceEvent, TransitionCause,
+    chrome_trace, critical_path, group_by_packet, latency_breakdown, read_trace_file,
+    replay_progress, validate_chrome_trace, FlightDump, JsonValue, OsStorage, RunManifest, Span,
+    Storage, TraceEvent, TransitionCause,
 };
 use std::collections::BTreeMap;
 
@@ -113,7 +113,7 @@ fn span_report(spans: &[Span], report: &mut Report) {
 /// Renders one hotpath artifact and enforces its reconciliation gate.
 /// Exits non-zero on an unreadable artifact or a violated invariant.
 fn hotpath_report(path: &str, report: &mut Report) {
-    let hotpath = Hotpath::read_file(path).unwrap_or_else(|e| {
+    let hotpath = Hotpath::read_file(&OsStorage, path).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(1);
     });
@@ -162,7 +162,7 @@ fn hotpath_report(path: &str, report: &mut Report) {
 /// dump time). Exits non-zero on an unreadable artifact or a
 /// reconciliation failure — the CI/chaos contract.
 fn flight_report(path: &str, report: &mut Report) {
-    let dump = FlightDump::read_with(&OsStorage, std::path::Path::new(path)).unwrap_or_else(|e| {
+    let dump = FlightDump::read(&OsStorage, std::path::Path::new(path)).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(1);
     });
@@ -265,7 +265,7 @@ fn serve_report(path_arg: &str, report: &mut Report) {
         eprintln!("error: no progress stream at {}", progress.display());
         std::process::exit(1);
     }
-    let replay = replay_progress(&progress).unwrap_or_else(|e| {
+    let replay = replay_progress(&OsStorage, &progress).unwrap_or_else(|e| {
         eprintln!("error: cannot read {}: {e}", progress.display());
         std::process::exit(1);
     });
@@ -365,11 +365,11 @@ fn main() {
         positional.next().unwrap_or_else(|| format!("{RESULTS_DIR}/faultsweep_manifest.json"));
     let mut report = Report::new("report", args.has("--json"));
 
-    let manifest = RunManifest::read_file(&manifest_path).unwrap_or_else(|e| {
+    let manifest = RunManifest::read_file(&OsStorage, &manifest_path).unwrap_or_else(|e| {
         eprintln!("error: cannot read manifest {manifest_path}: {e}");
         std::process::exit(1);
     });
-    let events = read_trace_file(&trace_path).unwrap_or_else(|e| {
+    let events = read_trace_file(&OsStorage, &trace_path).unwrap_or_else(|e| {
         eprintln!("error: cannot read trace {trace_path}: {e}");
         std::process::exit(1);
     });
@@ -500,7 +500,9 @@ fn main() {
                 std::process::exit(1);
             });
             let out_path = format!("{}.perfetto.json", trace_path.trim_end_matches(".jsonl"));
-            atomic_write_file(&out_path, &format!("{}\n", trace)).expect("write Chrome trace");
+            OsStorage
+                .write_atomic(std::path::Path::new(&out_path), &format!("{}\n", trace))
+                .expect("write Chrome trace");
             println!(
                 "\n-- perfetto export --\n  {out_path}: {} span events, {} kinds, {} router \
                  tracks (load in ui.perfetto.dev)",

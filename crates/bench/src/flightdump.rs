@@ -57,7 +57,7 @@ pub fn dump_stall(
     stall: &StallError,
 ) -> Option<PathBuf> {
     let path = postmortem_path(storage, dir, bin);
-    match recorder.dump_with(storage, &path) {
+    match recorder.dump(storage, &path) {
         Ok(()) => {
             eprintln!("flight recorder: stall ({stall}) — post-mortem at {}", path.display());
             Some(path)
@@ -103,7 +103,7 @@ impl FlightGuard {
             if !dumped.swap(true, Ordering::SeqCst) {
                 let _ = std::fs::create_dir_all(&dir);
                 let path = postmortem_path(&OsStorage, &dir, bin);
-                match recorder.dump_with(&OsStorage, &path) {
+                match recorder.dump(&OsStorage, &path) {
                     Ok(()) => {
                         eprintln!("flight recorder: panic — post-mortem at {}", path.display());
                     }
@@ -135,7 +135,7 @@ impl FlightGuard {
         }
         let _ = std::fs::create_dir_all(&self.dir);
         let path = postmortem_path(&OsStorage, &self.dir, self.bin);
-        match self.recorder.dump_with(&OsStorage, &path) {
+        match self.recorder.dump(&OsStorage, &path) {
             Ok(()) => {
                 eprintln!("flight recorder: {reason} — post-mortem at {}", path.display());
                 Some(path)
@@ -174,7 +174,7 @@ mod tests {
         }
         let path = guard.dump_now("unit test").expect("first dump succeeds");
         assert!(path.file_name().unwrap().to_string_lossy().starts_with("flightrec_testbin_"));
-        let dump = FlightDump::read_with(&OsStorage, &path).unwrap();
+        let dump = FlightDump::read(&OsStorage, &path).unwrap();
         dump.reconcile().unwrap();
         assert_eq!(dump.events_seen, 5);
         assert_eq!(guard.dump_now("again"), None, "once-flag blocks a second dump");
@@ -190,7 +190,7 @@ mod tests {
         let b = dump_stall(&recorder, &OsStorage, &dir, "chaos", &stall).unwrap();
         assert_ne!(a, b, "same-millisecond dumps get distinct names");
         for path in [a, b] {
-            FlightDump::read_with(&OsStorage, &path).unwrap().reconcile().unwrap();
+            FlightDump::read(&OsStorage, &path).unwrap().reconcile().unwrap();
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -14,7 +14,9 @@
 //! optimization work.
 
 use crate::report::RESULTS_DIR;
-use pearl_telemetry::{AllocStats, JsonValue, ProfileReport, Section, SubSection, WorkCounters};
+use pearl_telemetry::{
+    AllocStats, JsonValue, ProfileReport, Section, Storage, SubSection, WorkCounters,
+};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -102,21 +104,7 @@ impl Hotpath {
     ///
     /// A human-readable reason: unreadable file, malformed JSON, or a
     /// document that is not a hotpath artifact.
-    pub fn read_file(path: &str) -> Result<Hotpath, String> {
-        Hotpath::read_file_with(&pearl_telemetry::OsStorage, path)
-    }
-
-    /// [`Hotpath::read_file`] through an explicit
-    /// [`pearl_telemetry::Storage`], so fault injection covers it.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable reason: unreadable file, malformed JSON, or a
-    /// document that is not a hotpath artifact.
-    pub fn read_file_with(
-        storage: &dyn pearl_telemetry::Storage,
-        path: &str,
-    ) -> Result<Hotpath, String> {
+    pub fn read_file(storage: &dyn Storage, path: &str) -> Result<Hotpath, String> {
         let text = storage.read(Path::new(path)).map_err(|e| format!("cannot read {path}: {e}"))?;
         let doc =
             JsonValue::parse(&text).map_err(|e| format!("{path} is not valid JSON: {e:?}"))?;
@@ -128,29 +116,12 @@ impl Hotpath {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem failures.
-    pub fn write(&self) -> std::io::Result<(PathBuf, PathBuf)> {
-        self.write_with(&pearl_telemetry::OsStorage)
-    }
-
-    /// [`Hotpath::write`] through an explicit
-    /// [`pearl_telemetry::Storage`].
-    ///
-    /// # Errors
-    ///
     /// Propagates storage failures.
-    pub fn write_with(
-        &self,
-        storage: &dyn pearl_telemetry::Storage,
-    ) -> std::io::Result<(PathBuf, PathBuf)> {
+    pub fn write(&self, storage: &dyn Storage) -> std::io::Result<(PathBuf, PathBuf)> {
         let json_path = self.json_path();
-        pearl_telemetry::atomic_write_file_with(
-            storage,
-            &json_path,
-            &format!("{}\n", self.to_json()),
-        )?;
+        storage.write_atomic(&json_path, &format!("{}\n", self.to_json()))?;
         let folded_path = self.folded_path();
-        pearl_telemetry::atomic_write_file_with(storage, &folded_path, &self.profile.folded())?;
+        storage.write_atomic(&folded_path, &self.profile.folded())?;
         Ok((json_path, folded_path))
     }
 

@@ -14,7 +14,7 @@
 //! writes the artifact (a no-op without `--json`).
 
 use crate::harness::{mean, table, Row};
-use pearl_telemetry::JsonValue;
+use pearl_telemetry::{JsonValue, OsStorage, Storage};
 use std::path::PathBuf;
 
 /// Directory every artifact lands in, next to the committed text logs.
@@ -113,7 +113,7 @@ impl Report {
             return Ok(None);
         }
         let path = self.artifact_path();
-        pearl_telemetry::atomic_write_file(&path, &format!("{}\n", self.to_json()))?;
+        OsStorage.write_atomic(&path, &format!("{}\n", self.to_json()))?;
         eprintln!("[wrote {}]", path.display());
         Ok(Some(path))
     }

@@ -31,9 +31,8 @@ use crate::serve::spec::ExperimentSpec;
 use crate::serve::{valid_job_id, Spool};
 use crate::JobPool;
 use pearl_telemetry::{
-    atomic_write_file_with, prometheus_exposition, replay_progress_with, JsonValue,
-    MetricsRegistry, OsStorage, ProgressEvent, ProgressLog, RetryPolicy, RetryStorage,
-    SharedFlightRecorder, Storage,
+    prometheus_exposition, replay_progress, JsonValue, MetricsRegistry, OsStorage, ProgressEvent,
+    ProgressLog, RetryPolicy, RetryStorage, SharedFlightRecorder, Storage,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -232,14 +231,14 @@ impl Daemon {
             if !text.is_empty() && !text.ends_with('\n') {
                 storage.append_line(&spool.progress_path(), "")?;
             }
-            let replay = replay_progress_with(storage.as_ref(), spool.progress_path())?;
+            let replay = replay_progress(storage.as_ref(), spool.progress_path())?;
             summary.torn_progress = replay.torn.len() as u64;
             summary.progress_gaps = replay.gaps.len() as u64;
             last_seq = replay.max_seq();
         }
         let progress = ProgressLog::resuming_after(last_seq);
 
-        let mut journal = ServeJournal::load_with(storage.as_ref(), spool.journal_path())
+        let mut journal = ServeJournal::load(storage.as_ref(), spool.journal_path())
             .map_err(|e| std::io::Error::other(format!("journal unreadable: {e:?}")))?;
 
         // Accepted specs the journal has never heard of: the previous
@@ -317,7 +316,7 @@ impl Daemon {
                 }
             }
         }
-        journal.save_with(storage.as_ref(), spool.journal_path())?;
+        journal.save(storage.as_ref(), spool.journal_path())?;
         Ok(Daemon { config, storage, journal, specs, summary, progress })
     }
 
@@ -385,7 +384,7 @@ impl Daemon {
                 }
             }
         }
-        self.journal.save_with(self.storage.as_ref(), self.config.spool.journal_path())?;
+        self.journal.save(self.storage.as_ref(), self.config.spool.journal_path())?;
         self.publish(if self.summary.shutdown { "stopped" } else { "drained" });
         Ok(self.summary)
     }
@@ -469,9 +468,8 @@ impl Daemon {
                         ("status", JsonValue::str("rejected")),
                         ("reason", JsonValue::str(&reason)),
                     ]);
-                    atomic_write_file_with(
-                        self.storage.as_ref(),
-                        spool.postmortem_path(&spool.rejected(), &stem),
+                    self.storage.write_atomic(
+                        &spool.postmortem_path(&spool.rejected(), &stem),
                         &format!("{body}\n"),
                     )?;
                     let mut ev = ProgressEvent::new(&stem, "rejected");
@@ -484,7 +482,7 @@ impl Daemon {
                 }
             }
         }
-        self.journal.save_with(self.storage.as_ref(), spool.journal_path())?;
+        self.journal.save(self.storage.as_ref(), spool.journal_path())?;
         Ok(true)
     }
 
@@ -527,7 +525,7 @@ impl Daemon {
             }
         }
         if dirty {
-            self.journal.save_with(self.storage.as_ref(), spool.journal_path())?;
+            self.journal.save(self.storage.as_ref(), spool.journal_path())?;
         }
         Ok(dirty)
     }
@@ -564,7 +562,7 @@ impl Daemon {
             ev.detail = if record.resume { "resume".into() } else { "fresh".into() };
             let _ = self.progress.append(self.storage.as_ref(), &spool.progress_path(), &mut ev);
         }
-        self.journal.save_with(self.storage.as_ref(), spool.journal_path())?;
+        self.journal.save(self.storage.as_ref(), spool.journal_path())?;
 
         let contexts: Vec<AttemptContext<'_>> = wave
             .iter()
@@ -589,7 +587,7 @@ impl Daemon {
         for ((id, _), result) in wave.iter().zip(results) {
             self.settle(id, result)?;
         }
-        self.journal.save_with(self.storage.as_ref(), spool.journal_path())?;
+        self.journal.save(self.storage.as_ref(), spool.journal_path())?;
         Ok(wave.len())
     }
 
@@ -714,7 +712,7 @@ impl Daemon {
     fn publish(&self, state: &str) {
         let Some(board) = &self.config.status else { return };
         let spool = &self.config.spool;
-        let events = replay_progress_with(self.storage.as_ref(), spool.progress_path())
+        let events = replay_progress(self.storage.as_ref(), spool.progress_path())
             .map(|r| r.events)
             .unwrap_or_default();
         let queue = summarize_progress(&events);
@@ -828,7 +826,7 @@ fn write_postmortem(
         ("retry_budget", JsonValue::u64(u64::from(record.retry_budget))),
         ("failures", JsonValue::Arr(record.failures.iter().map(JsonValue::str).collect())),
     ]);
-    atomic_write_file_with(storage, spool.postmortem_path(dir, &record.id), &format!("{body}\n"))
+    storage.write_atomic(&spool.postmortem_path(dir, &record.id), &format!("{body}\n"))
 }
 
 #[cfg(test)]
@@ -936,7 +934,7 @@ mod tests {
         assert!(!spool.trace_path("good").exists(), "untraced spec writes no trace");
 
         // The journal agrees with the filesystem.
-        let journal = ServeJournal::load(spool.journal_path()).unwrap();
+        let journal = ServeJournal::load(&OsStorage, spool.journal_path()).unwrap();
         assert_eq!(journal.get("good").unwrap().status, JobStatus::Done);
         assert_eq!(journal.get("bad").unwrap().status, JobStatus::Rejected);
         std::fs::remove_dir_all(spool.root()).ok();
@@ -1026,8 +1024,8 @@ mod tests {
         )
         .unwrap();
         // ...and a progress log whose final line was torn mid-append.
-        let ev = pearl_telemetry::ProgressEvent::new("old", "accepted");
-        pearl_telemetry::append_progress(spool.progress_path(), &ev).unwrap();
+        let ev = ProgressEvent::new("old", "accepted");
+        OsStorage.append_line(&spool.progress_path(), &ev.to_json().to_string()).unwrap();
         {
             use std::io::Write;
             let mut f =
@@ -1053,7 +1051,7 @@ mod tests {
                 assert!(!pearl_telemetry::OsStorage::is_tmp_name(&name), "orphan left: {name}");
             }
         }
-        let replay = pearl_telemetry::replay_progress(spool.progress_path()).unwrap();
+        let replay = replay_progress(&OsStorage, spool.progress_path()).unwrap();
         assert_eq!(replay.torn.len(), 1);
         assert!(replay.torn[0].1.contains("torn"), "{:?}", replay.torn);
         assert!(replay.events.iter().any(|e| e.job == "orphan" && e.kind == "completed"));

@@ -22,7 +22,7 @@
 //! route mutates the spool, so exposing it costs nothing in the
 //! determinism story.
 
-use pearl_telemetry::{replay_progress_with, Storage};
+use pearl_telemetry::{replay_progress, Storage};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -201,7 +201,7 @@ fn progress_tail(
     if !storage.exists(progress) {
         return Ok(String::new());
     }
-    let replay = replay_progress_with(storage, progress).map_err(|e| format!("{e}\n"))?;
+    let replay = replay_progress(storage, progress).map_err(|e| format!("{e}\n"))?;
     let mut body = String::new();
     for event in &replay.events {
         if after == 0 || event.seq > after {

@@ -35,9 +35,7 @@
 //! (panic, stall, deadline) increments `attempts`, pushes a reason onto
 //! `failures`, and arms the bounded-exponential backoff.
 
-use pearl_telemetry::{
-    read_sealed_with, write_sealed_with, JsonValue, OsStorage, SnapshotError, Storage,
-};
+use pearl_telemetry::{read_sealed, write_sealed, JsonValue, SnapshotError, Storage};
 use std::path::Path;
 
 /// Envelope kind tag for the serve journal.
@@ -205,17 +203,7 @@ impl ServeJournal {
     /// # Errors
     ///
     /// [`SnapshotError`] on a corrupt, tampered or foreign journal.
-    pub fn load(path: impl AsRef<Path>) -> Result<ServeJournal, SnapshotError> {
-        ServeJournal::load_with(&OsStorage, path)
-    }
-
-    /// [`ServeJournal::load`] through an explicit [`Storage`], so fault
-    /// injection covers the read.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError`] on a corrupt, tampered or foreign journal.
-    pub fn load_with(
+    pub fn load(
         storage: &dyn Storage,
         path: impl AsRef<Path>,
     ) -> Result<ServeJournal, SnapshotError> {
@@ -223,7 +211,7 @@ impl ServeJournal {
         if !storage.exists(path) {
             return Ok(ServeJournal::new());
         }
-        let payload = read_sealed_with(storage, path, JOURNAL_KIND)?;
+        let payload = read_sealed(storage, path, JOURNAL_KIND)?;
         let jobs = payload
             .get("jobs")
             .and_then(JsonValue::as_arr)
@@ -245,22 +233,13 @@ impl ServeJournal {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem failures; the previous journal survives.
-    pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        self.save_with(&OsStorage, path)
-    }
-
-    /// [`ServeJournal::save`] through an explicit [`Storage`].
-    ///
-    /// # Errors
-    ///
     /// Propagates storage failures; the previous journal survives.
-    pub fn save_with(&self, storage: &dyn Storage, path: impl AsRef<Path>) -> std::io::Result<()> {
+    pub fn save(&self, storage: &dyn Storage, path: impl AsRef<Path>) -> std::io::Result<()> {
         let payload = JsonValue::obj(vec![
             ("jobs", JsonValue::Arr(self.jobs.iter().map(JobRecord::to_json).collect())),
             ("next_submit_index", JsonValue::str(self.next_submit_index.to_string())),
         ]);
-        write_sealed_with(storage, path, JOURNAL_KIND, &payload)
+        write_sealed(storage, path, JOURNAL_KIND, &payload)
     }
 
     /// The record for `id`, if any.
@@ -297,6 +276,7 @@ pub fn backoff_ms(base_ms: u64, failures: u32, cap_ms: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pearl_telemetry::OsStorage;
 
     fn scratch(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("pearl-serve-journal-{name}"));
@@ -309,7 +289,7 @@ mod tests {
     fn journal_round_trips_and_missing_reads_empty() {
         let dir = scratch("roundtrip");
         let path = dir.join("journal.json");
-        assert_eq!(ServeJournal::load(&path).unwrap(), ServeJournal::new());
+        assert_eq!(ServeJournal::load(&OsStorage, &path).unwrap(), ServeJournal::new());
 
         let mut journal = ServeJournal::new();
         journal.accept("fig05", 9, 2);
@@ -321,8 +301,8 @@ mod tests {
             rec.not_before_ms = 9_999_999_999_999; // past 2^33: string field
             rec.failures.push("panicked: boom".into());
         }
-        journal.save(&path).unwrap();
-        let loaded = ServeJournal::load(&path).unwrap();
+        journal.save(&OsStorage, &path).unwrap();
+        let loaded = ServeJournal::load(&OsStorage, &path).unwrap();
         assert_eq!(loaded, journal);
         assert_eq!(loaded.next_submit_index, 2);
         assert_eq!(loaded.get("poison").unwrap().failures, vec!["panicked: boom".to_string()]);
@@ -335,10 +315,13 @@ mod tests {
         let path = dir.join("journal.json");
         let mut journal = ServeJournal::new();
         journal.accept("a", 4, 0);
-        journal.save(&path).unwrap();
+        journal.save(&OsStorage, &path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, text.replace("\"attempts\":0", "\"attempts\":7")).unwrap();
-        assert!(matches!(ServeJournal::load(&path), Err(SnapshotError::HashMismatch { .. })));
+        assert!(matches!(
+            ServeJournal::load(&OsStorage, &path),
+            Err(SnapshotError::HashMismatch { .. })
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 

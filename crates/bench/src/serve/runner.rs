@@ -38,9 +38,8 @@ use crate::serve::spec::ExperimentSpec;
 use crate::serve::Spool;
 use crate::watchdog::{run_watched_with, WatchError};
 use pearl_telemetry::{
-    jsonl, read_sealed_with, write_sealed_with, Checkpoint, FanoutProbe, JsonValue, Probe,
-    ProgressEvent, ProgressLog, RunManifest, SharedFlightRecorder, SharedRecorder, Simulator,
-    Storage,
+    jsonl, read_sealed, write_sealed, Checkpoint, FanoutProbe, JsonValue, Probe, ProgressEvent,
+    ProgressLog, RunManifest, SharedFlightRecorder, SharedRecorder, Simulator, Storage,
 };
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
@@ -126,7 +125,7 @@ fn load_resume_bundle(storage: &dyn Storage, spool: &Spool, id: &str) -> Option<
     // An unreadable or tampered bundle falls back to a clean restart
     // from cycle 0 — slower, but the deterministic simulator still
     // produces byte-identical final artifacts.
-    let payload = read_sealed_with(storage, &path, RESUME_KIND).ok()?;
+    let payload = read_sealed(storage, &path, RESUME_KIND).ok()?;
     let checkpoint = Checkpoint::from_json(payload.get("checkpoint")?).ok()?;
     let trace_prefix = payload.get("trace")?.as_str()?.to_string();
     let dropped = payload.get("dropped")?.as_str()?.parse().ok()?;
@@ -145,7 +144,7 @@ fn write_resume_bundle(
         ("trace", JsonValue::str(trace.render())),
         ("dropped", JsonValue::str(trace.dropped().to_string())),
     ]);
-    write_sealed_with(storage, spool.resume_path(id), RESUME_KIND, &payload)
+    write_sealed(storage, spool.resume_path(id), RESUME_KIND, &payload)
 }
 
 /// An attempt's trace: the recorder on the network and the JSONL text
@@ -326,17 +325,13 @@ fn write_artifacts(
         ("state_hash", JsonValue::str(format!("{state_hash:016x}"))),
         ("summary", net.summary_json()),
     ]);
-    pearl_telemetry::atomic_write_file_with(
-        ctx.storage,
-        spool.result_path(&spec.id),
-        &format!("{result}\n"),
-    )?;
+    ctx.storage.write_atomic(&spool.result_path(&spec.id), &format!("{result}\n"))?;
 
     let mut trace_lines = 0u64;
     if spec.trace {
         let text = trace.render();
         trace_lines = text.lines().count() as u64;
-        pearl_telemetry::atomic_write_file_with(ctx.storage, spool.trace_path(&spec.id), text)?;
+        ctx.storage.write_atomic(&spool.trace_path(&spec.id), text)?;
     }
 
     let mut manifest = RunManifest::new("pearl-serve", spec.seed, spec.cycles)
@@ -345,7 +340,7 @@ fn write_artifacts(
         .with_extra("kind", JsonValue::str(spec.kind.name()))
         .with_extra("pair", JsonValue::str(spec.pair().label()));
     manifest.config_fingerprint = net.config_fingerprint();
-    manifest.write_file_with(ctx.storage, spool.manifest_path(&spec.id))
+    manifest.write_file(ctx.storage, spool.manifest_path(&spec.id))
 }
 
 #[cfg(test)]
@@ -522,7 +517,7 @@ mod tests {
         }));
         assert!(crashed.is_err(), "the poison fires at cycle 3000");
         let bundle =
-            read_sealed_with(&pearl_telemetry::OsStorage, spool.resume_path("res2"), RESUME_KIND)
+            read_sealed(&pearl_telemetry::OsStorage, spool.resume_path("res2"), RESUME_KIND)
                 .unwrap();
         assert_eq!(Checkpoint::from_json(bundle.get("checkpoint").unwrap()).unwrap().cycle, 2_000);
         let prefix = bundle.get("trace").and_then(JsonValue::as_str).unwrap();

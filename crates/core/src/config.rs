@@ -128,6 +128,14 @@ pub enum ConfigError {
         /// The rejected step.
         step: f64,
     },
+    /// A DBA occupancy upper bound must lie in (0, 1) (NaN is also
+    /// rejected).
+    InvalidOccupancyBound {
+        /// Which bound (`"CPU"` or `"GPU"`).
+        core: &'static str,
+        /// The rejected bound.
+        bound: f64,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -153,6 +161,9 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::InvalidFineStep { step } => {
                 write!(f, "allocation step {step} must lie in (0, 0.5] and divide 1 evenly")
+            }
+            ConfigError::InvalidOccupancyBound { core, bound } => {
+                write!(f, "{core} occupancy upper bound {bound} must lie in (0, 1)")
             }
         }
     }

@@ -1738,6 +1738,7 @@ mod tests {
     #[test]
     fn try_build_surfaces_config_errors() {
         use crate::config::PearlConfig;
+        use crate::dba::OccupancyBounds;
         let mut config = PearlConfig::pearl();
         config.clusters = 1;
         let err = NetworkBuilder::new()
@@ -1754,6 +1755,29 @@ mod tests {
             .map(|_| "built an allocator with a 0.7 step")
             .unwrap_err();
         assert_eq!(err, ConfigError::InvalidFineStep { step: 0.7 });
+        // So are occupancy bounds the allocator would panic on.
+        let bounded = |cpu_upper, gpu_upper| {
+            NetworkBuilder::new()
+                .policy(PearlPolicy {
+                    bandwidth: BandwidthPolicy::Dynamic(OccupancyBounds { cpu_upper, gpu_upper }),
+                    ..PearlPolicy::dyn_64wl()
+                })
+                .try_build(BenchmarkPair::test_pairs()[0])
+                .map(|_| "built an allocator with an out-of-range bound")
+                .unwrap_err()
+        };
+        assert_eq!(
+            bounded(0.0, 0.06),
+            ConfigError::InvalidOccupancyBound { core: "CPU", bound: 0.0 }
+        );
+        assert_eq!(
+            bounded(0.16, 1.0),
+            ConfigError::InvalidOccupancyBound { core: "GPU", bound: 1.0 }
+        );
+        assert!(matches!(
+            bounded(0.16, f64::NAN),
+            ConfigError::InvalidOccupancyBound { core: "GPU", bound } if bound.is_nan()
+        ));
     }
 
     #[test]

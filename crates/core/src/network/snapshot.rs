@@ -447,7 +447,7 @@ mod tests {
     use crate::ml_scaling::FallbackConfig;
     use crate::policy::PearlPolicy;
     use pearl_photonics::FaultConfig;
-    use pearl_telemetry::SharedRecorder;
+    use pearl_telemetry::{OsStorage, SharedRecorder};
     use pearl_workloads::BenchmarkPair;
 
     pub(super) fn build(
@@ -887,8 +887,8 @@ mod tests {
         let cp = donor.snapshot();
         let path = std::env::temp_dir()
             .join(format!("pearl_core_snapshot_rt_{}.json", std::process::id()));
-        cp.write_file(&path).unwrap();
-        let loaded = Checkpoint::read_file(&path).unwrap();
+        cp.write_file(&OsStorage, &path).unwrap();
+        let loaded = Checkpoint::read_file(&OsStorage, &path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(loaded, cp);
         let mut twin = build(PearlPolicy::reactive(500), FaultConfig::uniform(0.02, 3), false, 71);

@@ -36,16 +36,30 @@ pub enum BandwidthPolicy {
 }
 
 impl BandwidthPolicy {
-    /// Checks the fine-grained share step, returning
-    /// [`ConfigError::InvalidFineStep`] unless it lies in (0, 0.5] and
-    /// divides 1 evenly.
+    /// Checks what the allocators would panic on:
+    /// [`ConfigError::InvalidOccupancyBound`] unless both occupancy
+    /// bounds lie in (0, 1), and [`ConfigError::InvalidFineStep`] unless
+    /// the fine-grained share step lies in (0, 0.5] and divides 1
+    /// evenly.
     pub fn check(&self) -> Result<(), ConfigError> {
-        let BandwidthPolicy::DynamicFine { step } = *self else { return Ok(()) };
-        let slots = 1.0 / step;
-        if step > 0.0 && step <= 0.5 && (slots - slots.round()).abs() < 1e-9 {
-            Ok(())
-        } else {
-            Err(ConfigError::InvalidFineStep { step })
+        match *self {
+            BandwidthPolicy::Fcfs => Ok(()),
+            BandwidthPolicy::Dynamic(bounds) => {
+                for (core, bound) in [("CPU", bounds.cpu_upper), ("GPU", bounds.gpu_upper)] {
+                    if !(bound > 0.0 && bound < 1.0) {
+                        return Err(ConfigError::InvalidOccupancyBound { core, bound });
+                    }
+                }
+                Ok(())
+            }
+            BandwidthPolicy::DynamicFine { step } => {
+                let slots = 1.0 / step;
+                if step > 0.0 && step <= 0.5 && (slots - slots.round()).abs() < 1e-9 {
+                    Ok(())
+                } else {
+                    Err(ConfigError::InvalidFineStep { step })
+                }
+            }
         }
     }
 }

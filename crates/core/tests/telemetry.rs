@@ -131,16 +131,6 @@ fn faulty_ml_run_covers_every_event_kind() {
         .collect();
     assert!(causes.contains(&TransitionCause::Scaling));
     assert!(causes.contains(&TransitionCause::FaultCeiling));
-    // Metrics registry mirrored the event stream.
-    let snapshot = recorder.metrics_snapshot();
-    let counter = |name: &str| {
-        snapshot.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap_or(0)
-    };
-    assert_eq!(
-        counter("events.retransmission"),
-        events.iter().filter(|e| e.kind() == "retransmission").count() as u64
-    );
-    assert!(counter("events.window_close") > 0);
 }
 
 #[test]

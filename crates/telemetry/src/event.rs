@@ -12,13 +12,11 @@
 //! one, state hash included.
 //!
 //! [`Recorder`] is the buffering probe: it keeps the head of the run up
-//! to a cap (with an explicit dropped-event counter — never silent
-//! truncation) and folds per-kind counts into a [`MetricsRegistry`].
-//! Bench harnesses that need to read the recorder back after handing
-//! it to a network wrap it in [`SharedRecorder`]; [`FanoutProbe`]
-//! shares the slot among several probes.
+//! to a cap, with an explicit dropped-event counter — never silent
+//! truncation. Bench harnesses that need to read the recorder back
+//! after handing it to a network wrap it in [`SharedRecorder`];
+//! [`FanoutProbe`] shares the slot among several probes.
 
-use crate::registry::MetricsRegistry;
 use crate::span::Span;
 use pearl_noc::CoreType;
 use pearl_photonics::{FaultEventKind, WavelengthState};
@@ -197,7 +195,7 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// Stable snake_case kind tag used as the JSONL `"event"` field and
-    /// as the per-kind counter name in the metrics registry.
+    /// as the key of the flight recorder's per-kind census.
     pub fn kind(&self) -> &'static str {
         match self {
             TraceEvent::DbaRealloc { .. } => "dba_realloc",
@@ -264,14 +262,12 @@ impl Probe for NullProbe {
     }
 }
 
-/// A buffering sink: keeps events (up to a cap) and folds per-kind
-/// counts into a [`MetricsRegistry`].
+/// A buffering sink: keeps events up to a cap and counts the rest.
 #[derive(Debug)]
 pub struct Recorder {
     events: Vec<TraceEvent>,
     cap: usize,
     dropped: u64,
-    metrics: MetricsRegistry,
 }
 
 impl Recorder {
@@ -281,9 +277,9 @@ impl Recorder {
     }
 
     /// A recorder that buffers at most `cap` events; further events
-    /// still count in the registry and the dropped counter.
+    /// only count in the dropped counter.
     pub fn with_cap(cap: usize) -> Recorder {
-        Recorder { events: Vec::new(), cap, dropped: 0, metrics: MetricsRegistry::new() }
+        Recorder { events: Vec::new(), cap, dropped: 0 }
     }
 
     /// The buffered events, in emission order.
@@ -295,12 +291,6 @@ impl Recorder {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// The per-kind metrics accumulated so far (counter names are
-    /// `events.<kind>`).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
 }
 
 impl Default for Recorder {
@@ -311,31 +301,11 @@ impl Default for Recorder {
 
 impl Probe for Recorder {
     fn record(&mut self, event: &TraceEvent) {
-        self.metrics.incr(kind_counter(event.kind()), 1);
-        if let TraceEvent::Retransmission { backoff_cycles, .. } = event {
-            self.metrics.observe("retransmission_backoff_cycles", *backoff_cycles);
-        }
         if self.events.len() < self.cap {
             self.events.push(event.clone());
         } else {
             self.dropped += 1;
         }
-    }
-}
-
-/// Maps an event kind tag to its registry counter name without
-/// allocating for the known kinds.
-fn kind_counter(kind: &'static str) -> &'static str {
-    match kind {
-        "dba_realloc" => "events.dba_realloc",
-        "wavelength_transition" => "events.wavelength_transition",
-        "ladder_transition" => "events.ladder_transition",
-        "retransmission" => "events.retransmission",
-        "injection_stall" => "events.injection_stall",
-        "window_close" => "events.window_close",
-        "fault" => "events.fault",
-        "span" => "events.span",
-        _ => "events.other",
     }
 }
 
@@ -378,11 +348,6 @@ impl SharedRecorder {
     /// Events discarded past the buffer cap.
     pub fn dropped(&self) -> u64 {
         self.0.borrow().dropped()
-    }
-
-    /// A snapshot of the per-kind metrics.
-    pub fn metrics_snapshot(&self) -> crate::registry::MetricsSnapshot {
-        self.0.borrow().metrics().snapshot()
     }
 }
 
@@ -473,9 +438,6 @@ mod tests {
         }
         assert_eq!(r.events().len(), 2);
         assert_eq!(r.dropped(), 3);
-        // Dropped events still count in the registry.
-        assert_eq!(r.metrics().counter("events.retransmission"), 5);
-        assert_eq!(r.metrics().histogram("retransmission_backoff_cycles").unwrap().count(), 5);
     }
 
     #[test]
@@ -488,8 +450,6 @@ mod tests {
         assert_eq!(shared.len(), 2);
         assert_eq!(shared.events()[1].kind(), "injection_stall");
         assert_eq!(shared.dropped(), 0);
-        let snap = shared.metrics_snapshot();
-        assert!(snap.counters.iter().any(|(k, v)| k == "events.injection_stall" && *v == 1));
     }
 
     #[test]
@@ -575,12 +535,5 @@ mod tests {
         assert_eq!(events.len(), 3);
         assert_eq!(spans.spans(), [sample_span()]);
         assert!(FanoutProbe::new(vec![Box::new(NullProbe)]).is_null());
-    }
-
-    #[test]
-    fn span_events_count_in_the_registry() {
-        let mut r = Recorder::new();
-        r.record(&TraceEvent::Span(sample_span()));
-        assert_eq!(r.metrics().counter("events.span"), 1);
     }
 }

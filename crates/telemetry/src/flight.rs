@@ -7,9 +7,9 @@
 //! spans (evicting the oldest, with explicit eviction counters — never
 //! silent truncation) plus a complete per-kind census of everything it
 //! ever saw. When a run stalls, panics or is asked for a health dump,
-//! [`FlightRecorder::dump_with`] writes a sealed `flightrec v1`
-//! artifact through the [`Storage`] trait; [`FlightDump`] reads one
-//! back and [`FlightDump::reconcile`] checks its internal invariants
+//! [`FlightRecorder::dump`] writes a sealed `flightrec v1`
+//! artifact through the [`Storage`] trait; [`FlightDump::read`] reads
+//! one back and [`FlightDump::reconcile`] checks its internal invariants
 //! (ring + evicted = seen, census sums match) so a corrupted or
 //! hand-edited post-mortem is caught instead of trusted.
 //!
@@ -29,7 +29,7 @@
 //! [`crate::SpanRecorder`] — into its span ring.
 
 use crate::event::{Probe, TraceEvent};
-use crate::journal::write_sealed_with;
+use crate::journal::{read_sealed, write_sealed};
 use crate::json::JsonValue;
 use crate::jsonl::{event_from_json, event_to_json};
 use crate::span::Span;
@@ -176,8 +176,8 @@ impl FlightRecorder {
     /// # Errors
     ///
     /// Propagates storage failures.
-    pub fn dump_with(&self, storage: &dyn Storage, path: &Path) -> std::io::Result<()> {
-        write_sealed_with(storage, path, FLIGHTREC_KIND, &self.payload())
+    pub fn dump(&self, storage: &dyn Storage, path: &Path) -> std::io::Result<()> {
+        write_sealed(storage, path, FLIGHTREC_KIND, &self.payload())
     }
 }
 
@@ -239,8 +239,8 @@ impl SharedFlightRecorder {
     /// # Errors
     ///
     /// Propagates storage failures.
-    pub fn dump_with(&self, storage: &dyn Storage, path: &Path) -> std::io::Result<()> {
-        self.with(|r| r.dump_with(storage, path))
+    pub fn dump(&self, storage: &dyn Storage, path: &Path) -> std::io::Result<()> {
+        self.with(|r| r.dump(storage, path))
     }
 }
 
@@ -283,8 +283,8 @@ impl FlightDump {
     ///
     /// A human-readable description of the first seal, shape or parse
     /// failure.
-    pub fn read_with(storage: &dyn Storage, path: &Path) -> Result<FlightDump, String> {
-        let payload = crate::journal::read_sealed_with(storage, path, FLIGHTREC_KIND)
+    pub fn read(storage: &dyn Storage, path: &Path) -> Result<FlightDump, String> {
+        let payload = read_sealed(storage, path, FLIGHTREC_KIND)
             .map_err(|e| format!("unseal {}: {e:?}", path.display()))?;
         FlightDump::from_payload(&payload)
     }
@@ -466,9 +466,9 @@ mod tests {
             backoff_cycles: 8,
         });
         fr.record_span(&span(7));
-        fr.dump_with(&OsStorage, &path).unwrap();
+        fr.dump(&OsStorage, &path).unwrap();
 
-        let dump = FlightDump::read_with(&OsStorage, &path).unwrap();
+        let dump = FlightDump::read(&OsStorage, &path).unwrap();
         dump.reconcile().unwrap();
         assert_eq!(dump.events_seen, 10);
         assert_eq!(dump.events.len(), 4);
@@ -499,10 +499,10 @@ mod tests {
         let path = dir.join("flightrec.json");
         let mut fr = FlightRecorder::new();
         fr.record_event(&event(5));
-        fr.dump_with(&OsStorage, &path).unwrap();
+        fr.dump(&OsStorage, &path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, text.replace("\"events_seen\":1", "\"events_seen\":2")).unwrap();
-        assert!(FlightDump::read_with(&OsStorage, &path).unwrap_err().contains("HashMismatch"));
+        assert!(FlightDump::read(&OsStorage, &path).unwrap_err().contains("HashMismatch"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -5,7 +5,7 @@
 //!
 //! - a **journal** — the authoritative job-state document, rewritten on
 //!   every transition. It reuses the checkpoint writer's contract
-//!   (atomic tmp-then-rename via [`crate::atomic_write_file`]) and adds
+//!   (atomic tmp-then-rename via [`Storage::write_atomic`]) and adds
 //!   the same integrity seal: a version, a kind tag and an FNV-1a hash
 //!   of the payload, all verified on read. A daemon killed mid-write
 //!   restarts from either the previous complete journal or the new one,
@@ -16,6 +16,13 @@
 //!   (accepted, started, checkpointed, completed, …). The stream is
 //!   informational: readers tail it for liveness, and a torn final line
 //!   after a crash is expected and skipped by [`read_progress`].
+//!
+//! Every function here that touches a file takes the [`Storage`] it
+//! goes through as its first argument, so fault injection covers every
+//! journal and progress operation. [`read_progress`] alone reads the
+//! real filesystem implicitly, because the benchmark harness
+//! (`benchmark/src/serve.rs`) reads a drained spool's stream through
+//! that one-argument form.
 
 use crate::json::JsonValue;
 use crate::manifest::fingerprint;
@@ -33,24 +40,9 @@ pub const JOURNAL_VERSION: u64 = 1;
 ///
 /// # Errors
 ///
-/// Propagates filesystem failures; on error the previous journal (if
-/// any) is left intact.
-pub fn write_sealed(
-    path: impl AsRef<Path>,
-    kind: &str,
-    payload: &JsonValue,
-) -> std::io::Result<()> {
-    write_sealed_with(&OsStorage, path, kind, payload)
-}
-
-/// [`write_sealed`] through an explicit [`Storage`], so fault injection
-/// covers the journal write.
-///
-/// # Errors
-///
 /// Propagates storage failures; on error the previous journal (if any)
 /// is left intact.
-pub fn write_sealed_with(
+pub fn write_sealed(
     storage: &dyn Storage,
     path: impl AsRef<Path>,
     kind: &str,
@@ -78,16 +70,7 @@ pub fn write_sealed_with(
 /// / [`SnapshotError::HashMismatch`] on a stale, foreign or corrupted
 /// file; [`SnapshotError::Io`] / [`SnapshotError::Json`] /
 /// [`SnapshotError::BadShape`] on unreadable content.
-pub fn read_sealed(path: impl AsRef<Path>, kind: &str) -> Result<JsonValue, SnapshotError> {
-    read_sealed_with(&OsStorage, path, kind)
-}
-
-/// [`read_sealed`] through an explicit [`Storage`].
-///
-/// # Errors
-///
-/// Same failure modes as [`read_sealed`].
-pub fn read_sealed_with(
+pub fn read_sealed(
     storage: &dyn Storage,
     path: impl AsRef<Path>,
     kind: &str,
@@ -193,31 +176,6 @@ impl ProgressEvent {
     }
 }
 
-/// Appends one progress line to `path`, creating parent directories.
-/// Each line is written and flushed in a single call so concurrent
-/// writers from worker threads interleave at line granularity.
-///
-/// # Errors
-///
-/// Propagates filesystem failures.
-pub fn append_progress(path: impl AsRef<Path>, event: &ProgressEvent) -> std::io::Result<()> {
-    append_progress_with(&OsStorage, path, event)
-}
-
-/// [`append_progress`] through an explicit [`Storage`], so fault
-/// injection covers the append.
-///
-/// # Errors
-///
-/// Propagates storage failures.
-pub fn append_progress_with(
-    storage: &dyn Storage,
-    path: impl AsRef<Path>,
-    event: &ProgressEvent,
-) -> std::io::Result<()> {
-    storage.append_line(path.as_ref(), &event.to_json().to_string())
-}
-
 /// The result of replaying a progress stream: the complete events plus
 /// every line that had to be skipped (a torn tail after a crash, or a
 /// line a torn append glued onto), reported instead of silently
@@ -251,17 +209,8 @@ impl ProgressReplay {
 ///
 /// # Errors
 ///
-/// Propagates filesystem failures other than the file being absent.
-pub fn replay_progress(path: impl AsRef<Path>) -> std::io::Result<ProgressReplay> {
-    replay_progress_with(&OsStorage, path)
-}
-
-/// [`replay_progress`] through an explicit [`Storage`].
-///
-/// # Errors
-///
 /// Propagates storage failures other than the file being absent.
-pub fn replay_progress_with(
+pub fn replay_progress(
     storage: &dyn Storage,
     path: impl AsRef<Path>,
 ) -> std::io::Result<ProgressReplay> {
@@ -337,23 +286,27 @@ impl ProgressLog {
     }
 }
 
-/// Reads every complete progress line from `path`. Unparseable lines
-/// (a torn final line after a crash) are skipped, not errors; a missing
-/// file reads as empty. Callers that should *surface* torn lines use
-/// [`replay_progress`] instead.
+/// Reads every complete progress line from `path` on the real
+/// filesystem. Unparseable lines (a torn final line after a crash) are
+/// skipped, not errors; a missing file reads as empty. Callers that
+/// should *surface* torn lines use [`replay_progress`] instead.
 ///
 /// # Errors
 ///
 /// Propagates filesystem failures other than the file being absent.
 pub fn read_progress(path: impl AsRef<Path>) -> std::io::Result<Vec<ProgressEvent>> {
-    Ok(replay_progress(path)?.events)
+    Ok(replay_progress(&OsStorage, path)?.events)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::atomic_write_file;
     use std::io::Write;
+
+    /// Appends `event` as one progress line, unstamped.
+    fn append(path: &Path, event: &ProgressEvent) {
+        OsStorage.append_line(path, &event.to_json().to_string()).unwrap();
+    }
 
     fn scratch(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("pearl-telemetry-journal-{name}"));
@@ -370,17 +323,20 @@ mod tests {
             ("jobs", JsonValue::Arr(vec![JsonValue::str("a"), JsonValue::str("b")])),
             ("pass", JsonValue::u64(3)),
         ]);
-        write_sealed(&path, "serve-journal", &payload).unwrap();
-        assert_eq!(read_sealed(&path, "serve-journal").unwrap(), payload);
+        write_sealed(&OsStorage, &path, "serve-journal", &payload).unwrap();
+        assert_eq!(read_sealed(&OsStorage, &path, "serve-journal").unwrap(), payload);
 
         // A foreign kind is rejected before the payload is looked at.
-        assert!(matches!(read_sealed(&path, "other"), Err(SnapshotError::KindMismatch { .. })));
+        assert!(matches!(
+            read_sealed(&OsStorage, &path, "other"),
+            Err(SnapshotError::KindMismatch { .. })
+        ));
 
         // Flip a payload byte: the seal catches it.
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, text.replace("\"pass\":3", "\"pass\":4")).unwrap();
         assert!(matches!(
-            read_sealed(&path, "serve-journal"),
+            read_sealed(&OsStorage, &path, "serve-journal"),
             Err(SnapshotError::HashMismatch { .. })
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -402,7 +358,7 @@ mod tests {
             ("dropped", JsonValue::str("0")),
         ]);
         let kind = "serve-\"resume\"";
-        write_sealed_with(&OsStorage, &path, kind, &payload).unwrap();
+        write_sealed(&OsStorage, &path, kind, &payload).unwrap();
         let envelope = JsonValue::obj(vec![
             ("version", JsonValue::u64(JOURNAL_VERSION)),
             ("kind", JsonValue::str(kind)),
@@ -410,7 +366,7 @@ mod tests {
             ("payload", payload.clone()),
         ]);
         assert_eq!(std::fs::read_to_string(&path).unwrap(), format!("{envelope}\n"));
-        assert_eq!(read_sealed(&path, kind).unwrap(), payload);
+        assert_eq!(read_sealed(&OsStorage, &path, kind).unwrap(), payload);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -424,9 +380,9 @@ mod tests {
             ("payload_hash", JsonValue::str("0")),
             ("payload", JsonValue::Null),
         ]);
-        atomic_write_file(&path, &doc.to_string()).unwrap();
+        OsStorage.write_atomic(&path, &doc.to_string()).unwrap();
         assert!(matches!(
-            read_sealed(&path, "serve-journal"),
+            read_sealed(&OsStorage, &path, "serve-journal"),
             Err(SnapshotError::VersionMismatch { .. })
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -443,8 +399,8 @@ mod tests {
         ck.cycle = 5_000;
         ck.delivered = 1_234;
         ck.detail = "state/job-a.resume.json".into();
-        append_progress(&path, &started).unwrap();
-        append_progress(&path, &ck).unwrap();
+        append(&path, &started);
+        append(&path, &ck);
         // Simulate a crash mid-append: a torn, unparseable final line.
         {
             let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
@@ -463,13 +419,13 @@ mod tests {
         let path = dir.join("progress.jsonl");
         let a = ProgressEvent::new("job-a", "started");
         let b = ProgressEvent::new("job-a", "completed");
-        append_progress(&path, &a).unwrap();
-        append_progress(&path, &b).unwrap();
+        append(&path, &a);
+        append(&path, &b);
         // Truncate mid-line: chop the file inside the final record.
         let text = std::fs::read_to_string(&path).unwrap();
         let cut = text.len() - 9;
         std::fs::write(&path, &text[..cut]).unwrap();
-        let replay = replay_progress(&path).unwrap();
+        let replay = replay_progress(&OsStorage, &path).unwrap();
         assert_eq!(replay.events, vec![a.clone()], "only the complete line survives");
         assert_eq!(replay.torn.len(), 1, "the torn tail is reported, not hidden");
         assert_eq!(replay.torn[0].0, 2);
@@ -477,7 +433,7 @@ mod tests {
         // The lenient reader sees the same events, minus the report.
         assert_eq!(read_progress(&path).unwrap(), vec![a]);
         // A missing stream replays as empty with no torn lines.
-        let empty = replay_progress(dir.join("absent.jsonl")).unwrap();
+        let empty = replay_progress(&OsStorage, dir.join("absent.jsonl")).unwrap();
         assert_eq!(empty, ProgressReplay::default());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -493,7 +449,7 @@ mod tests {
         assert_eq!(log.append(&OsStorage, &path, &mut b).unwrap(), 2);
         assert_eq!((a.seq, b.seq), (1, 2));
 
-        let replay = replay_progress(&path).unwrap();
+        let replay = replay_progress(&OsStorage, &path).unwrap();
         assert_eq!(replay.events, vec![a, b]);
         assert!(replay.gaps.is_empty());
         assert_eq!(replay.max_seq(), 2);
@@ -501,8 +457,8 @@ mod tests {
         // A writer that skips seqs (a lost line) shows up as a gap.
         let mut d = ProgressEvent::new("job-a", "completed");
         d.seq = 5;
-        append_progress(&path, &d).unwrap();
-        let replay = replay_progress(&path).unwrap();
+        append(&path, &d);
+        let replay = replay_progress(&OsStorage, &path).unwrap();
         assert_eq!(replay.gaps, vec![(2, 5)]);
         assert_eq!(replay.max_seq(), 5);
 
@@ -510,7 +466,10 @@ mod tests {
         let resumed = ProgressLog::resuming_after(replay.max_seq());
         let mut e = ProgressEvent::new("job-b", "accepted");
         assert_eq!(resumed.append(&OsStorage, &path, &mut e).unwrap(), 6);
-        assert!(replay_progress(&path).unwrap().gaps == vec![(2, 5)], "no new gap after resume");
+        assert!(
+            replay_progress(&OsStorage, &path).unwrap().gaps == vec![(2, 5)],
+            "no new gap after resume"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -527,7 +486,7 @@ mod tests {
             .unwrap();
         let mut stamped = ProgressEvent::new("new", "accepted");
         ProgressLog::resuming_after(0).append(&OsStorage, &path, &mut stamped).unwrap();
-        let replay = replay_progress(&path).unwrap();
+        let replay = replay_progress(&OsStorage, &path).unwrap();
         assert_eq!(replay.events.len(), 2);
         assert_eq!(replay.events[0].seq, 0);
         assert_eq!(replay.events[1].seq, 1);
@@ -541,15 +500,15 @@ mod tests {
         let path = dir.join("progress.jsonl");
         let a = ProgressEvent::new("job-a", "started");
         let c = ProgressEvent::new("job-a", "completed");
-        append_progress(&path, &a).unwrap();
+        append(&path, &a);
         // A torn append leaves half a line with no newline; the next
         // successful append glues onto it, corrupting one line.
         {
             let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(b"{\"job\":\"job-a\",\"ki").unwrap();
         }
-        append_progress(&path, &c).unwrap();
-        let replay = replay_progress(&path).unwrap();
+        append(&path, &c);
+        let replay = replay_progress(&OsStorage, &path).unwrap();
         assert_eq!(replay.events, vec![a]);
         assert_eq!(replay.torn.len(), 1);
         assert!(replay.torn[0].1.contains("\"ki{"), "glued line reported verbatim");

@@ -6,14 +6,21 @@
 //! `"cpu"`/`"gpu"`; fault kinds by their snake_case names. The reader
 //! rejects unknown tags and malformed fields — round-tripping every
 //! variant is pinned by tests.
+//!
+//! [`write_trace_file`] and [`read_trace_file`] persist a trace through
+//! the [`Storage`] they take first, so trace artifacts share the
+//! atomic-write contract and the fault injection of every other
+//! artifact.
 
 use crate::event::{LadderMode, TraceEvent, TransitionCause};
 use crate::json::{JsonError, JsonValue};
 use crate::span::{Span, SpanKind};
+use crate::storage::Storage;
 use pearl_noc::CoreType;
 use pearl_photonics::{FaultEventKind, WavelengthState};
 use std::fmt;
 use std::io::{BufRead, Write};
+use std::path::Path;
 
 /// A serialization or deserialization failure.
 #[derive(Debug)]
@@ -317,23 +324,10 @@ pub fn read_trace(input: &mut impl BufRead) -> Result<Vec<TraceEvent>, JsonlErro
 ///
 /// # Errors
 ///
-/// Propagates filesystem failures.
-pub fn write_trace_file(
-    path: impl AsRef<std::path::Path>,
-    events: &[TraceEvent],
-) -> Result<(), JsonlError> {
-    write_trace_file_with(&crate::storage::OsStorage, path, events)
-}
-
-/// [`write_trace_file`] through an explicit [`crate::storage::Storage`],
-/// so fault injection covers the trace write.
-///
-/// # Errors
-///
 /// Propagates storage failures.
-pub fn write_trace_file_with(
-    storage: &dyn crate::storage::Storage,
-    path: impl AsRef<std::path::Path>,
+pub fn write_trace_file(
+    storage: &dyn Storage,
+    path: impl AsRef<Path>,
     events: &[TraceEvent],
 ) -> Result<(), JsonlError> {
     let mut buf = Vec::new();
@@ -347,20 +341,10 @@ pub fn write_trace_file_with(
 ///
 /// # Errors
 ///
-/// Fails on filesystem errors or malformed content.
-pub fn read_trace_file(path: impl AsRef<std::path::Path>) -> Result<Vec<TraceEvent>, JsonlError> {
-    let mut input = std::io::BufReader::new(std::fs::File::open(path)?);
-    read_trace(&mut input)
-}
-
-/// [`read_trace_file`] through an explicit [`crate::storage::Storage`].
-///
-/// # Errors
-///
 /// Fails on storage errors or malformed content.
-pub fn read_trace_file_with(
-    storage: &dyn crate::storage::Storage,
-    path: impl AsRef<std::path::Path>,
+pub fn read_trace_file(
+    storage: &dyn Storage,
+    path: impl AsRef<Path>,
 ) -> Result<Vec<TraceEvent>, JsonlError> {
     let text = storage.read(path.as_ref())?;
     read_trace(&mut text.as_bytes())
@@ -369,6 +353,7 @@ pub fn read_trace_file_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::OsStorage;
 
     /// One instance of every variant, exercising both `Some` and `None`
     /// optional fields and every enum payload.
@@ -466,8 +451,8 @@ mod tests {
         let dir = std::env::temp_dir().join("pearl-telemetry-test-trace");
         let path = dir.join("nested").join("trace.jsonl");
         let events = every_variant();
-        write_trace_file(&path, &events).unwrap();
-        let back = read_trace_file(&path).unwrap();
+        write_trace_file(&OsStorage, &path, &events).unwrap();
+        let back = read_trace_file(&OsStorage, &path).unwrap();
         assert_eq!(back, events);
         std::fs::remove_dir_all(&dir).ok();
     }

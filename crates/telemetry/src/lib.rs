@@ -13,8 +13,7 @@
 //!   property tests in `pearl-core` and the golden ladder) is that
 //!   instrumented runs are **bit-identical** to uninstrumented ones.
 //! - [`Recorder`] / [`SharedRecorder`]: buffering sinks with an
-//!   explicit cap and dropped-event counter, feeding a
-//!   [`MetricsRegistry`] of counters, gauges and streaming histograms.
+//!   explicit cap and dropped-event counter.
 //! - [`jsonl`]: JSON Lines trace export and re-import, round-tripping
 //!   every event variant.
 //! - [`RunManifest`]: per-run provenance (seed, cycles, config
@@ -34,6 +33,13 @@
 //! - [`Simulator`] / [`Watchable`]: the one interface both networks
 //!   implement, through which every harness builds, observes, advances
 //!   under the watchdog, checkpoints and hashes a run.
+//! - [`Storage`]: the one persistence seam. Every artifact reader and
+//!   writer (traces, manifests, checkpoints, journals, flight dumps)
+//!   takes the storage it goes through as its first argument, so fault
+//!   injection ([`FaultStorage`]) covers every path; only
+//!   [`read_progress`] reads the real filesystem implicitly.
+//! - [`MetricsRegistry`] / [`prometheus_exposition`]: the counters and
+//!   gauges `pearl-serve` renders at `GET /metrics`.
 //! - [`alloc`]: with `--features alloc-count`, a counting global
 //!   allocator attributing allocation count/bytes to the active
 //!   profiler section (no-op stubs, and no unsafe code, otherwise).
@@ -59,7 +65,8 @@
 //!     backoff_cycles: 8,
 //! });
 //! assert_eq!(recorder.events().len(), 1);
-//! assert_eq!(recorder.metrics().counter("events.retransmission"), 1);
+//! assert_eq!(recorder.events()[0].kind(), "retransmission");
+//! assert_eq!(recorder.dropped(), 0);
 //! ```
 
 // The crate is unsafe-free except for one audited item: the counting
@@ -97,25 +104,20 @@ pub use flight::{
     FLIGHTREC_SCHEMA,
 };
 pub use journal::{
-    append_progress, append_progress_with, read_progress, read_sealed, read_sealed_with,
-    replay_progress, replay_progress_with, write_sealed, write_sealed_with, ProgressEvent,
-    ProgressLog, ProgressReplay, JOURNAL_VERSION,
+    read_progress, read_sealed, replay_progress, write_sealed, ProgressEvent, ProgressLog,
+    ProgressReplay, JOURNAL_VERSION,
 };
 pub use json::{JsonError, JsonValue};
 pub use jsonl::{
-    event_from_json, event_to_json, read_trace, read_trace_file, read_trace_file_with, write_trace,
-    write_trace_file, write_trace_file_with, JsonlError,
+    event_from_json, event_to_json, read_trace, read_trace_file, write_trace, write_trace_file,
+    JsonlError,
 };
 pub use manifest::{fingerprint, ManifestError, RunManifest};
 pub use profiler::{Phase, ProfileReport, Section, SelfProfiler, SubSection};
-pub use prometheus::{
-    escape_label_value, prometheus_exposition, sanitize_metric_name, validate_exposition,
-};
-pub use registry::{HistogramSummary, MetricsRegistry, MetricsSnapshot};
+pub use prometheus::{prometheus_exposition, sanitize_metric_name, validate_exposition};
+pub use registry::{MetricsRegistry, MetricsSnapshot};
 pub use simulator::{Simulator, Watchable};
-pub use snapshot::{
-    atomic_write_file, atomic_write_file_with, Checkpoint, Codec, SnapshotError, SNAPSHOT_VERSION,
-};
+pub use snapshot::{Checkpoint, Codec, SnapshotError, SNAPSHOT_VERSION};
 pub use span::{
     chrome_trace, critical_path, group_by_packet, latency_breakdown, percentile,
     validate_chrome_trace, BreakdownRow, ChromeTraceSummary, CriticalPathEntry, PacketTrace,

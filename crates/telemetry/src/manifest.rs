@@ -8,7 +8,9 @@
 //! decimal strings because JSON numbers are `f64`-lossy above 2⁵³.
 
 use crate::json::{JsonError, JsonValue};
+use crate::storage::Storage;
 use std::fmt;
+use std::path::Path;
 
 /// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -125,22 +127,8 @@ impl RunManifest {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem failures.
-    pub fn write_file(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        self.write_file_with(&crate::storage::OsStorage, path)
-    }
-
-    /// [`RunManifest::write_file`] through an explicit
-    /// [`crate::storage::Storage`].
-    ///
-    /// # Errors
-    ///
     /// Propagates storage failures.
-    pub fn write_file_with(
-        &self,
-        storage: &dyn crate::storage::Storage,
-        path: impl AsRef<std::path::Path>,
-    ) -> std::io::Result<()> {
+    pub fn write_file(&self, storage: &dyn Storage, path: impl AsRef<Path>) -> std::io::Result<()> {
         storage.write_atomic(path.as_ref(), &format!("{}\n", self.to_json()))
     }
 
@@ -148,20 +136,10 @@ impl RunManifest {
     ///
     /// # Errors
     ///
-    /// Fails on filesystem errors or malformed content.
-    pub fn read_file(path: impl AsRef<std::path::Path>) -> Result<RunManifest, ManifestError> {
-        RunManifest::read_file_with(&crate::storage::OsStorage, path)
-    }
-
-    /// [`RunManifest::read_file`] through an explicit
-    /// [`crate::storage::Storage`].
-    ///
-    /// # Errors
-    ///
     /// Fails on storage errors or malformed content.
-    pub fn read_file_with(
-        storage: &dyn crate::storage::Storage,
-        path: impl AsRef<std::path::Path>,
+    pub fn read_file(
+        storage: &dyn Storage,
+        path: impl AsRef<Path>,
     ) -> Result<RunManifest, ManifestError> {
         let text = storage.read(path.as_ref())?;
         let value = JsonValue::parse(text.trim())?;
@@ -207,6 +185,7 @@ impl From<JsonError> for ManifestError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::OsStorage;
 
     #[test]
     fn fingerprint_is_stable_and_discriminating() {
@@ -241,8 +220,8 @@ mod tests {
         let dir = std::env::temp_dir().join("pearl-telemetry-test-manifest");
         let path = dir.join("run.manifest.json");
         let m = RunManifest::new("smoke", 3, 500).with_trace_counts(10, 0);
-        m.write_file(&path).unwrap();
-        assert_eq!(RunManifest::read_file(&path).unwrap(), m);
+        m.write_file(&OsStorage, &path).unwrap();
+        assert_eq!(RunManifest::read_file(&OsStorage, &path).unwrap(), m);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -2,17 +2,15 @@
 //!
 //! The live introspection plane serves `GET /metrics` in the standard
 //! text format (version 0.0.4) so any off-the-shelf scraper can watch a
-//! running daemon. The renderer is deliberately small: counters and
-//! gauges map directly, histograms are rendered as Prometheus
-//! *summaries* (quantile-labelled samples plus a `_count`) with the
-//! observed maximum as a companion gauge, since
-//! [`crate::HistogramSummary`] carries percentiles, not buckets.
+//! running daemon. The renderer is deliberately small: the snapshot's
+//! counters and gauges map directly onto `counter` and `gauge` samples,
+//! with no labels.
 //!
-//! Registry names like `events.retransmission` are not valid metric
-//! names, so [`sanitize_metric_name`] maps every illegal character to
-//! `_`; label values pass through [`escape_label_value`]. Output order
-//! is the snapshot's order — sorted by name — so two expositions of
-//! the same snapshot are byte-identical, diffable and cacheable.
+//! Registry names like `serve.queue.depth` are not valid metric names,
+//! so [`sanitize_metric_name`] maps every illegal character to `_`.
+//! Output order is the snapshot's order — sorted by name — so two
+//! expositions of the same snapshot are byte-identical, diffable and
+//! cacheable.
 
 use crate::registry::MetricsSnapshot;
 use std::fmt::Write as _;
@@ -36,21 +34,6 @@ pub fn sanitize_metric_name(name: &str) -> String {
     out
 }
 
-/// Escapes a label value per the exposition format: backslash, double
-/// quote and newline.
-pub fn escape_label_value(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders a float sample value, using the exposition spellings for the
 /// non-finite cases.
 fn sample_value(v: f64) -> String {
@@ -66,8 +49,8 @@ fn sample_value(v: f64) -> String {
 }
 
 /// Renders the snapshot in the Prometheus text exposition format:
-/// counters, then gauges, then histograms-as-summaries, each preceded
-/// by its `# TYPE` line, in the snapshot's (sorted) order.
+/// counters, then gauges, each preceded by its `# TYPE` line, in the
+/// snapshot's (sorted) order.
 pub fn prometheus_exposition(snapshot: &MetricsSnapshot) -> String {
     let mut out = String::new();
     for (name, value) in &snapshot.counters {
@@ -79,21 +62,6 @@ pub fn prometheus_exposition(snapshot: &MetricsSnapshot) -> String {
         let name = sanitize_metric_name(name);
         let _ = writeln!(out, "# TYPE {name} gauge");
         let _ = writeln!(out, "{name} {}", sample_value(*value));
-    }
-    for (name, h) in &snapshot.histograms {
-        let name = sanitize_metric_name(name);
-        let _ = writeln!(out, "# TYPE {name} summary");
-        for (q, v) in [("0.5", h.p50), ("0.95", h.p95), ("0.99", h.p99)] {
-            let _ = writeln!(
-                out,
-                "{name}{{quantile=\"{}\"}} {}",
-                escape_label_value(q),
-                sample_value(v)
-            );
-        }
-        let _ = writeln!(out, "{name}_count {}", h.count);
-        let _ = writeln!(out, "# TYPE {name}_max gauge");
-        let _ = writeln!(out, "{name}_max {}", sample_value(h.max));
     }
     out
 }
@@ -180,13 +148,12 @@ mod tests {
     use crate::registry::MetricsRegistry;
 
     #[test]
-    fn names_are_sanitized_and_labels_escaped() {
+    fn names_are_sanitized() {
         assert_eq!(sanitize_metric_name("events.retransmission"), "events_retransmission");
         assert_eq!(sanitize_metric_name("disk.crash-points"), "disk_crash_points");
         assert_eq!(sanitize_metric_name("9lives"), "_9lives");
         assert_eq!(sanitize_metric_name("ok:name_1"), "ok:name_1");
         assert_eq!(sanitize_metric_name(""), "_");
-        assert_eq!(escape_label_value("a\\b\"c\nd"), "a\\\\b\\\"c\\nd");
     }
 
     #[test]
@@ -195,8 +162,6 @@ mod tests {
         r.incr("events.retransmission", 5);
         r.incr("jobs.completed", 2);
         r.set_gauge("queue.depth", 3.0);
-        r.observe("wave.latency", 100);
-        r.observe("wave.latency", 200);
         let snap = r.snapshot();
         let a = prometheus_exposition(&snap);
         let b = prometheus_exposition(&snap);
@@ -204,9 +169,6 @@ mod tests {
         validate_exposition(&a).unwrap();
         assert!(a.contains("# TYPE events_retransmission counter\nevents_retransmission 5\n"));
         assert!(a.contains("# TYPE queue_depth gauge\nqueue_depth 3\n"));
-        assert!(a.contains("wave_latency{quantile=\"0.95\"}"));
-        assert!(a.contains("wave_latency_count 2\n"));
-        assert!(a.contains("# TYPE wave_latency_max gauge\n"));
         // Sorted snapshot order: events.* before jobs.*.
         assert!(
             a.find("events_retransmission").unwrap() < a.find("jobs_completed").unwrap(),
@@ -221,12 +183,10 @@ mod tests {
             r.incr(name, 1);
         }
         r.set_gauge("g.one", 1.0);
-        r.observe("h.lat", 7);
         let snap = r.snapshot();
         let text = prometheus_exposition(&snap);
         let samples: Vec<&str> = text.lines().filter(|l| !l.starts_with('#')).collect();
-        // 3 counters + 1 gauge + (3 quantiles + count + max) = 9.
-        assert_eq!(samples.len(), 9);
+        assert_eq!(samples.len(), 4, "3 counters + 1 gauge");
         for (name, _) in &snap.counters {
             let sanitized = sanitize_metric_name(name);
             let count = samples
@@ -242,17 +202,6 @@ mod tests {
                 .filter(|l| l.split([' ', '{']).next() == Some(sanitized.as_str()))
                 .count();
             assert_eq!(count, 1, "gauge {name} appears exactly once");
-        }
-        for (name, _) in &snap.histograms {
-            let sanitized = sanitize_metric_name(name);
-            let quantiles = samples
-                .iter()
-                .filter(|l| l.split([' ', '{']).next() == Some(sanitized.as_str()))
-                .count();
-            assert_eq!(quantiles, 3, "histogram {name} renders its three quantiles");
-            let counts =
-                samples.iter().filter(|l| l.starts_with(&format!("{sanitized}_count "))).count();
-            assert_eq!(counts, 1, "histogram {name} renders one _count");
         }
     }
 

@@ -1,23 +1,17 @@
-//! A small metrics registry: named counters, gauges and streaming
-//! histograms with a stable snapshot type.
+//! A small metrics registry: the named counters and gauges that
+//! `pearl-serve` renders at `GET /metrics`.
 //!
-//! The registry is deliberately simple — string-keyed `BTreeMap`s so
-//! snapshots iterate in a deterministic order, and
-//! [`pearl_noc::LatencyHistogram`] for the streaming distributions (the
-//! same power-of-two-bucketed type the simulators already use for
-//! packet latency, so registry percentiles are comparable with
-//! simulator percentiles).
+//! The registry is deliberately simple — string-keyed `BTreeMap`s, so a
+//! [`MetricsSnapshot`] lists each kind sorted by name and two
+//! expositions of the same state are byte-identical.
 
-use crate::json::JsonValue;
-use pearl_noc::LatencyHistogram;
 use std::collections::BTreeMap;
 
-/// Named counters, gauges and histograms for one run.
+/// Named counters and gauges.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, LatencyHistogram>,
 }
 
 impl MetricsRegistry {
@@ -28,67 +22,13 @@ impl MetricsRegistry {
 
     /// Adds `delta` to the counter `name`, creating it at zero.
     pub fn incr(&mut self, name: &str, delta: u64) {
-        let slot = match self.counters.get_mut(name) {
-            Some(slot) => slot,
-            None => self.counters.entry(name.to_string()).or_insert(0),
-        };
+        let slot = self.counters.entry(name.to_string()).or_insert(0);
         *slot = slot.saturating_add(delta);
     }
 
     /// Sets the gauge `name` to `value` (last write wins).
     pub fn set_gauge(&mut self, name: &str, value: f64) {
-        match self.gauges.get_mut(name) {
-            Some(slot) => *slot = value,
-            None => {
-                self.gauges.insert(name.to_string(), value);
-            }
-        }
-    }
-
-    /// Records one observation into the histogram `name`.
-    pub fn observe(&mut self, name: &str, value: u64) {
-        match self.histograms.get_mut(name) {
-            Some(h) => h.record(value),
-            None => {
-                let mut h = LatencyHistogram::new();
-                h.record(value);
-                self.histograms.insert(name.to_string(), h);
-            }
-        }
-    }
-
-    /// Current value of a counter (zero when never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Current value of a gauge, if ever set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// The histogram `name`, if anything was observed into it.
-    pub fn histogram(&self, name: &str) -> Option<&LatencyHistogram> {
-        self.histograms.get(name)
-    }
-
-    /// Merges another registry into this one: counters add, gauges take
-    /// the other's value, histograms merge bucket-wise.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, v) in &other.counters {
-            self.incr(name, *v);
-        }
-        for (name, v) in &other.gauges {
-            self.set_gauge(name, *v);
-        }
-        for (name, h) in &other.histograms {
-            match self.histograms.get_mut(name) {
-                Some(mine) => mine.merge(h),
-                None => {
-                    self.histograms.insert(name.clone(), h.clone());
-                }
-            }
-        }
+        self.gauges.insert(name.to_string(), value);
     }
 
     /// A stable, sorted snapshot of every metric.
@@ -96,39 +36,8 @@ impl MetricsRegistry {
         MetricsSnapshot {
             counters: self.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
             gauges: self.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(k, h)| {
-                    (
-                        k.clone(),
-                        HistogramSummary {
-                            count: h.count(),
-                            p50: h.percentile(0.5),
-                            p95: h.percentile(0.95),
-                            p99: h.percentile(0.99),
-                            max: h.percentile(1.0),
-                        },
-                    )
-                })
-                .collect(),
         }
     }
-}
-
-/// Percentile summary of one histogram at snapshot time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistogramSummary {
-    /// Total observations.
-    pub count: u64,
-    /// Median (upper bucket edge).
-    pub p50: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// 99th percentile.
-    pub p99: f64,
-    /// Maximum observed bucket edge.
-    pub max: f64,
 }
 
 /// A point-in-time copy of a [`MetricsRegistry`], sorted by name.
@@ -138,38 +47,6 @@ pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
     /// `(name, value)` gauge pairs, sorted by name.
     pub gauges: Vec<(String, f64)>,
-    /// `(name, summary)` histogram pairs, sorted by name.
-    pub histograms: Vec<(String, HistogramSummary)>,
-}
-
-impl MetricsSnapshot {
-    /// Renders the snapshot as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let counters = JsonValue::Obj(
-            self.counters.iter().map(|(k, v)| (k.clone(), JsonValue::u64(*v))).collect(),
-        );
-        let gauges = JsonValue::Obj(
-            self.gauges.iter().map(|(k, v)| (k.clone(), JsonValue::Num(*v))).collect(),
-        );
-        let histograms = JsonValue::Obj(
-            self.histograms
-                .iter()
-                .map(|(k, h)| {
-                    (
-                        k.clone(),
-                        JsonValue::obj(vec![
-                            ("count", JsonValue::u64(h.count)),
-                            ("p50", JsonValue::Num(h.p50)),
-                            ("p95", JsonValue::Num(h.p95)),
-                            ("p99", JsonValue::Num(h.p99)),
-                            ("max", JsonValue::Num(h.max)),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        JsonValue::obj(vec![("counters", counters), ("gauges", gauges), ("histograms", histograms)])
-    }
 }
 
 #[cfg(test)]
@@ -181,10 +58,9 @@ mod tests {
         let mut r = MetricsRegistry::new();
         r.incr("retx", 2);
         r.incr("retx", 3);
-        assert_eq!(r.counter("retx"), 5);
-        assert_eq!(r.counter("missing"), 0);
+        assert_eq!(r.snapshot().counters, [("retx".to_string(), 5)]);
         r.incr("retx", u64::MAX);
-        assert_eq!(r.counter("retx"), u64::MAX);
+        assert_eq!(r.snapshot().counters, [("retx".to_string(), u64::MAX)]);
     }
 
     #[test]
@@ -192,53 +68,19 @@ mod tests {
         let mut r = MetricsRegistry::new();
         r.set_gauge("beta", 0.25);
         r.set_gauge("beta", 0.75);
-        assert_eq!(r.gauge("beta"), Some(0.75));
-        assert_eq!(r.gauge("missing"), None);
+        assert_eq!(r.snapshot().gauges, [("beta".to_string(), 0.75)]);
+        assert!(r.snapshot().counters.is_empty());
     }
 
     #[test]
-    fn histograms_stream_observations() {
-        let mut r = MetricsRegistry::new();
-        for v in [1u64, 2, 4, 1000] {
-            r.observe("backoff", v);
-        }
-        let h = r.histogram("backoff").unwrap();
-        assert_eq!(h.count(), 4);
-        assert!(h.percentile(1.0) >= 1000.0);
-    }
-
-    #[test]
-    fn merge_combines_all_three_kinds() {
-        let mut a = MetricsRegistry::new();
-        a.incr("c", 1);
-        a.observe("h", 10);
-        let mut b = MetricsRegistry::new();
-        b.incr("c", 2);
-        b.set_gauge("g", 9.0);
-        b.observe("h", 20);
-        b.observe("h2", 5);
-        a.merge(&b);
-        assert_eq!(a.counter("c"), 3);
-        assert_eq!(a.gauge("g"), Some(9.0));
-        assert_eq!(a.histogram("h").unwrap().count(), 2);
-        assert_eq!(a.histogram("h2").unwrap().count(), 1);
-    }
-
-    #[test]
-    fn snapshot_is_sorted_and_json_round_trips() {
+    fn snapshot_is_sorted_by_name() {
         let mut r = MetricsRegistry::new();
         r.incr("zeta", 1);
         r.incr("alpha", 2);
         r.set_gauge("mid", 0.5);
-        r.observe("lat", 64);
+        r.set_gauge("low", 0.25);
         let snap = r.snapshot();
-        assert_eq!(snap.counters[0].0, "alpha");
-        assert_eq!(snap.counters[1].0, "zeta");
-        let text = snap.to_json().to_string();
-        let parsed = JsonValue::parse(&text).unwrap();
-        assert_eq!(parsed.get("counters").unwrap().get("alpha").unwrap().as_u64(), Some(2));
-        assert_eq!(parsed.get("gauges").unwrap().get("mid").unwrap().as_f64(), Some(0.5));
-        let lat = parsed.get("histograms").unwrap().get("lat").unwrap();
-        assert_eq!(lat.get("count").unwrap().as_u64(), Some(1));
+        assert_eq!(snap.counters, [("alpha".to_string(), 2), ("zeta".to_string(), 1)]);
+        assert_eq!(snap.gauges, [("low".to_string(), 0.25), ("mid".to_string(), 0.5)]);
     }
 }

@@ -27,15 +27,15 @@
 //!
 //! ## Crash safety
 //!
-//! [`atomic_write_file`] writes through a temporary file in the target
-//! directory and renames it into place, so readers observe either the
-//! old complete artifact or the new complete artifact — never a
-//! truncated hybrid. Every artifact writer in the workspace (manifests,
-//! traces, bench reports, checkpoints) routes through it.
+//! [`Storage::write_atomic`] writes through a temporary file in the
+//! target directory and renames it into place, so readers observe
+//! either the old complete artifact or the new complete artifact —
+//! never a truncated hybrid. Every artifact writer in the workspace
+//! (manifests, traces, bench reports, checkpoints) routes through it.
 
 use crate::json::{JsonError, JsonValue};
 use crate::manifest::fingerprint;
-use crate::storage::{OsStorage, Storage};
+use crate::storage::Storage;
 use pearl_noc::{
     BufferState, CoreType, Cycle, Flit, FlitKind, NodeId, Packet, PacketKind, SimRng, StatsState,
     TrafficClass, VcState,
@@ -135,42 +135,6 @@ impl From<JsonError> for SnapshotError {
     fn from(e: JsonError) -> Self {
         SnapshotError::Json(e)
     }
-}
-
-// ---------------------------------------------------------------------------
-// Crash-safe writes
-// ---------------------------------------------------------------------------
-
-/// Writes `contents` to `path` atomically: the bytes go to a temporary
-/// file in the same directory (so the rename cannot cross filesystems),
-/// are flushed and fsynced, and the temporary is renamed over `path`.
-/// A crash at any point leaves either the previous artifact or the new
-/// one — never a truncated file. Parent directories are created.
-///
-/// This is the [`Storage::write_atomic`] contract on the real
-/// filesystem; code holding an injectable storage should call
-/// [`atomic_write_file_with`] instead.
-///
-/// # Errors
-///
-/// Propagates filesystem failures; the temporary file is removed on
-/// error.
-pub fn atomic_write_file(path: impl AsRef<Path>, contents: &str) -> std::io::Result<()> {
-    OsStorage.write_atomic(path.as_ref(), contents)
-}
-
-/// [`atomic_write_file`] through an explicit [`Storage`], so fault
-/// injection covers the write.
-///
-/// # Errors
-///
-/// Propagates storage failures.
-pub fn atomic_write_file_with(
-    storage: &dyn Storage,
-    path: impl AsRef<Path>,
-    contents: &str,
-) -> std::io::Result<()> {
-    storage.write_atomic(path.as_ref(), contents)
 }
 
 // ---------------------------------------------------------------------------
@@ -683,21 +647,8 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem failures.
-    pub fn write_file(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        self.write_file_with(&OsStorage, path)
-    }
-
-    /// [`Self::write_file`] through an explicit [`Storage`].
-    ///
-    /// # Errors
-    ///
     /// Propagates storage failures.
-    pub fn write_file_with(
-        &self,
-        storage: &dyn Storage,
-        path: impl AsRef<Path>,
-    ) -> std::io::Result<()> {
+    pub fn write_file(&self, storage: &dyn Storage, path: impl AsRef<Path>) -> std::io::Result<()> {
         storage.write_atomic(path.as_ref(), &format!("{}\n", self.to_json()))
     }
 
@@ -705,19 +656,9 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// Filesystem, JSON, version, hash or shape failures as
+    /// Storage, JSON, version, hash or shape failures as
     /// [`SnapshotError`].
-    pub fn read_file(path: impl AsRef<Path>) -> Result<Checkpoint, SnapshotError> {
-        Checkpoint::read_file_with(&OsStorage, path)
-    }
-
-    /// [`Self::read_file`] through an explicit [`Storage`].
-    ///
-    /// # Errors
-    ///
-    /// Filesystem, JSON, version, hash or shape failures as
-    /// [`SnapshotError`].
-    pub fn read_file_with(
+    pub fn read_file(
         storage: &dyn Storage,
         path: impl AsRef<Path>,
     ) -> Result<Checkpoint, SnapshotError> {
@@ -729,6 +670,7 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::OsStorage;
 
     fn sample_packet() -> Packet {
         Packet::response(
@@ -816,8 +758,8 @@ mod tests {
         let dir = std::env::temp_dir().join("pearl-telemetry-test-snapshot");
         let path = dir.join("run.checkpoint.json");
         let cp = Checkpoint::new("cmesh", u64::MAX, 12_345, sample_packet().encode());
-        cp.write_file(&path).unwrap();
-        assert_eq!(Checkpoint::read_file(&path).unwrap(), cp);
+        cp.write_file(&OsStorage, &path).unwrap();
+        assert_eq!(Checkpoint::read_file(&OsStorage, &path).unwrap(), cp);
         // No temporary residue left behind.
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -829,7 +771,10 @@ mod tests {
         let mut text = std::fs::read_to_string(&path).unwrap();
         text = text.replace("987654321", "987654322");
         std::fs::write(&path, text).unwrap();
-        assert!(matches!(Checkpoint::read_file(&path), Err(SnapshotError::HashMismatch { .. })));
+        assert!(matches!(
+            Checkpoint::read_file(&OsStorage, &path),
+            Err(SnapshotError::HashMismatch { .. })
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -837,8 +782,8 @@ mod tests {
     fn atomic_write_replaces_existing_content() {
         let dir = std::env::temp_dir().join("pearl-telemetry-test-atomic");
         let path = dir.join("artifact.json");
-        atomic_write_file(&path, "first").unwrap();
-        atomic_write_file(&path, "second").unwrap();
+        OsStorage.write_atomic(&path, "first").unwrap();
+        OsStorage.write_atomic(&path, "second").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "second");
         std::fs::remove_dir_all(&dir).ok();
     }

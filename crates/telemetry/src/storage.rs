@@ -2,10 +2,11 @@
 //!
 //! Every persistence path in the workspace — checkpoints, sealed
 //! journals, progress streams, manifests, traces, the `pearl-serve`
-//! spool — funnels through the [`Storage`] trait. Production code uses
-//! [`OsStorage`] (the real filesystem, with the atomic tmp-then-rename
-//! write contract from [`crate::atomic_write_file`]); tests and the
-//! `chaos --disk` crash-point explorer substitute a [`FaultStorage`]
+//! spool — funnels through the [`Storage`] trait: each reader and
+//! writer takes the storage it goes through as its first argument.
+//! Production code uses [`OsStorage`] (the real filesystem, with the
+//! atomic tmp-then-rename write of [`Storage::write_atomic`]); tests
+//! and the `chaos --disk` crash-point explorer substitute a [`FaultStorage`]
 //! that injects failures from a **deterministic schedule**:
 //!
 //! - `fail@N` — the N-th storage operation fails outright (a rename
@@ -41,8 +42,9 @@ use std::sync::{Arc, Mutex};
 /// serve daemon shares one storage across pool workers.
 pub trait Storage: Send + Sync {
     /// Writes `contents` to `path` atomically (tmp-then-rename in the
-    /// same directory, parents created): readers observe either the
-    /// previous complete file or the new one, never a hybrid.
+    /// same directory, the tmp fsynced before the rename, parents
+    /// created): readers observe either the previous complete file or
+    /// the new one, never a hybrid.
     ///
     /// # Errors
     ///
