@@ -15,7 +15,7 @@ use pearl_telemetry::{
     set_alloc_section, Checkpoint, JsonValue, Phase, Probe, ProfileReport, Section, SelfProfiler,
     Simulator, SnapshotError, Span, SpanKind, SubSection, TraceEvent, Watchable, WorkCounters,
 };
-use pearl_workloads::{BenchmarkPair, Destination, TrafficModel, TrafficSource};
+use pearl_workloads::{BenchmarkPair, Destination, InjectionRequest, TrafficModel, TrafficSource};
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
@@ -171,6 +171,9 @@ pub struct CmeshNetwork {
     routers: Vec<CmeshRouter>,
     power: ElectricalPowerModel,
     traffic: Box<dyn TrafficSource>,
+    /// The traffic source's requests of the cycle being injected; empty
+    /// between cycles and kept only for its capacity.
+    requests: Vec<InjectionRequest>,
     /// Workload seed the network was built with — static identity for
     /// the checkpoint config fingerprint (the live RNG state lives in
     /// `traffic`).
@@ -229,6 +232,7 @@ impl CmeshNetwork {
             routers,
             power,
             traffic,
+            requests: Vec::new(),
             seed,
             stats: NetworkStats::new(),
             now: Cycle::ZERO,
@@ -423,10 +427,13 @@ impl CmeshNetwork {
     fn generate_traffic(&mut self, now: Cycle) {
         let stall = self.config.stall_backlog;
         let backlogs = &self.backlogs;
-        let requests = self.traffic.generate(now, &|cluster, core| {
-            backlogs[cluster][usize::from(core == CoreType::Gpu)].len() >= stall
-        });
-        for req in requests {
+        let mut requests = std::mem::take(&mut self.requests);
+        self.traffic.generate(
+            now,
+            &|cluster, core| backlogs[cluster][usize::from(core == CoreType::Gpu)].len() >= stall,
+            &mut requests,
+        );
+        for req in requests.drain(..) {
             let id = self.fresh_id();
             let dst = self.destination_node(req.cluster, req.dst);
             let packet =
@@ -446,6 +453,7 @@ impl CmeshNetwork {
                 self.backlogs[req.cluster][lane].push_back(packet);
             }
         }
+        self.requests = requests;
     }
 
     /// Lands the due link flits: a prefix of the launch-ordered queue,

@@ -37,7 +37,7 @@ use pearl_telemetry::{
     Simulator, SnapshotError, Span, SpanKind, SubSection, TraceEvent, TransitionCause, Watchable,
     WorkCounters,
 };
-use pearl_workloads::{BenchmarkPair, Destination, TrafficModel, TrafficSource};
+use pearl_workloads::{BenchmarkPair, Destination, InjectionRequest, TrafficModel, TrafficSource};
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
@@ -253,6 +253,9 @@ pub struct PearlNetwork {
     power_levels: [(f64, f64); 5],
     routers: Vec<PearlRouter>,
     traffic: Box<dyn TrafficSource>,
+    /// The traffic source's requests of the cycle being injected; empty
+    /// between cycles and kept only for its capacity.
+    requests: Vec<InjectionRequest>,
     dba: DynamicBandwidthAllocator,
     fine: Option<FineGrainedAllocator>,
     rng: SimRng,
@@ -360,6 +363,7 @@ impl PearlNetwork {
             power_levels,
             routers,
             traffic,
+            requests: Vec::new(),
             dba,
             fine,
             rng: SimRng::from_seed(seed ^ POLICY_SEED_SALT),
@@ -632,10 +636,13 @@ impl PearlNetwork {
         // forward progress and generates no further misses this cycle.
         let stall_threshold = CORE_STALL_BACKLOG;
         let routers = &self.routers;
-        let requests = self.traffic.generate(now, &|cluster, core| {
-            routers[cluster].backlog(core).len() >= stall_threshold
-        });
-        for req in requests {
+        let mut requests = std::mem::take(&mut self.requests);
+        self.traffic.generate(
+            now,
+            &|cluster, core| routers[cluster].backlog(core).len() >= stall_threshold,
+            &mut requests,
+        );
+        for req in requests.drain(..) {
             let id = self.fresh_id();
             let dst = self.destination_node(req.dst);
             let packet =
@@ -659,6 +666,7 @@ impl PearlNetwork {
                 }
             }
         }
+        self.requests = requests;
         self.drain_backlogs();
     }
 

@@ -308,8 +308,11 @@ impl PearlRouter {
     ///
     /// The walk stops at the first response that is not yet due: the
     /// queue keeps [`responses_in_release_order`], so none behind it is
-    /// due either.
+    /// due either. A queue whose front is not due is not touched at all.
     pub(crate) fn release_responses(&mut self, now: Cycle, mut released: impl FnMut(&Packet)) {
+        if self.pending_responses.front().is_none_or(|&(ready, _)| ready > now) {
+            return;
+        }
         if self.shared_input_pool {
             // FCFS router: one response stream, strict FIFO — a blocked
             // head (e.g. a GPU response with the pool full) holds back

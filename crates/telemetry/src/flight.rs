@@ -57,12 +57,15 @@ pub struct FlightRecorder {
     event_cap: usize,
     events_seen: u64,
     events_evicted: u64,
-    event_census: BTreeMap<String, u64>,
+    /// Keyed by [`TraceEvent::kind`], so counting allocates nothing
+    /// once a kind has been seen.
+    event_census: BTreeMap<&'static str, u64>,
     spans: VecDeque<Span>,
     span_cap: usize,
     spans_seen: u64,
     spans_evicted: u64,
-    span_census: BTreeMap<String, u64>,
+    /// Keyed by [`crate::SpanKind::name`].
+    span_census: BTreeMap<&'static str, u64>,
 }
 
 impl FlightRecorder {
@@ -92,7 +95,7 @@ impl FlightRecorder {
     /// eviction.
     pub fn record_event(&mut self, event: &TraceEvent) {
         self.events_seen += 1;
-        *self.event_census.entry(event.kind().to_string()).or_insert(0) += 1;
+        *self.event_census.entry(event.kind()).or_insert(0) += 1;
         if self.events.len() == self.event_cap {
             self.events.pop_front();
             self.events_evicted += 1;
@@ -104,7 +107,7 @@ impl FlightRecorder {
     /// eviction.
     pub fn record_span(&mut self, span: &Span) {
         self.spans_seen += 1;
-        *self.span_census.entry(span.kind.name().to_string()).or_insert(0) += 1;
+        *self.span_census.entry(span.kind.name()).or_insert(0) += 1;
         if self.spans.len() == self.span_cap {
             self.spans.pop_front();
             self.spans_evicted += 1;
@@ -146,8 +149,8 @@ impl FlightRecorder {
     /// and both rings (spans ride as `"span"` trace-event lines so one
     /// reader covers both arrays).
     pub fn payload(&self) -> JsonValue {
-        let census = |m: &BTreeMap<String, u64>| {
-            JsonValue::Obj(m.iter().map(|(k, v)| (k.clone(), JsonValue::u64(*v))).collect())
+        let census = |m: &BTreeMap<&'static str, u64>| {
+            JsonValue::Obj(m.iter().map(|(k, v)| (k.to_string(), JsonValue::u64(*v))).collect())
         };
         JsonValue::obj(vec![
             ("schema", JsonValue::str(FLIGHTREC_SCHEMA)),

@@ -29,11 +29,11 @@ pub struct OnOffInjector {
 
 impl OnOffInjector {
     /// Creates an injector from a profile; `rng` seeds its private
-    /// stochastic stream and `phase_offset` decorrelates phases across
-    /// clusters.
-    pub fn new(profile: TrafficProfile, mut rng: SimRng, phase_offset: u64) -> OnOffInjector {
+    /// stochastic stream and `phases` modulates its rate: the profile's
+    /// [`PhaseModulator`], shared between the sources of a core type at
+    /// offsets that decorrelate their phases across clusters.
+    pub fn new(profile: TrafficProfile, mut rng: SimRng, phases: PhaseModulator) -> OnOffInjector {
         profile.validate();
-        let phases = PhaseModulator::new(profile.phase_period, profile.phase_depth, phase_offset);
         // Start in a random point of the ON/OFF cycle so sources are not
         // synchronized at cycle zero.
         let state = if rng.chance(profile.duty_cycle()) {
@@ -91,8 +91,8 @@ impl OnOffInjector {
     }
 
     /// Captures the dynamic state (dwell counters + RNG stream) for a
-    /// checkpoint. The profile and phase offset are static configuration
-    /// and are not part of the snapshot.
+    /// checkpoint. The profile and phase modulator are static
+    /// configuration and are not part of the snapshot.
     pub fn export_state(&self) -> InjectorState {
         let (bursting, remaining) = match self.state {
             SourceState::On { remaining } => (true, remaining),
@@ -102,7 +102,7 @@ impl OnOffInjector {
     }
 
     /// Restores dynamic state captured by [`Self::export_state`] onto an
-    /// injector built from the identical profile and phase offset.
+    /// injector built from the identical profile and phase modulator.
     pub fn import_state(&mut self, state: &InjectorState) {
         self.state = if state.bursting {
             SourceState::On { remaining: state.remaining }
@@ -130,8 +130,13 @@ mod tests {
         }
     }
 
+    fn injector(p: TrafficProfile, seed: u64, offset: u64) -> OnOffInjector {
+        let phases = PhaseModulator::new(p.phase_period, p.phase_depth).at_offset(offset);
+        OnOffInjector::new(p, SimRng::from_seed(seed), phases)
+    }
+
     fn mean_injected(p: TrafficProfile, cycles: u64, seed: u64) -> f64 {
-        let mut inj = OnOffInjector::new(p, SimRng::from_seed(seed), 0);
+        let mut inj = injector(p, seed, 0);
         let total: u64 = (0..cycles).map(|c| u64::from(inj.step(Cycle(c)))).sum();
         total as f64 / cycles as f64
     }
@@ -146,7 +151,7 @@ mod tests {
     #[test]
     fn steady_source_rarely_pauses() {
         let p = profile(0.2, 5000.0, 1.0);
-        let mut inj = OnOffInjector::new(p, SimRng::from_seed(1), 0);
+        let mut inj = injector(p, 1, 0);
         let on_cycles = (0..10_000)
             .filter(|&c| {
                 inj.step(Cycle(c));
@@ -159,7 +164,7 @@ mod tests {
     #[test]
     fn bursty_source_alternates() {
         let p = profile(0.6, 30.0, 300.0);
-        let mut inj = OnOffInjector::new(p, SimRng::from_seed(3), 0);
+        let mut inj = injector(p, 3, 0);
         let mut transitions = 0;
         let mut last = inj.is_bursting();
         for c in 0..100_000 {
@@ -183,12 +188,12 @@ mod tests {
     #[test]
     fn state_round_trip_continues_identically() {
         let p = profile(0.5, 40.0, 200.0);
-        let mut original = OnOffInjector::new(p, SimRng::from_seed(17), 3);
+        let mut original = injector(p, 17, 3);
         for c in 0..500 {
             original.step(Cycle(c));
         }
         let snapshot = original.export_state();
-        let mut restored = OnOffInjector::new(p, SimRng::from_seed(99), 3);
+        let mut restored = injector(p, 99, 3);
         restored.import_state(&snapshot);
         for c in 500..2_000 {
             assert_eq!(restored.step(Cycle(c)), original.step(Cycle(c)), "cycle {c}");
@@ -201,11 +206,11 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let p = profile(0.5, 40.0, 200.0);
         let a: Vec<u32> = {
-            let mut i = OnOffInjector::new(p, SimRng::from_seed(9), 4);
+            let mut i = injector(p, 9, 4);
             (0..1000).map(|c| i.step(Cycle(c))).collect()
         };
         let b: Vec<u32> = {
-            let mut i = OnOffInjector::new(p, SimRng::from_seed(9), 4);
+            let mut i = injector(p, 9, 4);
             (0..1000).map(|c| i.step(Cycle(c))).collect()
         };
         assert_eq!(a, b);

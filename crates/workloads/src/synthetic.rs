@@ -61,9 +61,29 @@ impl SyntheticTraffic {
         self.clusters
     }
 
-    /// Advances one cycle and returns the injection requests.
-    pub fn step(&mut self, _now: Cycle) -> Vec<InjectionRequest> {
+    /// Advances one cycle and returns the injection requests, in a new
+    /// `Vec`: [`TrafficSource::generate`] with no source stalled.
+    pub fn step(&mut self, now: Cycle) -> Vec<InjectionRequest> {
         let mut out = Vec::new();
+        self.generate(now, &|_, _| false, &mut out);
+        out
+    }
+}
+
+impl TrafficSource for SyntheticTraffic {
+    fn clusters(&self) -> usize {
+        SyntheticTraffic::clusters(self)
+    }
+
+    /// Memoryless Bernoulli sources "pause" by dropping the draw: a
+    /// stalled cluster still draws, so the stream does not depend on
+    /// the stalls.
+    fn generate(
+        &mut self,
+        _now: Cycle,
+        stalled: &dyn Fn(usize, CoreType) -> bool,
+        out: &mut Vec<InjectionRequest>,
+    ) {
         for cluster in 0..self.clusters {
             if !self.rng.chance(self.rate) {
                 continue;
@@ -83,28 +103,15 @@ impl SyntheticTraffic {
                     Destination::Cluster((cluster + self.clusters / 2) % self.clusters)
                 }
             };
+            if stalled(cluster, self.core) {
+                continue;
+            }
             let class = match self.core {
                 CoreType::Cpu => TrafficClass::CpuL1Data,
                 CoreType::Gpu => TrafficClass::GpuL1,
             };
             out.push(InjectionRequest { cluster, core: self.core, class, dst });
         }
-        out
-    }
-}
-
-impl TrafficSource for SyntheticTraffic {
-    fn clusters(&self) -> usize {
-        SyntheticTraffic::clusters(self)
-    }
-
-    fn generate(
-        &mut self,
-        now: Cycle,
-        stalled: &dyn Fn(usize, CoreType) -> bool,
-    ) -> Vec<InjectionRequest> {
-        // Memoryless Bernoulli sources "pause" by dropping the draw.
-        self.step(now).into_iter().filter(|r| !stalled(r.cluster, r.core)).collect()
     }
 
     fn export_state(&self) -> TrafficState {
@@ -133,6 +140,69 @@ impl TrafficSource for SyntheticTraffic {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The allocating generation that buffer filling replaced, kept as
+    /// its reference: every cluster's draw, then the stalled ones
+    /// filtered out.
+    fn allocating_generation(
+        t: &mut SyntheticTraffic,
+        stalled: impl Fn(usize, CoreType) -> bool,
+    ) -> Vec<InjectionRequest> {
+        let mut all = Vec::new();
+        for cluster in 0..t.clusters {
+            if !t.rng.chance(t.rate) {
+                continue;
+            }
+            let dst = match t.pattern {
+                SyntheticPattern::UniformRandom => {
+                    let pick = t.rng.below(t.clusters);
+                    if pick == cluster {
+                        Destination::L3
+                    } else {
+                        Destination::Cluster(pick)
+                    }
+                }
+                SyntheticPattern::Hotspot => Destination::L3,
+                SyntheticPattern::Transpose => {
+                    Destination::Cluster((cluster + t.clusters / 2) % t.clusters)
+                }
+            };
+            let class = match t.core {
+                CoreType::Cpu => TrafficClass::CpuL1Data,
+                CoreType::Gpu => TrafficClass::GpuL1,
+            };
+            all.push(InjectionRequest { cluster, core: t.core, class, dst });
+        }
+        all.into_iter().filter(|r| !stalled(r.cluster, r.core)).collect()
+    }
+
+    #[test]
+    fn buffer_filling_matches_allocating_generation() {
+        let patterns = [
+            SyntheticPattern::UniformRandom,
+            SyntheticPattern::Hotspot,
+            SyntheticPattern::Transpose,
+        ];
+        let mut out = Vec::new();
+        for pattern in patterns {
+            for (seed, core) in [(1, CoreType::Cpu), (100, CoreType::Gpu), (7_777, CoreType::Cpu)] {
+                let mut filled = SyntheticTraffic::new(pattern, 16, 0.3, core, seed);
+                let mut oracle = filled.clone();
+                let mut stalls = SimRng::from_seed(seed ^ 0x5EED);
+                for c in 0..20_000 {
+                    // Bit `cluster` set: that cluster is stalled (about
+                    // one in four).
+                    let mask = stalls.next_u64() & stalls.next_u64();
+                    let stalled = |cluster: usize, _| mask >> cluster & 1 == 1;
+                    out.clear();
+                    filled.generate(Cycle(c), &stalled, &mut out);
+                    let want = allocating_generation(&mut oracle, stalled);
+                    assert_eq!(out, want, "{pattern:?} seed {seed} cycle {c}");
+                }
+                assert_eq!(filled.export_state(), oracle.export_state(), "{pattern:?}");
+            }
+        }
+    }
 
     #[test]
     fn hotspot_targets_only_l3() {

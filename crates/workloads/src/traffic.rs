@@ -2,6 +2,7 @@
 
 use crate::injector::OnOffInjector;
 use crate::pairs::BenchmarkPair;
+use crate::phases::PhaseModulator;
 use crate::state::{TrafficState, TrafficStateError};
 use pearl_noc::{CoreType, Cycle, SimRng, TrafficClass};
 use std::fmt;
@@ -9,20 +10,22 @@ use std::fmt;
 /// Anything that can drive a network with per-cycle injection requests.
 ///
 /// Both simulators accept a boxed `TrafficSource`, so the benchmark-pair
-/// models, the synthetic patterns and recorded traces are
-/// interchangeable workloads.
+/// models and the synthetic patterns are interchangeable workloads.
 pub trait TrafficSource: fmt::Debug {
     /// Number of clusters this source generates traffic for.
     fn clusters(&self) -> usize;
 
-    /// Advances one cycle; `stalled` reports which (cluster, core type)
-    /// sources must pause (execution gating). Sources that cannot pause
-    /// may drop the gated requests instead.
+    /// Advances one cycle and appends this cycle's requests to `out`;
+    /// `stalled` reports which (cluster, core type) sources must pause
+    /// (execution gating). Sources that cannot pause may drop the gated
+    /// requests instead. The caller owns `out` and reuses it from cycle
+    /// to cycle, so generation allocates nothing once it has grown.
     fn generate(
         &mut self,
         now: Cycle,
         stalled: &dyn Fn(usize, CoreType) -> bool,
-    ) -> Vec<InjectionRequest>;
+        out: &mut Vec<InjectionRequest>,
+    );
 
     /// Captures the source's dynamic state (RNG streams, dwell counters)
     /// for a checkpoint.
@@ -49,12 +52,46 @@ impl TrafficSource for TrafficModel {
         TrafficModel::clusters(self)
     }
 
+    /// Sources for which `stalled` returns true do not advance this
+    /// cycle: a stalled core makes no forward progress, so its future
+    /// misses shift later in time rather than queueing up. This is the
+    /// execution-driven feedback that turns network congestion into
+    /// end-to-end throughput loss.
     fn generate(
         &mut self,
         now: Cycle,
         stalled: &dyn Fn(usize, CoreType) -> bool,
-    ) -> Vec<InjectionRequest> {
-        self.step_gated(now, stalled)
+        out: &mut Vec<InjectionRequest>,
+    ) {
+        for cluster in 0..self.clusters {
+            for core in CoreType::ALL {
+                if stalled(cluster, core) {
+                    continue;
+                }
+                let source = match core {
+                    CoreType::Cpu => &mut self.cpu_sources[cluster],
+                    CoreType::Gpu => &mut self.gpu_sources[cluster],
+                };
+                let n = source.step(now);
+                let profile = *source.profile();
+                for _ in 0..n {
+                    let rng = source.rng_mut();
+                    let dst = if rng.chance(profile.l3_fraction) {
+                        Destination::L3
+                    } else {
+                        // Uniform peer other than self.
+                        let mut peer = rng.below(self.clusters - 1);
+                        if peer >= cluster {
+                            peer += 1;
+                        }
+                        Destination::Cluster(peer)
+                    };
+                    let class =
+                        profile.class_mix.pick_request_class(core == CoreType::Cpu, rng.uniform());
+                    out.push(InjectionRequest { cluster, core, class, dst });
+                }
+            }
+        }
     }
 
     fn export_state(&self) -> TrafficState {
@@ -150,19 +187,22 @@ impl TrafficModel {
         let mut master = SimRng::from_seed(seed);
         let cpu_profile = pair.cpu.profile();
         let gpu_profile = pair.gpu.profile();
+        // One phase table per core type, shared by its sources.
+        let cpu_phases = PhaseModulator::new(cpu_profile.phase_period, cpu_profile.phase_depth);
+        let gpu_phases = PhaseModulator::new(gpu_profile.phase_period, gpu_profile.phase_depth);
         let cpu_sources = (0..clusters)
             .map(|c| {
                 let rng = master.derive(c as u64);
                 // Spread phase offsets across the period.
                 let offset =
                     (cpu_profile.phase_period / clusters.max(1) as u64).wrapping_mul(c as u64);
-                OnOffInjector::new(cpu_profile, rng, offset)
+                OnOffInjector::new(cpu_profile, rng, cpu_phases.at_offset(offset))
             })
             .collect();
         let gpu_sources = (0..clusters)
             .map(|c| {
                 let rng = master.derive(1000 + c as u64);
-                OnOffInjector::new(gpu_profile, rng, 0)
+                OnOffInjector::new(gpu_profile, rng, gpu_phases.clone())
             })
             .collect();
         TrafficModel { pair, clusters, cpu_sources, gpu_sources }
@@ -181,51 +221,11 @@ impl TrafficModel {
     }
 
     /// Advances one cycle and returns every request the workload wants to
-    /// inject. The network is responsible for buffering or throttling.
+    /// inject, in a new `Vec`: [`TrafficSource::generate`] with no source
+    /// stalled. The network is responsible for buffering or throttling.
     pub fn step(&mut self, now: Cycle) -> Vec<InjectionRequest> {
-        self.step_gated(now, |_, _| false)
-    }
-
-    /// Like [`Self::step`], but sources for which `stalled` returns true
-    /// do not advance this cycle: a stalled core makes no forward
-    /// progress, so its future misses shift later in time rather than
-    /// queueing up. This is the execution-driven feedback that turns
-    /// network congestion into end-to-end throughput loss.
-    pub fn step_gated(
-        &mut self,
-        now: Cycle,
-        stalled: impl Fn(usize, CoreType) -> bool,
-    ) -> Vec<InjectionRequest> {
         let mut out = Vec::new();
-        for cluster in 0..self.clusters {
-            for core in CoreType::ALL {
-                if stalled(cluster, core) {
-                    continue;
-                }
-                let source = match core {
-                    CoreType::Cpu => &mut self.cpu_sources[cluster],
-                    CoreType::Gpu => &mut self.gpu_sources[cluster],
-                };
-                let n = source.step(now);
-                let profile = *source.profile();
-                for _ in 0..n {
-                    let rng = source.rng_mut();
-                    let dst = if rng.chance(profile.l3_fraction) {
-                        Destination::L3
-                    } else {
-                        // Uniform peer other than self.
-                        let mut peer = rng.below(self.clusters - 1);
-                        if peer >= cluster {
-                            peer += 1;
-                        }
-                        Destination::Cluster(peer)
-                    };
-                    let class =
-                        profile.class_mix.pick_request_class(core == CoreType::Cpu, rng.uniform());
-                    out.push(InjectionRequest { cluster, core, class, dst });
-                }
-            }
-        }
+        self.generate(now, &|_, _| false, &mut out);
         out
     }
 }
@@ -241,6 +241,78 @@ mod tests {
             16,
             seed,
         )
+    }
+
+    /// The allocating, closure-generic generation that buffer filling
+    /// replaced, kept as its reference.
+    fn allocating_generation(
+        model: &mut TrafficModel,
+        now: Cycle,
+        stalled: impl Fn(usize, CoreType) -> bool,
+    ) -> Vec<InjectionRequest> {
+        let mut out = Vec::new();
+        for cluster in 0..model.clusters {
+            for core in CoreType::ALL {
+                if stalled(cluster, core) {
+                    continue;
+                }
+                let source = match core {
+                    CoreType::Cpu => &mut model.cpu_sources[cluster],
+                    CoreType::Gpu => &mut model.gpu_sources[cluster],
+                };
+                let n = source.step(now);
+                let profile = *source.profile();
+                for _ in 0..n {
+                    let rng = source.rng_mut();
+                    let dst = if rng.chance(profile.l3_fraction) {
+                        Destination::L3
+                    } else {
+                        let mut peer = rng.below(model.clusters - 1);
+                        if peer >= cluster {
+                            peer += 1;
+                        }
+                        Destination::Cluster(peer)
+                    };
+                    let class =
+                        profile.class_mix.pick_request_class(core == CoreType::Cpu, rng.uniform());
+                    out.push(InjectionRequest { cluster, core, class, dst });
+                }
+            }
+        }
+        out
+    }
+
+    /// A seeded stall mask for one cycle: bit `2·cluster + lane` set
+    /// means that source is stalled (about one in four).
+    fn stall_mask(rng: &mut SimRng) -> u64 {
+        rng.next_u64() & rng.next_u64()
+    }
+
+    fn stalled_in(mask: u64, cluster: usize, core: CoreType) -> bool {
+        mask >> (2 * cluster + usize::from(core == CoreType::Gpu)) & 1 == 1
+    }
+
+    #[test]
+    fn buffer_filling_matches_allocating_generation() {
+        let pairs =
+            BenchmarkPair::test_pairs().into_iter().chain(BenchmarkPair::validation_pairs());
+        let mut out = Vec::new();
+        for pair in pairs {
+            for seed in [1, 100, 7_777] {
+                let mut filled = TrafficModel::new(pair, 16, seed);
+                let mut oracle = TrafficModel::new(pair, 16, seed);
+                let mut stalls = SimRng::from_seed(seed ^ 0x5EED);
+                for c in 0..20_000 {
+                    let mask = stall_mask(&mut stalls);
+                    let stalled = |cluster, core| stalled_in(mask, cluster, core);
+                    out.clear();
+                    filled.generate(Cycle(c), &stalled, &mut out);
+                    let want = allocating_generation(&mut oracle, Cycle(c), stalled);
+                    assert_eq!(out, want, "{} seed {seed} cycle {c}", pair.label());
+                }
+                assert_eq!(filled.export_state(), oracle.export_state(), "{}", pair.label());
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 
 use pearl_noc::{CoreType, Cycle, SimRng};
 use pearl_workloads::{
-    BenchmarkPair, CpuBenchmark, Destination, GpuBenchmark, OnOffInjector, Responder, TrafficModel,
+    BenchmarkPair, CpuBenchmark, Destination, GpuBenchmark, OnOffInjector, PhaseModulator,
+    Responder, TrafficModel, TrafficSource,
 };
 use proptest::prelude::*;
 
@@ -35,11 +36,16 @@ proptest! {
     #[test]
     fn gated_sources_stay_silent(pair in any_pair(), seed in 0u64..1_000) {
         let mut model = TrafficModel::new(pair, 8, seed);
+        let mut requests = Vec::new();
         for c in 0..2_000 {
             let gated_cluster = (c % 8) as usize;
-            for req in model.step_gated(Cycle(c), |cluster, core| {
-                cluster == gated_cluster && core == CoreType::Gpu
-            }) {
+            requests.clear();
+            model.generate(
+                Cycle(c),
+                &|cluster, core| cluster == gated_cluster && core == CoreType::Gpu,
+                &mut requests,
+            );
+            for req in &requests {
                 prop_assert!(!(req.cluster == gated_cluster && req.core == CoreType::Gpu));
             }
         }
@@ -50,7 +56,8 @@ proptest! {
     #[test]
     fn injector_tracks_profile_mean(cpu in 0usize..12, seed in 0u64..100) {
         let profile = CpuBenchmark::ALL[cpu].profile();
-        let mut injector = OnOffInjector::new(profile, SimRng::from_seed(seed), 0);
+        let phases = PhaseModulator::new(profile.phase_period, profile.phase_depth);
+        let mut injector = OnOffInjector::new(profile, SimRng::from_seed(seed), phases);
         let cycles = 300_000u64;
         let total: u64 = (0..cycles).map(|c| u64::from(injector.step(Cycle(c)))).sum();
         let measured = total as f64 / cycles as f64;
