@@ -40,8 +40,8 @@ use pearl_cmesh::{CmeshBuilder, CmeshConfig};
 use pearl_core::{FaultConfig, NetworkBuilder, PearlNetwork, PearlPolicy};
 use pearl_noc::SimRng;
 use pearl_telemetry::{
-    jsonl, Checkpoint, FaultSchedule, FaultStorage, FlightDump, JsonValue, OsStorage, RetryPolicy,
-    SharedFlightRecorder, SharedRecorder, Simulator, Storage, Watchable,
+    jsonl, Checkpoint, FaultSchedule, FaultStorage, FlightDump, FlightRecorder, JsonValue,
+    OsStorage, Recorder, RetryPolicy, Shared, Simulator, Storage, Watchable,
 };
 use pearl_workloads::BenchmarkPair;
 use std::path::{Path, PathBuf};
@@ -113,10 +113,10 @@ struct Outcome {
     trace: Vec<u8>,
 }
 
-fn trace_bytes(recorders: &[SharedRecorder]) -> Vec<u8> {
+fn trace_bytes(recorders: &[Shared<Recorder>]) -> Vec<u8> {
     let mut events = Vec::new();
-    for r in recorders {
-        events.extend(r.events());
+    for recorder in recorders {
+        recorder.with(|r| events.extend_from_slice(r.events()));
     }
     let mut buf = Vec::new();
     jsonl::write_trace(&mut buf, &events).expect("in-memory trace write");
@@ -124,7 +124,7 @@ fn trace_bytes(recorders: &[SharedRecorder]) -> Vec<u8> {
 }
 
 fn golden(scenario: &Scenario, cycles: u64) -> Result<Outcome, String> {
-    let recorder = SharedRecorder::new();
+    let recorder = Shared::new(Recorder::new());
     let mut net = (scenario.build)();
     net.attach_probe(Box::new(recorder.clone()));
     run_watched(net.as_mut(), cycles, STALL_WINDOW)
@@ -144,7 +144,7 @@ fn kill_and_resume(
     kill: u64,
     dir: &Path,
 ) -> Result<Outcome, String> {
-    let pre = SharedRecorder::new();
+    let pre = Shared::new(Recorder::new());
     let mut victim = (scenario.build)();
     victim.attach_probe(Box::new(pre.clone()));
     run_watched(victim.as_mut(), kill, STALL_WINDOW)
@@ -156,7 +156,7 @@ fn kill_and_resume(
 
     let loaded =
         Checkpoint::read_file(&OsStorage, &path).map_err(|e| format!("read checkpoint: {e:?}"))?;
-    let post = SharedRecorder::new();
+    let post = Shared::new(Recorder::new());
     let mut resumed = (scenario.build)();
     resumed.attach_probe(Box::new(post.clone()));
     resumed.restore(&loaded).map_err(|e| format!("restore: {e:?}"))?;
@@ -314,7 +314,7 @@ fn render_with_report(path: &Path) -> Result<(), String> {
 /// An induced watchdog stall must dump a reconciling post-mortem.
 fn run_flight_stall_case(dir: &Path) -> Result<String, String> {
     let pair = BenchmarkPair::test_pairs()[0];
-    let recorder = SharedFlightRecorder::new();
+    let recorder = Shared::new(FlightRecorder::new());
     let mut net = NetworkBuilder::new().policy(PearlPolicy::reactive(500)).seed(37).build(pair);
     net.attach_probe(Box::new(recorder.clone()));
     let mut victim = StallInjector { net };

@@ -31,7 +31,7 @@ use pearl_core::{
     FallbackConfig, FaultConfig, MlPowerScaler, NetworkBuilder, PearlPolicy, FEATURE_COUNT,
 };
 use pearl_ml::{select_lambda, Dataset};
-use pearl_telemetry::{fingerprint, write_trace_file, OsStorage, RunManifest, SharedRecorder};
+use pearl_telemetry::{fingerprint, write_trace_file, OsStorage, Recorder, RunManifest, Shared};
 use pearl_workloads::BenchmarkPair;
 
 /// Shorter than the figure runs: the sweep multiplies 6 rates by all
@@ -146,11 +146,11 @@ fn write_trace_artifacts() {
         .fault_config(fault)
         .seed(TRACE_SEED)
         .build(pair);
-    let recorder = SharedRecorder::new();
+    let recorder = Shared::new(Recorder::new());
     net.attach_probe(Box::new(recorder.clone()));
     net.run(TRACE_CYCLES);
 
-    let events = recorder.events();
+    let (events, dropped) = recorder.with(|r| (r.events().to_vec(), r.dropped()));
     // Injection stalls are workload-dependent (the backlog must fill) so
     // they are not required here; every fault- and scaling-driven kind is.
     for kind in [
@@ -171,7 +171,7 @@ fn write_trace_artifacts() {
     write_trace_file(&OsStorage, &trace_path, &events).expect("write trace");
     let manifest = RunManifest::new("faultsweep_trace", TRACE_SEED, TRACE_CYCLES)
         .with_config(&(&policy, &fault, pair.label()))
-        .with_trace_counts(events.len() as u64, recorder.dropped())
+        .with_trace_counts(events.len() as u64, dropped)
         .with_extra("pair", pearl_telemetry::JsonValue::str(pair.label()))
         .with_extra(
             "policy_fingerprint",

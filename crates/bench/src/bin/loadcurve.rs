@@ -14,9 +14,9 @@
 //! PEARL side's simulated-cycles/sec with per-phase wall-clock
 //! attribution and writes one hot-path artifact per network, each with
 //! its own allocation table when built with `--features alloc-count`;
-//! `--trace` additionally runs one instrumented PEARL run (an event
-//! recorder and a span recorder sharing the probe slot, with flit
-//! corruption forcing the retransmission path) and writes
+//! `--trace` additionally runs one instrumented PEARL run (one recorder
+//! that wants spans, with flit corruption forcing the retransmission
+//! path) and writes
 //! `results/loadcurve_trace.jsonl` — events and spans interleaved in
 //! cycle order — plus `results/loadcurve_manifest.json`.
 //! The `report` binary renders the pair (`--spans` / `--perfetto`).
@@ -26,9 +26,8 @@ use pearl_cmesh::CmeshBuilder;
 use pearl_core::{FaultConfig, NetworkBuilder, PearlPolicy};
 use pearl_noc::CoreType;
 use pearl_telemetry::{
-    alloc_stats, reset_alloc_stats, write_trace_file, AllocStats, FanoutProbe, JsonValue,
-    OsStorage, ProfileReport, RunManifest, SharedRecorder, SharedSpanRecorder, SpanKind,
-    TraceEvent,
+    alloc_stats, reset_alloc_stats, write_trace_file, AllocStats, JsonValue, OsStorage,
+    ProfileReport, Recorder, RunManifest, Shared, SpanKind, TraceEvent,
 };
 use pearl_workloads::{BenchmarkPair, SyntheticPattern, SyntheticTraffic};
 
@@ -54,42 +53,36 @@ fn write_trace_artifacts() {
         .fault_config(fault)
         .seed(TRACE_SEED)
         .build(pair);
-    let probe = SharedRecorder::new();
-    let spans = SharedSpanRecorder::new();
-    net.attach_probe(Box::new(FanoutProbe::new(vec![
-        Box::new(probe.clone()),
-        Box::new(spans.clone()),
-    ])));
+    let recorder = Shared::new(Recorder::with_spans());
+    net.attach_probe(Box::new(recorder.clone()));
     net.run(TRACE_CYCLES);
 
-    let span_list = spans.spans();
-    for kind in SpanKind::ALL {
-        assert!(
-            span_list.iter().any(|s| s.kind == kind),
-            "trace run produced no {kind} span ({} total)",
-            span_list.len()
-        );
-    }
+    let (mut lines, span_count, dropped) = recorder.with(|r| {
+        for kind in SpanKind::ALL {
+            assert!(
+                r.spans().any(|s| s.kind == kind),
+                "trace run produced no {kind} span ({} total)",
+                r.spans().count()
+            );
+        }
+        (r.events().to_vec(), r.spans().count(), r.dropped())
+    });
     // Within a cycle, events come before spans (a span's cycle is its
-    // close, which can lie ahead of its emission).
-    let mut lines: Vec<TraceEvent> =
-        probe.events().into_iter().filter(|e| !matches!(e, TraceEvent::Span(_))).collect();
-    lines.extend(span_list.iter().cloned().map(TraceEvent::Span));
-    lines.sort_by_key(TraceEvent::at);
+    // close, which can lie ahead of its emission); the sort is stable.
+    lines.sort_by_key(|e| (e.at(), matches!(e, TraceEvent::Span(_))));
 
     let trace_path = format!("{RESULTS_DIR}/loadcurve_trace.jsonl");
     write_trace_file(&OsStorage, &trace_path, &lines).expect("write trace");
     let manifest = RunManifest::new("loadcurve_trace", TRACE_SEED, TRACE_CYCLES)
         .with_config(&(&policy, pair.label()))
-        .with_trace_counts(lines.len() as u64, probe.dropped() + spans.overwritten())
+        .with_trace_counts(lines.len() as u64, dropped)
         .with_extra("pair", JsonValue::str(pair.label()))
-        .with_extra("span_count", JsonValue::u64(span_list.len() as u64));
+        .with_extra("span_count", JsonValue::u64(span_count as u64));
     let manifest_path = format!("{RESULTS_DIR}/loadcurve_manifest.json");
     manifest.write_file(&OsStorage, &manifest_path).expect("write manifest");
     eprintln!(
-        "[wrote {trace_path} ({} events, {} spans) and {manifest_path}]",
-        lines.len(),
-        span_list.len()
+        "[wrote {trace_path} ({} events, {span_count} spans) and {manifest_path}]",
+        lines.len()
     );
 }
 

@@ -223,6 +223,9 @@ fn flight_report(path: &str, report: &mut Report) {
             report.metric("flight.open_packet", t.packet as f64);
             report.metric("flight.open_cycles", t.total_cycles() as f64);
         }
+        // The flight recorder never asks for spans, so only a run with a
+        // span-wanting probe beside it has any.
+        None if dump.spans_seen == 0 => println!("  (no spans recorded)"),
         None => println!("  (no open spans — every traced packet ejected)"),
     }
 

@@ -1,5 +1,5 @@
 //! Process-level post-mortem plumbing over the telemetry
-//! [`FlightRecorder`](pearl_telemetry::FlightRecorder).
+//! [`FlightRecorder`].
 //!
 //! The telemetry crate owns the ring buffer and the sealed `flightrec
 //! v1` artifact; this module owns the two *process* questions: **when**
@@ -17,7 +17,7 @@
 //! of a fault-injection run must not itself be fault-injected away.
 
 use crate::watchdog::StallError;
-use pearl_telemetry::{OsStorage, SharedFlightRecorder, Storage};
+use pearl_telemetry::{FlightRecorder, OsStorage, Shared, Storage};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -50,14 +50,14 @@ pub fn postmortem_path(storage: &dyn Storage, dir: &Path, bin: &str) -> PathBuf 
 /// reported, not propagated — the stall itself is the primary error and
 /// must keep flowing to the retry/quarantine machinery.
 pub fn dump_stall(
-    recorder: &SharedFlightRecorder,
+    recorder: &Shared<FlightRecorder>,
     storage: &dyn Storage,
     dir: &Path,
     bin: &str,
     stall: &StallError,
 ) -> Option<PathBuf> {
     let path = postmortem_path(storage, dir, bin);
-    match recorder.dump(storage, &path) {
+    match recorder.with(|r| r.dump(storage, &path)) {
         Ok(()) => {
             eprintln!("flight recorder: stall ({stall}) — post-mortem at {}", path.display());
             Some(path)
@@ -69,14 +69,14 @@ pub fn dump_stall(
     }
 }
 
-/// Owns one process's black box: a [`SharedFlightRecorder`] plus a
+/// Owns one process's black box: a shared [`FlightRecorder`] plus a
 /// chained panic hook that dumps it to `flightrec_<bin>_<ts>.json`
 /// before the panic message prints. Clones of
 /// [`FlightGuard::recorder`] ride inside networks as probes; the guard
 /// itself sits in `main`.
 #[derive(Debug)]
 pub struct FlightGuard {
-    recorder: SharedFlightRecorder,
+    recorder: Shared<FlightRecorder>,
     bin: &'static str,
     dir: PathBuf,
     dumped: Arc<AtomicBool>,
@@ -90,7 +90,7 @@ impl FlightGuard {
     /// defers to the previously installed hook.
     pub fn install(bin: &'static str, dir: impl Into<PathBuf>) -> FlightGuard {
         let guard = FlightGuard {
-            recorder: SharedFlightRecorder::new(),
+            recorder: Shared::new(FlightRecorder::new()),
             bin,
             dir: dir.into(),
             dumped: Arc::new(AtomicBool::new(false)),
@@ -103,7 +103,7 @@ impl FlightGuard {
             if !dumped.swap(true, Ordering::SeqCst) {
                 let _ = std::fs::create_dir_all(&dir);
                 let path = postmortem_path(&OsStorage, &dir, bin);
-                match recorder.dump(&OsStorage, &path) {
+                match recorder.with(|r| r.dump(&OsStorage, &path)) {
                     Ok(()) => {
                         eprintln!("flight recorder: panic — post-mortem at {}", path.display());
                     }
@@ -121,7 +121,7 @@ impl FlightGuard {
     /// recorder shares the slot). It never switches span tracking on by
     /// itself; it keeps the spans of a fanout whose other member wants
     /// them.
-    pub fn recorder(&self) -> SharedFlightRecorder {
+    pub fn recorder(&self) -> Shared<FlightRecorder> {
         self.recorder.clone()
     }
 
@@ -135,7 +135,7 @@ impl FlightGuard {
         }
         let _ = std::fs::create_dir_all(&self.dir);
         let path = postmortem_path(&OsStorage, &self.dir, self.bin);
-        match self.recorder.dump(&OsStorage, &path) {
+        match self.recorder.with(|r| r.dump(&OsStorage, &path)) {
             Ok(()) => {
                 eprintln!("flight recorder: {reason} — post-mortem at {}", path.display());
                 Some(path)
@@ -184,7 +184,7 @@ mod tests {
     #[test]
     fn stall_dump_names_a_fresh_artifact_per_incident() {
         let dir = scratch("stall");
-        let recorder = SharedFlightRecorder::new();
+        let recorder = Shared::new(FlightRecorder::new());
         let stall = StallError { at_cycle: 4_000, window: 1_000, delivered: 7 };
         let a = dump_stall(&recorder, &OsStorage, &dir, "chaos", &stall).unwrap();
         let b = dump_stall(&recorder, &OsStorage, &dir, "chaos", &stall).unwrap();

@@ -31,8 +31,8 @@ use crate::serve::spec::ExperimentSpec;
 use crate::serve::{valid_job_id, Spool};
 use crate::JobPool;
 use pearl_telemetry::{
-    prometheus_exposition, replay_progress, JsonValue, MetricsRegistry, OsStorage, ProgressEvent,
-    ProgressLog, RetryPolicy, RetryStorage, SharedFlightRecorder, Storage,
+    prometheus_exposition, replay_progress, FlightRecorder, JsonValue, MetricsRegistry, OsStorage,
+    ProgressEvent, ProgressLog, RetryPolicy, RetryStorage, Shared, Storage,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -74,7 +74,7 @@ pub struct DaemonConfig {
     /// The process black box: attached to every attempt's network
     /// alongside its trace recorder, and dumped as a `flightrec`
     /// post-mortem when the watchdog declares a stall.
-    pub flight: Option<SharedFlightRecorder>,
+    pub flight: Option<Shared<FlightRecorder>>,
 }
 
 impl fmt::Debug for DaemonConfig {

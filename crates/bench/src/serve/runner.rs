@@ -38,8 +38,8 @@ use crate::serve::spec::ExperimentSpec;
 use crate::serve::Spool;
 use crate::watchdog::{run_watched_with, WatchError};
 use pearl_telemetry::{
-    jsonl, read_sealed, write_sealed, Checkpoint, FanoutProbe, JsonValue, Probe, ProgressEvent,
-    ProgressLog, RunManifest, SharedFlightRecorder, SharedRecorder, Simulator, Storage,
+    jsonl, read_sealed, write_sealed, Checkpoint, FanoutProbe, FlightRecorder, JsonValue, Probe,
+    ProgressEvent, ProgressLog, Recorder, RunManifest, Shared, Simulator, Storage,
 };
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
@@ -107,7 +107,7 @@ pub struct AttemptContext<'a> {
     /// The process black box, when the daemon runs with one: the
     /// attempt's trace events feed its ring, and a watchdog stall dumps
     /// it as a `flightrec` post-mortem into `state/`.
-    pub flight: Option<&'a SharedFlightRecorder>,
+    pub flight: Option<&'a Shared<FlightRecorder>>,
 }
 
 /// A parsed resume bundle.
@@ -151,7 +151,7 @@ fn write_resume_bundle(
 /// rendered from it so far, after the prefix a resume bundle carried.
 #[derive(Default)]
 struct Trace {
-    recorder: SharedRecorder,
+    recorder: Shared<Recorder>,
     jsonl: Vec<u8>,
     rendered: usize,
     prefix_dropped: u64,
@@ -173,7 +173,7 @@ impl Trace {
 
     /// Events dropped past the recorder cap, before and after a resume.
     fn dropped(&self) -> u64 {
-        self.prefix_dropped + self.recorder.dropped()
+        self.prefix_dropped + self.recorder.with(|r| r.dropped())
     }
 }
 

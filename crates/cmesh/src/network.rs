@@ -952,10 +952,10 @@ mod tests {
 
     #[test]
     fn probe_mirrors_injection_stalls_without_perturbing() {
-        use pearl_telemetry::SharedRecorder;
+        use pearl_telemetry::{Recorder, Shared};
         let plain = net(7).run(20_000);
         let mut instrumented = net(7);
-        let recorder = SharedRecorder::new();
+        let recorder = Shared::new(Recorder::new());
         instrumented.attach_probe(Box::new(recorder.clone()));
         assert!(instrumented.probe_enabled());
         let s = instrumented.run(20_000);

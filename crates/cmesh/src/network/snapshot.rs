@@ -252,7 +252,7 @@ codec_object! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pearl_telemetry::SharedRecorder;
+    use pearl_telemetry::{Recorder, Shared};
 
     fn build(k: u64, seed: u64) -> CmeshNetwork {
         CmeshBuilder::new()
@@ -315,27 +315,29 @@ mod tests {
         let make = || build(4, 19);
         let (n, m) = (8_000u64, 6_000u64);
 
-        let golden_rec = SharedRecorder::new();
+        let golden_rec = Shared::new(Recorder::new());
         let mut golden = make();
         golden.attach_probe(Box::new(golden_rec.clone()));
         golden.run(n + m);
 
-        let pre_rec = SharedRecorder::new();
+        let pre_rec = Shared::new(Recorder::new());
         let mut first = make();
         first.attach_probe(Box::new(pre_rec.clone()));
         first.run(n);
         let cp = first.snapshot();
 
-        let post_rec = SharedRecorder::new();
+        let post_rec = Shared::new(Recorder::new());
         let mut resumed = make();
         resumed.attach_probe(Box::new(post_rec.clone()));
         resumed.restore(&cp).unwrap();
         resumed.run(m);
 
         let mut golden_buf = Vec::new();
-        pearl_telemetry::jsonl::write_trace(&mut golden_buf, &golden_rec.events()).unwrap();
-        let mut split_events = pre_rec.events();
-        split_events.extend(post_rec.events());
+        golden_rec
+            .with(|r| pearl_telemetry::jsonl::write_trace(&mut golden_buf, r.events()))
+            .unwrap();
+        let mut split_events = pre_rec.with(|r| r.events().to_vec());
+        post_rec.with(|r| split_events.extend_from_slice(r.events()));
         let mut split_buf = Vec::new();
         pearl_telemetry::jsonl::write_trace(&mut split_buf, &split_events).unwrap();
         assert_eq!(golden_buf, split_buf, "trace JSONL diverged across the resume");
@@ -439,7 +441,7 @@ mod tests {
             other => panic!("unknown pin {other}"),
         };
         if matches!(name, "spans" | "quarter_bandwidth") {
-            net.attach_probe(Box::new(pearl_telemetry::SharedSpanRecorder::new()));
+            net.attach_probe(Box::new(Recorder::with_spans()));
         }
         (net, cycles)
     }

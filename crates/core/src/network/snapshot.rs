@@ -447,7 +447,7 @@ mod tests {
     use crate::ml_scaling::FallbackConfig;
     use crate::policy::PearlPolicy;
     use pearl_photonics::FaultConfig;
-    use pearl_telemetry::{OsStorage, SharedRecorder};
+    use pearl_telemetry::{OsStorage, Recorder, Shared};
     use pearl_workloads::BenchmarkPair;
 
     pub(super) fn build(
@@ -647,27 +647,29 @@ mod tests {
         let make = || build(PearlPolicy::reactive(500), FaultConfig::uniform(0.03, 5), false, 53);
         let (n, m) = (4_000u64, 3_000u64);
 
-        let golden_rec = SharedRecorder::new();
+        let golden_rec = Shared::new(Recorder::new());
         let mut golden = make();
         golden.attach_probe(Box::new(golden_rec.clone()));
         golden.run(n + m);
 
-        let pre_rec = SharedRecorder::new();
+        let pre_rec = Shared::new(Recorder::new());
         let mut first = make();
         first.attach_probe(Box::new(pre_rec.clone()));
         first.run(n);
         let cp = first.snapshot();
 
-        let post_rec = SharedRecorder::new();
+        let post_rec = Shared::new(Recorder::new());
         let mut resumed = make();
         resumed.attach_probe(Box::new(post_rec.clone()));
         resumed.restore(&cp).unwrap();
         resumed.run(m);
 
         let mut golden_buf = Vec::new();
-        pearl_telemetry::jsonl::write_trace(&mut golden_buf, &golden_rec.events()).unwrap();
-        let mut split_events = pre_rec.events();
-        split_events.extend(post_rec.events());
+        golden_rec
+            .with(|r| pearl_telemetry::jsonl::write_trace(&mut golden_buf, r.events()))
+            .unwrap();
+        let mut split_events = pre_rec.with(|r| r.events().to_vec());
+        post_rec.with(|r| split_events.extend_from_slice(r.events()));
         let mut split_buf = Vec::new();
         pearl_telemetry::jsonl::write_trace(&mut split_buf, &split_events).unwrap();
         assert!(!golden_buf.is_empty(), "faulted reactive run must emit events");
@@ -684,26 +686,26 @@ mod tests {
     fn a_probe_attached_before_restoring_a_bare_checkpoint_sees_every_fault_event() {
         // Fault events reach the probe whatever checkpoint the network
         // resumed from: the checkpoint holds no trace of observers.
-        let traced_rec = SharedRecorder::new();
+        let traced_rec = Shared::new(Recorder::new());
         let mut traced = fault_heavy();
         traced.attach_probe(Box::new(traced_rec.clone()));
         traced.run(4_000);
 
         let mut bare = fault_heavy();
         bare.run(2_000);
-        let resumed_rec = SharedRecorder::new();
+        let resumed_rec = Shared::new(Recorder::new());
         let mut resumed = fault_heavy();
         resumed.attach_probe(Box::new(resumed_rec.clone()));
         resumed.restore(&bare.snapshot()).unwrap();
         resumed.run(2_000);
 
-        let after = |events: Vec<TraceEvent>| -> Vec<TraceEvent> {
-            events.into_iter().filter(|e| e.at() >= 2_000).collect()
+        let after = |recorder: &Shared<Recorder>| -> Vec<TraceEvent> {
+            recorder.with(|r| r.events().iter().filter(|e| e.at() >= 2_000).cloned().collect())
         };
-        let expected = after(traced_rec.events());
+        let expected = after(&traced_rec);
         let faults = expected.iter().filter(|e| e.kind() == "fault").count();
         assert!(faults > 100, "only {faults} fault events after the checkpoint");
-        assert_eq!(after(resumed_rec.events()), expected);
+        assert_eq!(after(&resumed_rec), expected);
     }
 
     #[test]
@@ -711,7 +713,7 @@ mod tests {
         // An observer leaves nothing in the checkpoint for an unobserved
         // network to inherit.
         let mut traced = fault_heavy();
-        traced.attach_probe(Box::new(SharedRecorder::new()));
+        traced.attach_probe(Box::new(Recorder::new()));
         traced.run(2_000);
         let mut resumed = fault_heavy();
         resumed.restore(&traced.snapshot()).unwrap();
@@ -1011,10 +1013,8 @@ mod tests {
             other => panic!("unknown pin {other}"),
         };
         match name {
-            "faults_traced" => net.attach_probe(Box::new(SharedRecorder::new())),
-            "spans" | "ladder_faults_spans" => {
-                net.attach_probe(Box::new(pearl_telemetry::SharedSpanRecorder::new()))
-            }
+            "faults_traced" => net.attach_probe(Box::new(Recorder::new())),
+            "spans" | "ladder_faults_spans" => net.attach_probe(Box::new(Recorder::with_spans())),
             _ => {}
         }
         (net, cycles)

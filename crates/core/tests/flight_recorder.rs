@@ -2,7 +2,7 @@
 //! observer contract as every other probe.
 //!
 //! Three properties anchor it. *Zero perturbation*: riding along as a
-//! probe (alone or teed beside trace and span recorders through a
+//! probe (alone or teed beside a recorder that wants spans through a
 //! fanout) leaves the simulated trajectory — summary, state hash, and
 //! every traced byte — bit-identical to a bare run. *Liveness*: the
 //! ring actually captures the machinery the run exercises. *State
@@ -10,9 +10,7 @@
 //! checkpoint/restore round-trips are oblivious to it.
 
 use pearl_core::{NetworkBuilder, PearlPolicy};
-use pearl_telemetry::{
-    FanoutProbe, SharedFlightRecorder, SharedRecorder, SharedSpanRecorder, TraceEvent,
-};
+use pearl_telemetry::{FanoutProbe, FlightRecorder, Recorder, Shared, TraceEvent};
 use pearl_workloads::BenchmarkPair;
 
 fn pair() -> BenchmarkPair {
@@ -30,19 +28,19 @@ fn flight_recorder_never_perturbs_the_run() {
 
     // The reference trace: a trace recorder alone.
     let mut traced = build();
-    let traced_probe = SharedRecorder::new();
+    let traced_probe = Shared::new(Recorder::new());
     traced.attach_probe(Box::new(traced_probe.clone()));
     traced.run(CYCLES);
 
     // The flight recorder tees behind the trace recorder as the serve
-    // runner wires it, and a span recorder switches span tracking on.
+    // runner wires it, with a recorder that wants spans switching span
+    // tracking on.
     let mut observed = build();
-    let observed_probe = SharedRecorder::new();
-    let flight = SharedFlightRecorder::new();
+    let observed_probe = Shared::new(Recorder::with_spans());
+    let flight = Shared::new(FlightRecorder::new());
     observed.attach_probe(Box::new(FanoutProbe::new(vec![
         Box::new(observed_probe.clone()),
         Box::new(flight.clone()),
-        Box::new(SharedSpanRecorder::new()),
     ])));
     assert!(observed.span_enabled());
     let observed_summary = observed.run(CYCLES);
@@ -52,23 +50,25 @@ fn flight_recorder_never_perturbs_the_run() {
     assert_eq!(bare.state_hash(), traced.state_hash());
     // Byte-level trace equality: the tee may not shift a single traced
     // event the offline recorder sees; the spans ride in between.
-    let events: Vec<TraceEvent> =
-        observed_probe.events().into_iter().filter(|e| !matches!(e, TraceEvent::Span(_))).collect();
-    assert_eq!(format!("{:?}", traced_probe.events()), format!("{events:?}"));
+    let events: Vec<TraceEvent> = observed_probe.with(|r| {
+        r.events().iter().filter(|e| !matches!(e, TraceEvent::Span(_))).cloned().collect()
+    });
+    assert_eq!(traced_probe.with(|r| format!("{:?}", r.events())), format!("{events:?}"));
     // And the contract is not vacuous: the black box really recorded.
-    assert!(flight.events_seen() > 0, "flight recorder saw the probe stream");
-    assert!(flight.spans_seen() > 0, "flight recorder saw the span stream");
+    let (events_seen, spans_seen) = flight.with(|f| (f.events_seen(), f.spans_seen()));
+    assert!(events_seen > 0, "flight recorder saw the probe stream");
+    assert!(spans_seen > 0, "flight recorder saw the span stream");
 }
 
 #[test]
 fn flight_recorder_is_excluded_from_snapshots_and_state_hashes() {
     let build = || NetworkBuilder::new().policy(PearlPolicy::dyn_64wl()).seed(7).build(pair());
     let mut observed = build();
-    let flight = SharedFlightRecorder::new();
+    let flight = Shared::new(FlightRecorder::new());
     observed.attach_probe(Box::new(flight.clone()));
     assert!(!observed.span_enabled(), "the flight recorder alone never tracks spans");
     observed.run(CYCLES);
-    let seen_mid = flight.events_seen();
+    let seen_mid = flight.with(|f| f.events_seen());
     assert!(seen_mid > 0, "the run recorded something");
 
     // The observed run hashes like a bare one.
@@ -86,7 +86,7 @@ fn flight_recorder_is_excluded_from_snapshots_and_state_hashes() {
     // Restoring *into* the observed network leaves the ring untouched —
     // recorder state is observer state, not simulation state.
     observed.restore(&checkpoint).expect("self-restore");
-    assert_eq!(flight.events_seen(), seen_mid);
+    assert_eq!(flight.with(|f| f.events_seen()), seen_mid);
 
     // Both continue from the checkpoint bit-identically even though one
     // still carries a live recorder.

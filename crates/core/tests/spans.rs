@@ -5,11 +5,11 @@
 //! ejected_at]` with no gap or overlap, so the per-stage breakdown sums
 //! exactly to the end-to-end latency — under faults, retransmissions
 //! and ML-ladder demotions alike. Second, *zero perturbation*: a
-//! [`NullProbe`] leaves span tracking off, and a span recorder leaves
-//! the simulated trajectory and the state hash bit-identical (spans are
-//! derived observers, never state). Third, *resumability*: the span
-//! stream across a snapshot/restore boundary is bit-identical to an
-//! uninterrupted run's.
+//! [`NullProbe`] leaves span tracking off, and a recorder that wants
+//! spans leaves the simulated trajectory and the state hash
+//! bit-identical (spans are derived observers, never state). Third,
+//! *resumability*: the span stream across a snapshot/restore boundary
+//! is bit-identical to an uninterrupted run's.
 
 use pearl_core::{
     FallbackConfig, FaultConfig, MlPowerScaler, NetworkBuilder, PearlNetwork, PearlPolicy,
@@ -18,7 +18,7 @@ use pearl_core::{
 use pearl_ml::{select_lambda, Dataset};
 use pearl_telemetry::{
     chrome_trace, critical_path, group_by_packet, latency_breakdown, validate_chrome_trace,
-    NullProbe, PacketTrace, SharedRecorder, SharedSpanRecorder, Span, SpanKind,
+    NullProbe, PacketTrace, Probe, Recorder, Shared, Span, SpanKind,
 };
 use pearl_workloads::BenchmarkPair;
 use proptest::prelude::*;
@@ -38,6 +38,11 @@ fn constant_scaler(value: f64) -> MlPowerScaler {
     }
     let (train, val) = d.split_tail(0.25);
     MlPowerScaler::new(select_lambda(&train, &val, &[1.0]).unwrap())
+}
+
+/// The spans a shared recorder kept, in emission order.
+fn spans(recorder: &Shared<Recorder>) -> Vec<Span> {
+    recorder.with(|r| r.spans().cloned().collect())
 }
 
 /// Every complete trace (one per ejected packet) must tile its
@@ -80,14 +85,14 @@ fn faulty_ml_network(seed: u64) -> PearlNetwork {
 #[test]
 fn span_accounting_reconciles_under_faults_and_demotion() {
     let mut net = faulty_ml_network(29);
-    let recorder = SharedSpanRecorder::new();
+    let recorder = Shared::new(Recorder::with_spans());
     net.attach_probe(Box::new(recorder.clone()));
     assert!(net.span_enabled());
     let summary = net.run(20_000);
     assert!(summary.delivered_packets > 0);
-    assert_eq!(recorder.overwritten(), 0, "ring evicted spans mid-test");
+    assert_eq!(recorder.with(|r| r.dropped()), 0, "recorder dropped spans mid-test");
 
-    let spans = recorder.spans();
+    let spans = spans(&recorder);
     let complete = assert_reconciles(&spans, summary.delivered_packets);
 
     // Coverage: the faulted run exercises every stage in the taxonomy.
@@ -126,14 +131,14 @@ fn span_accounting_reconciles_under_faults_and_demotion() {
 fn no_packet_is_observed_before_injection() {
     for seed in [3u64, 29, 101] {
         let mut net = faulty_ml_network(seed);
-        let recorder = SharedSpanRecorder::new();
+        let recorder = Shared::new(Recorder::with_spans());
         net.attach_probe(Box::new(recorder.clone()));
         let summary = net.run(12_000);
         assert!(summary.delivered_packets > 0);
         // Belt and braces next to the debug_assert: every recorded span
         // must begin at or after cycle 0 relative to its packet's
         // injection, i.e. no span may end before it starts.
-        for span in recorder.spans() {
+        for span in spans(&recorder) {
             assert!(
                 span.end >= span.start,
                 "packet {} {} span runs backwards: [{}, {}]",
@@ -159,10 +164,10 @@ fn no_packet_is_observed_before_injection() {
 #[test]
 fn breakdown_critical_path_and_chrome_trace_agree() {
     let mut net = faulty_ml_network(29);
-    let recorder = SharedSpanRecorder::new();
+    let recorder = Shared::new(Recorder::with_spans());
     net.attach_probe(Box::new(recorder.clone()));
     net.run(20_000);
-    let spans = recorder.spans();
+    let spans = spans(&recorder);
 
     // The breakdown partitions the spans: counts and totals tie out.
     let rows = latency_breakdown(&spans);
@@ -213,7 +218,7 @@ proptest! {
             .policy(PearlPolicy::reactive(500))
             .seed(seed)
             .build(pair());
-        let recorder = SharedSpanRecorder::new();
+        let recorder = Shared::new(Recorder::with_spans());
         instrumented.attach_probe(Box::new(recorder.clone()));
         let summary = instrumented.run(4_000);
 
@@ -224,8 +229,7 @@ proptest! {
             seed
         );
         prop_assert_eq!(plain.state_hash(), instrumented.state_hash());
-        let spans = recorder.spans();
-        let traces = group_by_packet(&spans);
+        let traces = group_by_packet(&spans(&recorder));
         let complete = traces.iter().filter(|t| t.ejected).count() as u64;
         prop_assert_eq!(complete, summary.delivered_packets);
         for t in traces.iter().filter(|t| t.ejected) {
@@ -252,18 +256,33 @@ fn null_sink_keeps_state_hash_identical() {
     assert_eq!(plain.state_hash(), with_null.state_hash());
 
     let mut with_events = faulty_ml_network(23);
-    with_events.attach_probe(Box::new(SharedRecorder::new()));
+    with_events.attach_probe(Box::new(Recorder::new()));
     assert!(!with_events.span_enabled(), "an event recorder must not arm the span path");
     let mut with_spans = faulty_ml_network(23);
-    with_spans.attach_probe(Box::new(SharedSpanRecorder::new()));
+    with_spans.attach_probe(Box::new(Recorder::with_spans()));
     assert!(with_spans.span_enabled());
     for observed in [&mut with_events, &mut with_spans] {
         assert_eq!(format!("{plain_summary:?}"), format!("{:?}", observed.run(6_000)));
         assert_eq!(plain.state_hash(), observed.state_hash());
     }
     // Attaching a probe that does not want spans drops the tracker.
-    with_spans.attach_probe(Box::new(SharedRecorder::new()));
+    with_spans.attach_probe(Box::new(Recorder::new()));
     assert!(!with_spans.span_enabled());
+}
+
+#[test]
+fn a_shared_probe_attaches_as_the_probe_it_wraps() {
+    // The handle forwards `is_null` and `wants_spans`, so sharing a
+    // probe changes neither whether it is kept nor whether it arms the
+    // span path.
+    let attached = |probe: Box<dyn Probe>| {
+        let mut net = faulty_ml_network(5);
+        net.attach_probe(probe);
+        (net.probe_enabled(), net.span_enabled())
+    };
+    assert_eq!(attached(Box::new(Shared::new(NullProbe))), (false, false));
+    assert_eq!(attached(Box::new(Shared::new(Recorder::new()))), (true, false));
+    assert_eq!(attached(Box::new(Shared::new(Recorder::with_spans()))), (true, true));
 }
 
 #[test]
@@ -281,26 +300,26 @@ fn span_stream_is_bit_identical_across_resume() {
     let (n, m) = (4_000u64, 3_000u64);
 
     let mut golden_net = build();
-    let golden_rec = SharedSpanRecorder::new();
+    let golden_rec = Shared::new(Recorder::with_spans());
     golden_net.attach_probe(Box::new(golden_rec.clone()));
     golden_net.run(n + m);
 
     let mut first = build();
-    let pre_rec = SharedSpanRecorder::new();
+    let pre_rec = Shared::new(Recorder::with_spans());
     first.attach_probe(Box::new(pre_rec.clone()));
     first.run(n);
     let cp = first.snapshot();
 
     let mut resumed = build();
-    let post_rec = SharedSpanRecorder::new();
+    let post_rec = Shared::new(Recorder::with_spans());
     resumed.attach_probe(Box::new(post_rec.clone()));
     resumed.restore(&cp).expect("restore");
     assert!(resumed.span_enabled());
     resumed.run(m);
 
-    let mut stitched = pre_rec.spans();
-    stitched.extend(post_rec.spans());
-    assert_eq!(golden_rec.spans(), stitched, "span stream diverged across the resume boundary");
+    let mut stitched = spans(&pre_rec);
+    stitched.extend(spans(&post_rec));
+    assert_eq!(spans(&golden_rec), stitched, "span stream diverged across the resume boundary");
     // The state text covers the span tracker; the state hash does not.
     assert_eq!(golden_net.snapshot().state.to_string(), resumed.snapshot().state.to_string());
 }
@@ -310,18 +329,19 @@ fn restore_reactivates_span_tracking_from_snapshot() {
     // Restore keeps a checkpoint's span tracker, or makes a fresh one,
     // only for a probe that wants spans; without one it drops it.
     let mut golden = faulty_ml_network(41);
-    golden.attach_probe(Box::new(SharedSpanRecorder::new()));
+    golden.attach_probe(Box::new(Recorder::with_spans()));
     golden.run(5_000);
 
     let mut first = faulty_ml_network(41);
-    first.attach_probe(Box::new(SharedSpanRecorder::new()));
+    first.attach_probe(Box::new(Recorder::with_spans()));
     first.run(3_000);
     let cp = first.snapshot();
 
-    // With a span recorder attached first, the checkpoint's tracker
-    // resumes and the run rejoins the golden one, tracker included.
+    // With a recorder that wants spans attached first, the checkpoint's
+    // tracker resumes and the run rejoins the golden one, tracker
+    // included.
     let mut resumed = faulty_ml_network(41);
-    resumed.attach_probe(Box::new(SharedSpanRecorder::new()));
+    resumed.attach_probe(Box::new(Recorder::with_spans()));
     resumed.restore(&cp).expect("restore");
     assert!(resumed.span_enabled());
     resumed.run(2_000);
@@ -339,7 +359,7 @@ fn restore_reactivates_span_tracking_from_snapshot() {
     let mut plain = faulty_ml_network(41);
     plain.run(3_000);
     let mut traced = faulty_ml_network(41);
-    traced.attach_probe(Box::new(SharedSpanRecorder::new()));
+    traced.attach_probe(Box::new(Recorder::with_spans()));
     traced.restore(&plain.snapshot()).expect("restore");
     assert!(traced.span_enabled());
 }
@@ -347,12 +367,12 @@ fn restore_reactivates_span_tracking_from_snapshot() {
 #[test]
 fn repeated_checkpoint_restore_with_spans_is_stable() {
     let mut net = faulty_ml_network(31);
-    net.attach_probe(Box::new(SharedSpanRecorder::new()));
+    net.attach_probe(Box::new(Recorder::with_spans()));
     net.run(2_500);
     let cp1 = net.snapshot();
 
     let mut twin = faulty_ml_network(31);
-    twin.attach_probe(Box::new(SharedSpanRecorder::new()));
+    twin.attach_probe(Box::new(Recorder::with_spans()));
     twin.restore(&cp1).expect("restore");
     let cp2 = twin.snapshot();
     assert_eq!(

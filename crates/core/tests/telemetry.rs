@@ -13,7 +13,7 @@ use pearl_core::{
     FEATURE_COUNT,
 };
 use pearl_ml::{select_lambda, Dataset};
-use pearl_telemetry::{LadderMode, NullProbe, SharedRecorder, TraceEvent, TransitionCause};
+use pearl_telemetry::{LadderMode, NullProbe, Recorder, Shared, TraceEvent, TransitionCause};
 use pearl_workloads::BenchmarkPair;
 use proptest::prelude::*;
 
@@ -45,7 +45,7 @@ fn summary_fingerprint(policy: PearlPolicy, seed: u64, cycles: u64) -> (String, 
     assert!(!with_null.probe_enabled(), "NullProbe must not arm the probe path");
     let null_summary = with_null.run(cycles);
     let mut with_recorder = NetworkBuilder::new().policy(policy).seed(seed).build(pair());
-    with_recorder.attach_probe(Box::new(SharedRecorder::new()));
+    with_recorder.attach_probe(Box::new(Recorder::new()));
     assert!(with_recorder.probe_enabled());
     let rec_summary = with_recorder.run(cycles);
     (
@@ -65,7 +65,7 @@ proptest! {
         let (plain, null, recorded) =
             summary_fingerprint(PearlPolicy::reactive(500), seed, 4_000);
         prop_assert_eq!(&plain, &null, "NullProbe perturbed seed {}", seed);
-        prop_assert_eq!(&plain, &recorded, "SharedRecorder perturbed seed {}", seed);
+        prop_assert_eq!(&plain, &recorded, "Recorder perturbed seed {}", seed);
     }
 }
 
@@ -81,12 +81,13 @@ fn recording_a_faulty_ml_run_is_still_identical() {
     let mut bare = build();
     let plain = bare.run(6_000);
     let mut instrumented = build();
-    let recorder = SharedRecorder::new();
+    let recorder = Shared::new(Recorder::new());
     instrumented.attach_probe(Box::new(recorder.clone()));
     let recorded = instrumented.run(6_000);
     assert_eq!(format!("{plain:?}"), format!("{recorded:?}"));
     assert_eq!(bare.state_hash(), instrumented.state_hash());
-    assert!(recorder.events().iter().any(|e| e.kind() == "fault"), "no fault event recorded");
+    let faulted = recorder.with(|r| r.events().iter().any(|e| e.kind() == "fault"));
+    assert!(faulted, "no fault event recorded");
 }
 
 #[test]
@@ -97,11 +98,11 @@ fn faulty_ml_run_covers_every_event_kind() {
     let fallback = FallbackConfig { severe_below: f64::NEG_INFINITY, ..FallbackConfig::pearl() };
     let policy = PearlPolicy::ml_with_fallback(500, constant_scaler(1e6), true, fallback);
     let mut net = NetworkBuilder::new().policy(policy).fault_config(fault).seed(29).build(pair());
-    let recorder = SharedRecorder::new();
+    let recorder = Shared::new(Recorder::new());
     net.attach_probe(Box::new(recorder.clone()));
     net.run(20_000);
 
-    let events = recorder.events();
+    let events = recorder.with(|r| r.events().to_vec());
     let has = |kind: &str| events.iter().any(|e| e.kind() == kind);
     for kind in [
         "dba_realloc",

@@ -11,7 +11,7 @@
 //! are oblivious to them.
 
 use pearl_core::{NetworkBuilder, PearlPolicy};
-use pearl_telemetry::{SharedRecorder, WorkCounters};
+use pearl_telemetry::{Recorder, Shared, WorkCounters};
 use pearl_workloads::BenchmarkPair;
 
 fn pair() -> BenchmarkPair {
@@ -28,12 +28,12 @@ fn enabled_counters_never_perturb_the_run() {
     let bare_summary = bare.run(CYCLES);
 
     let mut traced = build();
-    let traced_probe = SharedRecorder::new();
+    let traced_probe = Shared::new(Recorder::new());
     traced.attach_probe(Box::new(traced_probe.clone()));
     traced.run(CYCLES);
 
     let mut counted = build();
-    let counted_probe = SharedRecorder::new();
+    let counted_probe = Shared::new(Recorder::new());
     counted.attach_probe(Box::new(counted_probe.clone()));
     counted.enable_profiling();
     let counted_summary = counted.run(CYCLES);
@@ -42,7 +42,8 @@ fn enabled_counters_never_perturb_the_run() {
     assert_eq!(bare.state_hash(), counted.state_hash());
     // Byte-level trace equality: the counters may not shift a single
     // traced event.
-    assert_eq!(format!("{:?}", traced_probe.events()), format!("{:?}", counted_probe.events()));
+    let events = |probe: &Shared<Recorder>| probe.with(|r| format!("{:?}", r.events()));
+    assert_eq!(events(&traced_probe), events(&counted_probe));
 }
 
 #[test]

@@ -50,6 +50,6 @@ pub use flit::{Flit, FlitKind, Flits};
 pub use histogram::LatencyHistogram;
 pub use packet::{CoreType, Packet, PacketId, PacketKind, TrafficClass};
 pub use rng::SimRng;
-pub use stats::{LatencyStats, NetworkStats, StatsState, ThroughputSample};
+pub use stats::{LatencyStats, NetworkStats, StatsState};
 pub use topology::{Coord, Grid, NodeId};
 pub use vc::{VcState, VirtualChannel};

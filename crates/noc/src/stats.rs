@@ -73,15 +73,6 @@ impl LatencyStats {
     }
 }
 
-/// One point of a throughput time series (per reservation window).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThroughputSample {
-    /// Cycle at the end of the window.
-    pub at: Cycle,
-    /// Flits delivered during the window.
-    pub flits: u64,
-}
-
 /// Per-core-type pair of counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct PerCore<T> {

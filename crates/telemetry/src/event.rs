@@ -11,18 +11,20 @@
 //! probe only observes: an observed run is *bit-identical* to a bare
 //! one, state hash included.
 //!
-//! [`Recorder`] is the buffering probe: it keeps the head of the run up
-//! to a cap, with an explicit dropped-event counter — never silent
-//! truncation. Bench harnesses that need to read the recorder back
-//! after handing it to a network wrap it in [`SharedRecorder`];
-//! [`FanoutProbe`] shares the slot among several probes.
+//! [`Recorder`] is the one buffering probe: it keeps the head of the
+//! run up to a cap, with an explicit dropped-event counter — never
+//! silent truncation — and [`Recorder::with_spans`] makes one that
+//! wants spans and keeps them in emission order among the events.
+//! [`Shared`] is the one handle: a harness that must read a probe back
+//! after handing it to a network (or dump it from a panic hook on
+//! another thread) wraps it in one and keeps a clone. [`FanoutProbe`]
+//! shares the slot among several probes.
 
 use crate::span::Span;
 use pearl_noc::CoreType;
 use pearl_photonics::{FaultEventKind, WavelengthState};
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Default [`Recorder`] buffer cap: enough for every event of a full
 /// faultsweep run while bounding memory on pathological configurations.
@@ -262,12 +264,15 @@ impl Probe for NullProbe {
     }
 }
 
-/// A buffering sink: keeps events up to a cap and counts the rest.
+/// A buffering probe: keeps what it is handed, in emission order, up to
+/// a cap, and counts the rest. Spans count against the cap like any
+/// other event.
 #[derive(Debug)]
 pub struct Recorder {
     events: Vec<TraceEvent>,
     cap: usize,
     dropped: u64,
+    wants_spans: bool,
 }
 
 impl Recorder {
@@ -279,12 +284,26 @@ impl Recorder {
     /// A recorder that buffers at most `cap` events; further events
     /// only count in the dropped counter.
     pub fn with_cap(cap: usize) -> Recorder {
-        Recorder { events: Vec::new(), cap, dropped: 0 }
+        Recorder { events: Vec::new(), cap, dropped: 0, wants_spans: false }
     }
 
-    /// The buffered events, in emission order.
+    /// A recorder with the default buffer cap that wants spans, so the
+    /// network it is attached to tracks and emits them.
+    pub fn with_spans() -> Recorder {
+        Recorder { wants_spans: true, ..Recorder::new() }
+    }
+
+    /// The buffered events, spans included, in emission order.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
+    }
+
+    /// The buffered spans, in emission order.
+    pub fn spans(&self) -> impl Iterator<Item = &Span> {
+        self.events.iter().filter_map(|e| match e {
+            TraceEvent::Span(span) => Some(span),
+            _ => None,
+        })
     }
 
     /// Events discarded after the buffer cap was reached.
@@ -307,63 +326,62 @@ impl Probe for Recorder {
             self.dropped += 1;
         }
     }
-}
 
-/// A cloneable handle over a shared [`Recorder`], so a bench harness
-/// can hand one end to a network (as `Box<dyn Probe>`) and keep the
-/// other to read events back after the run.
-#[derive(Debug, Clone, Default)]
-pub struct SharedRecorder(Rc<RefCell<Recorder>>);
-
-impl SharedRecorder {
-    /// A fresh shared recorder with the default cap.
-    pub fn new() -> SharedRecorder {
-        SharedRecorder::default()
-    }
-
-    /// Runs `f` with the inner recorder borrowed immutably.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called re-entrantly from within [`Probe::record`].
-    pub fn with<R>(&self, f: impl FnOnce(&Recorder) -> R) -> R {
-        f(&self.0.borrow())
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.0.borrow().events().len()
-    }
-
-    /// True when no events were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A clone of the buffered events.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.0.borrow().events().to_vec()
-    }
-
-    /// Events discarded past the buffer cap.
-    pub fn dropped(&self) -> u64 {
-        self.0.borrow().dropped()
+    fn wants_spans(&self) -> bool {
+        self.wants_spans
     }
 }
 
-impl Probe for SharedRecorder {
+/// A cloneable handle over one shared probe: one clone rides in a
+/// network (as `Box<dyn Probe>`), another stays with the harness to
+/// read the probe back after the run. It is `Send + Sync` whenever the
+/// probe is `Send`, because a flight recorder's post-mortem must be
+/// reachable from a `std::panic::set_hook` closure.
+#[derive(Debug, Default)]
+pub struct Shared<P>(Arc<Mutex<P>>);
+
+impl<P> Shared<P> {
+    /// Shares `probe`.
+    pub fn new(probe: P) -> Shared<P> {
+        Shared(Arc::new(Mutex::new(probe)))
+    }
+
+    /// Runs `f` with the probe locked. A poisoned lock (a panic
+    /// elsewhere while holding it) is recovered, not propagated: a
+    /// flight recorder must still dump *after* a panic. The recorders'
+    /// methods finish each update before anything in them can panic,
+    /// so a recovered probe is still consistent.
+    pub fn with<R>(&self, f: impl FnOnce(&mut P) -> R) -> R {
+        f(&mut self.0.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+}
+
+impl<P> Clone for Shared<P> {
+    fn clone(&self) -> Self {
+        Shared(Arc::clone(&self.0))
+    }
+}
+
+impl<P: Probe> Probe for Shared<P> {
     fn record(&mut self, event: &TraceEvent) {
-        self.0.borrow_mut().record(event);
+        self.with(|p| p.record(event));
+    }
+
+    fn is_null(&self) -> bool {
+        self.with(|p| p.is_null())
+    }
+
+    fn wants_spans(&self) -> bool {
+        self.with(|p| p.wants_spans())
     }
 }
 
 /// Forwards every event to several probes — networks hold exactly one
-/// probe slot, so attaching both an offline [`SharedRecorder`] and a
-/// live [`crate::SharedFlightRecorder`] goes through a fanout. Null
-/// members are dropped at construction; a fanout with no live members
-/// reports `is_null()` so owners keep the zero-overhead contract. The
-/// fanout wants spans when any member does, and then every member sees
-/// them.
+/// probe slot, so attaching both an offline [`Recorder`] and a live
+/// [`crate::FlightRecorder`] goes through a fanout. Null members are
+/// dropped at construction; a fanout with no live members reports
+/// `is_null()` so owners keep the zero-overhead contract. The fanout
+/// wants spans when any member does, and then every member sees them.
 #[derive(Debug, Default)]
 pub struct FanoutProbe {
     members: Vec<Box<dyn Probe>>,
@@ -424,8 +442,11 @@ mod tests {
 
     #[test]
     fn null_probe_identifies_itself() {
-        assert!(NullProbe.is_null());
-        assert!(!Recorder::new().is_null());
+        // The null probe neither records nor asks for spans; a recorder
+        // is a live probe that asks for spans only when built to.
+        assert!(NullProbe.is_null() && !NullProbe.wants_spans());
+        assert!(!Recorder::new().is_null() && !Recorder::new().wants_spans());
+        assert!(!Recorder::with_spans().is_null() && Recorder::with_spans().wants_spans());
         let mut p = NullProbe;
         p.record(&sample_event()); // no-op, must not panic
     }
@@ -441,15 +462,34 @@ mod tests {
     }
 
     #[test]
+    fn span_recorder_keeps_events_and_spans_in_emission_order_under_one_cap() {
+        let shared = Shared::new(Recorder { cap: 3, ..Recorder::with_spans() });
+        let mut probe: Box<dyn Probe> = Box::new(shared.clone());
+        let stall = TraceEvent::InjectionStall { router: 1, at: 11, core: CoreType::Gpu };
+        let span = TraceEvent::Span(sample_span());
+        for event in [&sample_event(), &span, &stall, &span, &sample_event()] {
+            probe.record(event);
+        }
+        shared.with(|r| {
+            let kinds: Vec<&str> = r.events().iter().map(TraceEvent::kind).collect();
+            assert_eq!(kinds, ["retransmission", "span", "injection_stall"]);
+            assert_eq!(r.spans().collect::<Vec<_>>(), [&sample_span()]);
+            assert_eq!(r.dropped(), 2, "the cap counts spans and events alike");
+        });
+    }
+
+    #[test]
     fn shared_recorder_reads_back_what_the_probe_end_saw() {
-        let shared = SharedRecorder::new();
+        let shared = Shared::new(Recorder::new());
         let mut probe: Box<dyn Probe> = Box::new(shared.clone());
         assert!(!probe.is_null());
         probe.record(&sample_event());
         probe.record(&TraceEvent::InjectionStall { router: 3, at: 7, core: CoreType::Gpu });
-        assert_eq!(shared.len(), 2);
-        assert_eq!(shared.events()[1].kind(), "injection_stall");
-        assert_eq!(shared.dropped(), 0);
+        shared.with(|r| {
+            assert_eq!(r.events().len(), 2);
+            assert_eq!(r.events()[1].kind(), "injection_stall");
+            assert_eq!(r.dropped(), 0);
+        });
     }
 
     #[test]
@@ -522,8 +562,8 @@ mod tests {
 
     #[test]
     fn fanout_wants_spans_when_any_member_does_and_forwards_everything() {
-        let events = SharedRecorder::new();
-        let spans = crate::SharedSpanRecorder::new();
+        let events = Shared::new(Recorder::new());
+        let spans = Shared::new(Recorder::with_spans());
         let mut plain = FanoutProbe::new(vec![Box::new(events.clone()), Box::new(NullProbe)]);
         assert!(!plain.is_null() && !plain.wants_spans());
         plain.record(&sample_event());
@@ -532,8 +572,8 @@ mod tests {
         fanout.record(&sample_event());
         fanout.record(&TraceEvent::Span(sample_span()));
         // Every member sees every event; each keeps what it records.
-        assert_eq!(events.len(), 3);
-        assert_eq!(spans.spans(), [sample_span()]);
+        assert_eq!(events.with(|r| r.events().len()), 3);
+        assert_eq!(spans.with(|r| r.spans().cloned().collect::<Vec<_>>()), [sample_span()]);
         assert!(FanoutProbe::new(vec![Box::new(NullProbe)]).is_null());
     }
 }

@@ -1,32 +1,31 @@
 //! The black-box flight recorder: a bounded ring of the most recent
 //! trace events and spans, dumpable as a sealed post-mortem artifact.
 //!
-//! The offline recorders ([`crate::Recorder`], [`crate::SpanRecorder`])
-//! buffer a whole run for later analysis. A [`FlightRecorder`] is the
-//! live complement: it keeps only the last N events and the last N
-//! spans (evicting the oldest, with explicit eviction counters — never
-//! silent truncation) plus a complete per-kind census of everything it
-//! ever saw. When a run stalls, panics or is asked for a health dump,
+//! The offline [`crate::Recorder`] buffers the head of a whole run for
+//! later analysis. A [`FlightRecorder`] is the live complement: it
+//! keeps only the last N events and the last N spans (evicting the
+//! oldest, with explicit eviction counters — never silent truncation)
+//! plus a complete per-kind census of everything it ever saw. When a
+//! run stalls, panics or is asked for a health dump,
 //! [`FlightRecorder::dump`] writes a sealed `flightrec v1`
 //! artifact through the [`Storage`] trait; [`FlightDump::read`] reads
 //! one back and [`FlightDump::reconcile`] checks its internal invariants
 //! (ring + evicted = seen, census sums match) so a corrupted or
 //! hand-edited post-mortem is caught instead of trusted.
 //!
-//! [`SharedFlightRecorder`] is the handle the harnesses use: unlike
-//! `SharedRecorder`'s `Rc<RefCell<_>>` it is `Arc<Mutex<_>>`, because a
-//! post-mortem dump must be reachable from a `std::panic::set_hook`
-//! closure (which requires `Send + Sync + 'static`) while the same
-//! recorder is attached to a network as a probe. The recorder obeys the
-//! observer contract: owners call it only while it is attached as a
-//! live probe, and it is never part of a checkpoint or a state hash, so
-//! attaching it cannot perturb simulation results.
+//! Harnesses hold it through a [`crate::Shared`] handle, which is
+//! `Send + Sync`: a post-mortem dump must be reachable from a
+//! `std::panic::set_hook` closure while the same recorder is attached
+//! to a network as a probe. The recorder obeys the observer contract:
+//! owners call it only while it is attached as a live probe, and it is
+//! never part of a checkpoint or a state hash, so attaching it cannot
+//! perturb simulation results.
 //!
 //! The recorder does not ask for spans ([`Probe::wants_spans`] stays
 //! false): `pearl-serve` always attaches one, and span bookkeeping
-//! would cost every served run. It files any [`TraceEvent::Span`] it is
-//! handed — say, as a [`crate::FanoutProbe`] member beside a
-//! [`crate::SpanRecorder`] — into its span ring.
+//! would cost every served run. Its span ring fills only when it sits
+//! in a [`crate::FanoutProbe`] beside a probe that wants spans, such as
+//! [`crate::Recorder::with_spans`].
 
 use crate::event::{Probe, TraceEvent};
 use crate::journal::{read_sealed, write_sealed};
@@ -36,7 +35,6 @@ use crate::span::Span;
 use crate::storage::Storage;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
 
 /// Default ring capacity for both the event and the span ring: small
 /// enough to dump instantly, large enough to show the final window of a
@@ -200,59 +198,6 @@ impl Probe for FlightRecorder {
     }
 }
 
-/// A cloneable, thread-safe handle over a shared [`FlightRecorder`]: one
-/// clone rides in a network as its probe, another sits in a panic hook
-/// or watchdog ready to dump the post-mortem. `Arc<Mutex<_>>`
-/// rather than `Rc<RefCell<_>>` because `std::panic::set_hook` demands
-/// `Send + Sync + 'static`.
-#[derive(Debug, Clone, Default)]
-pub struct SharedFlightRecorder(Arc<Mutex<FlightRecorder>>);
-
-impl SharedFlightRecorder {
-    /// A fresh shared recorder with the default ring capacities.
-    pub fn new() -> SharedFlightRecorder {
-        SharedFlightRecorder::default()
-    }
-
-    /// A shared recorder with explicit ring capacities.
-    pub fn with_caps(event_cap: usize, span_cap: usize) -> SharedFlightRecorder {
-        SharedFlightRecorder(Arc::new(Mutex::new(FlightRecorder::with_caps(event_cap, span_cap))))
-    }
-
-    /// Runs `f` with the inner recorder locked. A poisoned lock (a
-    /// panic elsewhere while holding it) is recovered, not propagated —
-    /// the whole point of the recorder is to still dump *after* a
-    /// panic.
-    pub fn with<R>(&self, f: impl FnOnce(&FlightRecorder) -> R) -> R {
-        f(&self.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
-    }
-
-    /// Total events ever recorded.
-    pub fn events_seen(&self) -> u64 {
-        self.with(FlightRecorder::events_seen)
-    }
-
-    /// Total spans ever recorded.
-    pub fn spans_seen(&self) -> u64 {
-        self.with(FlightRecorder::spans_seen)
-    }
-
-    /// Dumps the sealed artifact to `path` through `storage`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage failures.
-    pub fn dump(&self, storage: &dyn Storage, path: &Path) -> std::io::Result<()> {
-        self.with(|r| r.dump(storage, path))
-    }
-}
-
-impl Probe for SharedFlightRecorder {
-    fn record(&mut self, event: &TraceEvent) {
-        self.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner).record(event);
-    }
-}
-
 /// A parsed `flightrec v1` artifact, ready for rendering and
 /// reconciliation.
 #[derive(Debug, Clone, PartialEq)]
@@ -406,6 +351,7 @@ impl FlightDump {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Shared;
     use crate::span::SpanKind;
     use crate::storage::OsStorage;
     use pearl_noc::CoreType;
@@ -511,7 +457,7 @@ mod tests {
 
     #[test]
     fn shared_handle_works_as_probe_sink_and_across_threads() {
-        let shared = SharedFlightRecorder::with_caps(8, 8);
+        let shared = Shared::new(FlightRecorder::with_caps(8, 8));
         let mut probe: Box<dyn Probe> = Box::new(shared.clone());
         assert!(!probe.wants_spans(), "the flight recorder never switches span tracking on");
         probe.record(&event(1));
@@ -527,7 +473,36 @@ mod tests {
         })
         .join()
         .unwrap();
-        assert_eq!(shared.events_seen(), 2);
-        assert_eq!(shared.spans_seen(), 1);
+        assert_eq!(shared.with(|r| (r.events_seen(), r.spans_seen())), (2, 1));
+    }
+
+    #[test]
+    fn shared_handle_survives_a_panic_inside_with() {
+        let dir = scratch("poison");
+        let path = dir.join("flightrec.json");
+        let shared = Shared::new(FlightRecorder::with_caps(8, 8));
+        let mut probe = shared.clone();
+        probe.record(&event(1));
+
+        // A clone panics while holding the lock, poisoning it.
+        let other = shared.clone();
+        let joined = std::thread::spawn(move || {
+            other.with(|r| {
+                r.record_event(&event(2));
+                panic!("injected panic inside with");
+            })
+        })
+        .join();
+        assert!(joined.is_err(), "the other thread panicked");
+
+        // Every path through the handle still works after the poison.
+        probe.record(&event(3));
+        probe.record(&TraceEvent::Span(span(4)));
+        assert_eq!(shared.with(|r| (r.events_seen(), r.spans_seen())), (3, 1));
+        shared.with(|r| r.dump(&OsStorage, &path)).unwrap();
+        let dump = FlightDump::read(&OsStorage, &path).unwrap();
+        dump.reconcile().unwrap();
+        assert_eq!(dump.events.iter().map(TraceEvent::at).collect::<Vec<_>>(), [1, 2, 3]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

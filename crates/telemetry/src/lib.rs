@@ -12,8 +12,13 @@
 //!   cached-flag branch per emission site; the contract (pinned by
 //!   property tests in `pearl-core` and the golden ladder) is that
 //!   instrumented runs are **bit-identical** to uninstrumented ones.
-//! - [`Recorder`] / [`SharedRecorder`]: buffering sinks with an
-//!   explicit cap and dropped-event counter.
+//! - [`Recorder`]: the one buffering probe, with an explicit cap and
+//!   dropped-event counter; [`Recorder::with_spans`] also asks for
+//!   spans and keeps them among the events. [`Shared`] is the one
+//!   cloneable, thread-safe handle through which a harness reads a
+//!   probe back after handing it to a network.
+//! - [`FlightRecorder`]: the black box, a ring of the newest events and
+//!   spans dumped as a sealed post-mortem.
 //! - [`jsonl`]: JSON Lines trace export and re-import, round-tripping
 //!   every event variant.
 //! - [`RunManifest`]: per-run provenance (seed, cycles, config
@@ -96,12 +101,11 @@ pub mod work;
 pub use alloc::CountingAlloc;
 pub use alloc::{alloc_stats, reset_alloc_stats, set_alloc_section, AllocStats};
 pub use event::{
-    FanoutProbe, LadderMode, NullProbe, Probe, Recorder, SharedRecorder, TraceEvent,
-    TransitionCause, DEFAULT_EVENT_CAP,
+    FanoutProbe, LadderMode, NullProbe, Probe, Recorder, Shared, TraceEvent, TransitionCause,
+    DEFAULT_EVENT_CAP,
 };
 pub use flight::{
-    FlightDump, FlightRecorder, SharedFlightRecorder, DEFAULT_FLIGHT_CAP, FLIGHTREC_KIND,
-    FLIGHTREC_SCHEMA,
+    FlightDump, FlightRecorder, DEFAULT_FLIGHT_CAP, FLIGHTREC_KIND, FLIGHTREC_SCHEMA,
 };
 pub use journal::{
     read_progress, read_sealed, replay_progress, write_sealed, ProgressEvent, ProgressLog,
@@ -120,8 +124,8 @@ pub use simulator::{Simulator, Watchable};
 pub use snapshot::{Checkpoint, Codec, SnapshotError, SNAPSHOT_VERSION};
 pub use span::{
     chrome_trace, critical_path, group_by_packet, latency_breakdown, percentile,
-    validate_chrome_trace, BreakdownRow, ChromeTraceSummary, CriticalPathEntry, PacketTrace,
-    SharedSpanRecorder, Span, SpanKind, SpanRecorder, DEFAULT_SPAN_CAP,
+    validate_chrome_trace, BreakdownRow, ChromeTraceSummary, CriticalPathEntry, PacketTrace, Span,
+    SpanKind,
 };
 pub use storage::{
     is_injected_crash, is_retry_exhausted, is_transient, FaultKind, FaultRecord, FaultSchedule,

@@ -66,15 +66,7 @@ impl Section {
 
     #[inline]
     fn index(self) -> usize {
-        match self {
-            Section::Faults => 0,
-            Section::Injection => 1,
-            Section::Dba => 2,
-            Section::Transport => 3,
-            Section::Ejection => 4,
-            Section::Power => 5,
-            Section::Accounting => 6,
-        }
+        self as usize
     }
 }
 
@@ -191,19 +183,7 @@ impl SubSection {
 
     #[inline]
     fn index(self) -> usize {
-        match self {
-            SubSection::InjectTraffic => 0,
-            SubSection::InjectResponses => 1,
-            SubSection::InjectSerialize => 2,
-            SubSection::TransportLand => 3,
-            SubSection::TransportLaunch => 4,
-            SubSection::TransportRoutes => 5,
-            SubSection::TransportArbitration => 6,
-            SubSection::TransportLink => 7,
-            SubSection::PowerSample => 8,
-            SubSection::PowerScale => 9,
-            SubSection::PowerMl => 10,
-        }
+        self as usize
     }
 }
 
@@ -748,6 +728,18 @@ mod tests {
         }
         for s in Section::ALL {
             assert_eq!(Section::from_name(s.name()), Some(s));
+        }
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        // The totals arrays are indexed by declaration order, which
+        // `ALL` must list unchanged.
+        for (i, s) in Section::ALL.into_iter().enumerate() {
+            assert_eq!(s.index(), i, "{}", s.name());
+        }
+        for (i, s) in SubSection::ALL.into_iter().enumerate() {
+            assert_eq!(s.index(), i, "{}", s.name());
         }
     }
 

@@ -1,6 +1,6 @@
 //! Per-packet causal spans and latency attribution.
 //!
-//! The [`TraceEvent`] stream records *that* things happened (a
+//! The [`crate::TraceEvent`] stream records *that* things happened (a
 //! retransmission, a window close); it cannot say *why this packet was
 //! slow*. A [`Span`] is a closed cycle interval of one packet's life
 //! attributed to a pipeline stage ([`SpanKind`]):
@@ -10,15 +10,14 @@
 //! durations *is* its end-to-end latency. That contract is pinned by
 //! property tests in `pearl-core` and `pearl-cmesh`.
 //!
-//! Spans ride the probe seam as [`TraceEvent::Span`]: a simulator
-//! tracks spans only while its attached [`Probe`] wants them
-//! ([`Probe::wants_spans`]), so without such a probe every span site
-//! costs one predictable branch, and with one the simulated state is
-//! still bit-identical (span bookkeeping never enters the state hash).
-//! [`SpanRecorder`] is the probe that wants them. It keeps only spans,
-//! in a capped *ring*: when full it evicts the oldest span (keeping the
-//! most recent window) and counts the eviction, never truncating
-//! silently.
+//! Spans ride the probe seam as [`crate::TraceEvent::Span`]: a
+//! simulator tracks spans only while its attached probe wants them
+//! ([`crate::Probe::wants_spans`]), so without such a probe every span
+//! site costs one predictable branch, and with one the simulated state
+//! is still bit-identical (span bookkeeping never enters the state
+//! hash). [`crate::Recorder::with_spans`] is the probe that wants them;
+//! it keeps them among the events, in emission order, under its one
+//! cap.
 //!
 //! Post-processing lives here too: grouping spans into per-packet
 //! [`PacketTrace`]s, the per-stage percentile [`latency_breakdown`],
@@ -26,17 +25,10 @@
 //! [`chrome_trace`] exporter whose JSON loads directly in Perfetto or
 //! `chrome://tracing` (one track per router).
 
-use crate::event::{Probe, TraceEvent};
 use crate::json::JsonValue;
 use pearl_noc::CoreType;
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::rc::Rc;
-
-/// Default [`SpanRecorder`] ring capacity — sized for the span volume
-/// of a full instrumented trace run (every packet emits ~6 spans).
-pub const DEFAULT_SPAN_CAP: usize = 1 << 21;
 
 /// The pipeline stage a span attributes cycles to.
 ///
@@ -147,118 +139,6 @@ impl Span {
     #[inline]
     pub fn duration(&self) -> u64 {
         self.end - self.start
-    }
-}
-
-/// A probe that wants spans and keeps only them, in a capped ring: when
-/// full, the *oldest* span is evicted (the most recent window survives
-/// — the opposite policy from [`crate::Recorder`], which keeps the head
-/// of the run) and the eviction is counted. Other events are ignored.
-#[derive(Debug)]
-pub struct SpanRecorder {
-    spans: VecDeque<Span>,
-    cap: usize,
-    overwritten: u64,
-}
-
-impl SpanRecorder {
-    /// A recorder with the default ring capacity.
-    pub fn new() -> SpanRecorder {
-        SpanRecorder::with_cap(DEFAULT_SPAN_CAP)
-    }
-
-    /// A recorder keeping at most `cap` spans (`cap` ≥ 1).
-    pub fn with_cap(cap: usize) -> SpanRecorder {
-        SpanRecorder { spans: VecDeque::new(), cap: cap.max(1), overwritten: 0 }
-    }
-
-    /// The buffered spans, oldest first.
-    pub fn spans(&self) -> impl Iterator<Item = &Span> {
-        self.spans.iter()
-    }
-
-    /// Number of buffered spans.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Spans evicted from the front of the ring after it filled.
-    pub fn overwritten(&self) -> u64 {
-        self.overwritten
-    }
-}
-
-impl Default for SpanRecorder {
-    fn default() -> Self {
-        SpanRecorder::new()
-    }
-}
-
-impl Probe for SpanRecorder {
-    fn record(&mut self, event: &TraceEvent) {
-        let TraceEvent::Span(span) = event else { return };
-        if self.spans.len() == self.cap {
-            self.spans.pop_front();
-            self.overwritten += 1;
-        }
-        self.spans.push_back(span.clone());
-    }
-
-    fn wants_spans(&self) -> bool {
-        true
-    }
-}
-
-/// A cloneable handle over a shared [`SpanRecorder`], so a harness can
-/// hand one end to a network (as `Box<dyn Probe>`) and read the spans
-/// back after the run. Mirrors [`crate::SharedRecorder`].
-#[derive(Debug, Clone, Default)]
-pub struct SharedSpanRecorder(Rc<RefCell<SpanRecorder>>);
-
-impl SharedSpanRecorder {
-    /// A fresh shared recorder with the default cap.
-    pub fn new() -> SharedSpanRecorder {
-        SharedSpanRecorder::default()
-    }
-
-    /// A shared recorder with an explicit ring capacity.
-    pub fn with_cap(cap: usize) -> SharedSpanRecorder {
-        SharedSpanRecorder(Rc::new(RefCell::new(SpanRecorder::with_cap(cap))))
-    }
-
-    /// Number of buffered spans.
-    pub fn len(&self) -> usize {
-        self.0.borrow().len()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A clone of the buffered spans, oldest first.
-    pub fn spans(&self) -> Vec<Span> {
-        self.0.borrow().spans().cloned().collect()
-    }
-
-    /// Spans evicted past the ring capacity.
-    pub fn overwritten(&self) -> u64 {
-        self.0.borrow().overwritten()
-    }
-}
-
-impl Probe for SharedSpanRecorder {
-    fn record(&mut self, event: &TraceEvent) {
-        self.0.borrow_mut().record(event);
-    }
-
-    fn wants_spans(&self) -> bool {
-        true
     }
 }
 
@@ -559,7 +439,6 @@ pub fn validate_chrome_trace(v: &JsonValue) -> Result<ChromeTraceSummary, &'stat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::NullProbe;
 
     fn span(packet: u64, kind: SpanKind, start: u64, end: u64) -> Span {
         Span {
@@ -596,41 +475,6 @@ mod tests {
             assert_eq!(SpanKind::from_name(k.name()), Some(k));
         }
         assert_eq!(SpanKind::from_name("bogus"), None);
-    }
-
-    #[test]
-    fn null_sink_identifies_itself() {
-        // The null probe neither records nor asks for spans; the span
-        // recorder is a live probe that does.
-        assert!(NullProbe.is_null() && !NullProbe.wants_spans());
-        let recorder = SpanRecorder::new();
-        assert!(!recorder.is_null() && recorder.wants_spans());
-        assert!(SharedSpanRecorder::new().wants_spans());
-    }
-
-    #[test]
-    fn recorder_ring_keeps_the_most_recent_window() {
-        let mut r = SpanRecorder::with_cap(3);
-        for i in 0..5 {
-            r.record(&TraceEvent::Span(span(i, SpanKind::Serialization, i, i + 1)));
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.overwritten(), 2);
-        let kept: Vec<u64> = r.spans().map(|s| s.packet).collect();
-        assert_eq!(kept, [2, 3, 4], "oldest spans are evicted first");
-    }
-
-    #[test]
-    fn shared_recorder_reads_back_what_the_sink_end_saw() {
-        let shared = SharedSpanRecorder::new();
-        let mut probe: Box<dyn Probe> = Box::new(shared.clone());
-        assert!(!probe.is_null());
-        probe.record(&TraceEvent::Span(span(7, SpanKind::EjectDrain, 10, 12)));
-        // A span recorder keeps spans only.
-        probe.record(&TraceEvent::InjectionStall { router: 1, at: 11, core: CoreType::Gpu });
-        assert_eq!(shared.len(), 1);
-        assert_eq!(shared.spans()[0].kind, SpanKind::EjectDrain);
-        assert_eq!(shared.overwritten(), 0);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod prelude {
     pub use pearl_ml::{Dataset, RidgeRegression, StandardScaler};
     pub use pearl_noc::{CoreType, Cycle, Frequency, NodeId, Packet, PacketKind, TrafficClass};
     pub use pearl_photonics::{OnChipLaser, PowerModel, WavelengthState};
-    pub use pearl_telemetry::{NullProbe, Probe, Recorder, SharedRecorder, TraceEvent};
+    pub use pearl_telemetry::{NullProbe, Probe, Recorder, Shared, TraceEvent};
     pub use pearl_workloads::{
         BenchmarkPair, CpuBenchmark, GpuBenchmark, SyntheticPattern, SyntheticTraffic,
         TrafficModel, TrafficSource,

@@ -9,9 +9,9 @@
 //! run and the first rung that diverged. Two more passes must reproduce
 //! every hash, because observers observe and never steer: one with the
 //! self-profiler (and its work counters) on, and one with every
-//! observer at once — the profiler and a fanout probe of an event
-//! recorder, a span recorder (which switches span tracking on) and a
-//! flight recorder. The state hash leaves the span section out, so the
+//! observer at once — the profiler and a fanout probe of a recorder
+//! that wants spans (which switches span tracking on) and a flight
+//! recorder. The state hash leaves the span section out, so the
 //! observed pass hashes what a bare run hashes. Every run is built and
 //! driven through the one `Simulator` interface both networks implement.
 //!
@@ -22,7 +22,7 @@ use pearl::cmesh::{CmeshBuilder, CmeshConfig};
 use pearl::core::{FallbackConfig, FaultConfig, MlPowerScaler, FEATURE_COUNT};
 use pearl::ml::select_lambda;
 use pearl::prelude::*;
-use pearl::telemetry::{FanoutProbe, SharedFlightRecorder, SharedSpanRecorder, Simulator};
+use pearl::telemetry::{FanoutProbe, FlightRecorder, Simulator};
 
 /// Cycles between two recorded hashes.
 const RUNG_CYCLES: u64 = 1_000;
@@ -41,18 +41,17 @@ enum Pass {
     Observed,
 }
 
-/// Attaches every observer: the profiler and one fanout probe of an
-/// event recorder, a span recorder and a flight recorder. Returns the
-/// span recorder, to show spans flowed.
-fn observe(net: &mut dyn Simulator) -> SharedSpanRecorder {
+/// Attaches every observer: the profiler and one fanout probe of a
+/// recorder that wants spans and a flight recorder. Returns the
+/// recorder, to show spans flowed.
+fn observe(net: &mut dyn Simulator) -> Shared<Recorder> {
     net.enable_profiling();
-    let spans = SharedSpanRecorder::new();
+    let recorder = Shared::new(Recorder::with_spans());
     net.attach_probe(Box::new(FanoutProbe::new(vec![
-        Box::new(SharedRecorder::new()),
-        Box::new(spans.clone()),
-        Box::new(SharedFlightRecorder::new()),
+        Box::new(recorder.clone()),
+        Box::new(Shared::new(FlightRecorder::new())),
     ])));
-    spans
+    recorder
 }
 
 /// A scaler fitted on a small fixed dataset whose label steps with the
@@ -128,7 +127,7 @@ const GOLDEN: [(&str, [u64; RUNGS]); 13] = [
 
 fn ladder(name: &str, pass: Pass) -> [u64; RUNGS] {
     let mut net = build(name);
-    let spans = match pass {
+    let recorder = match pass {
         Pass::Bare => None,
         Pass::Profiled => {
             net.enable_profiling();
@@ -141,8 +140,9 @@ fn ladder(name: &str, pass: Pass) -> [u64; RUNGS] {
         net.advance(RUNG_CYCLES);
         *hash = net.state_hash();
     }
-    if let Some(spans) = spans {
-        assert!(!spans.is_empty(), "{name}: the observed pass recorded no spans");
+    if let Some(recorder) = recorder {
+        let spans = recorder.with(|r| r.spans().count());
+        assert!(spans > 0, "{name}: the observed pass recorded no spans");
     }
     hashes
 }
