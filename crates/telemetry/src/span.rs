@@ -478,6 +478,19 @@ mod tests {
     }
 
     #[test]
+    fn null_sink_identifies_itself() {
+        use crate::{NullProbe, Probe, Recorder, Shared};
+        // The null probe neither records nor asks for spans; the span
+        // recorder is a live probe that does, also behind a shared handle.
+        assert!(NullProbe.is_null() && !NullProbe.wants_spans());
+        let recorder = Recorder::with_spans();
+        assert!(!recorder.is_null() && recorder.wants_spans());
+        let shared = Shared::new(Recorder::with_spans());
+        assert!(!shared.is_null() && shared.wants_spans());
+        assert!(!Shared::new(Recorder::new()).wants_spans());
+    }
+
+    #[test]
     fn packet_trace_reconciles_contiguous_spans() {
         let mut spans = complete_packet(4, 100);
         // Deliberately shuffle emission order; grouping must sort.
