@@ -97,6 +97,12 @@ impl CmeshConfig {
         // A router's occupancy mask holds one bit per (port, VC) in a u64.
         assert!(self.vcs_per_port <= 12, "at most 12 VCs per port (5 ports x VCs <= 64 mask bits)");
         assert!(self.slots_per_vc >= 1, "VCs need at least one slot");
+        // A VC ring keeps its head position and length in a u16, and a
+        // credit count is at most the slots per VC.
+        assert!(
+            self.slots_per_vc <= usize::from(u16::MAX),
+            "at most 65535 slots per VC (VC ring positions are u16)"
+        );
         assert!(
             self.l3_nodes.iter().all(|&n| n < self.clusters()),
             "L3 nodes {:?} outside the {}x{} mesh",
@@ -152,6 +158,14 @@ mod tests {
     fn twelve_vcs_fill_the_occupancy_mask() {
         let mut c = CmeshConfig::pearl_baseline();
         c.vcs_per_port = 12;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65535 slots per VC")]
+    fn too_many_slots_for_the_ring_positions_rejected() {
+        let mut c = CmeshConfig::pearl_baseline();
+        c.slots_per_vc = 65_536;
         c.validate();
     }
 

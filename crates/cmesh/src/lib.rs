@@ -27,10 +27,12 @@
 #![warn(missing_docs)]
 
 pub mod config;
+mod credit;
 pub mod network;
 pub mod power;
 pub mod router;
 pub mod routing;
+pub mod vc;
 
 pub use config::CmeshConfig;
 pub use network::snapshot::CMESH_SNAPSHOT_KIND;
@@ -38,3 +40,4 @@ pub use network::{CmeshBuilder, CmeshNetwork, CmeshSummary};
 pub use power::ElectricalPowerModel;
 pub use router::CmeshRouter;
 pub use routing::{neighbor, xy_route, Direction, Port};
+pub use vc::{FlitSlot, InputVcs};

@@ -10,7 +10,8 @@ use crate::config::CmeshConfig;
 use crate::power::ElectricalPowerModel;
 use crate::router::CmeshRouter;
 use crate::routing::{neighbor, xy_route, Direction, Port};
-use pearl_noc::{CoreType, Cycle, Flit, Flits, Grid, NetworkStats, NodeId, Packet, PacketKind};
+use crate::vc::FlitSlot;
+use pearl_noc::{CoreType, Cycle, FlitKind, Grid, NetworkStats, NodeId, Packet, PacketKind};
 use pearl_telemetry::{
     set_alloc_section, Checkpoint, JsonValue, Phase, Probe, ProfileReport, Section, SelfProfiler,
     Simulator, SnapshotError, Span, SpanKind, SubSection, TraceEvent, Watchable, WorkCounters,
@@ -118,23 +119,128 @@ impl Default for CmeshBuilder {
     }
 }
 
-/// A packet currently streaming its flits into a local input VC.
-#[derive(Debug)]
-struct InjectState {
+/// The packets in the mesh, from the start of their injection stream to
+/// the ejection of their tail. A flit names its packet by slab index
+/// ([`FlitSlot::pkt`]), so only the small slots move through the mesh.
+#[derive(Debug, Default)]
+struct PacketSlab {
+    packets: Vec<Packet>,
+    /// Vacated indices, reused before the slab grows.
+    free: Vec<u32>,
+}
+
+impl PacketSlab {
+    /// Stores a packet and returns its index.
+    fn insert(&mut self, packet: Packet) -> u32 {
+        match self.free.pop() {
+            Some(pkt) => {
+                self.packets[pkt as usize] = packet;
+                pkt
+            }
+            None => {
+                self.packets.push(packet);
+                u32::try_from(self.packets.len() - 1).expect("fewer than 2^32 packets in flight")
+            }
+        }
+    }
+
+    #[inline]
+    fn get(&self, pkt: u32) -> &Packet {
+        &self.packets[pkt as usize]
+    }
+
+    /// Takes the packet out; its index becomes free.
+    fn remove(&mut self, pkt: u32) -> Packet {
+        self.free.push(pkt);
+        self.packets[pkt as usize].clone()
+    }
+
+    /// Packets held.
+    fn len(&self) -> usize {
+        self.packets.len() - self.free.len()
+    }
+}
+
+/// A packet streaming its flits into a local input VC: flits `next..n`
+/// of slab packet `pkt` are still to go, made one at a time.
+#[derive(Debug, Clone, Copy)]
+struct InjectStream {
     vc: usize,
-    flits: VecDeque<Flit>,
+    pkt: u32,
+    next: u16,
+    n: u16,
+}
+
+impl InjectStream {
+    /// The stream's next flit.
+    #[inline]
+    fn flit(&self) -> FlitSlot {
+        let kind = FlitKind::of(self.next.into(), self.n.into());
+        FlitSlot { pkt: self.pkt, index: self.next, kind }
+    }
 }
 
 /// A flit traversing an inter-router link (plus downstream pipeline).
 /// Every link flit is due [`LINK_PIPELINE_CYCLES`] after its launch, so
 /// the launch-ordered `links` queue is also ordered by `deliver_at`.
 #[derive(Debug)]
-struct LinkFlit {
+struct LinkSlot {
     deliver_at: Cycle,
     dst: usize,
     port: Port,
     vc: usize,
-    flit: Flit,
+    flit: FlitSlot,
+}
+
+/// Static mesh geometry, tabulated once at build so the per-cycle phases
+/// look up what they would otherwise recompute from coordinates.
+#[derive(Debug)]
+struct Geometry {
+    /// The router each mesh output of each router leads to.
+    neighbors: Vec<[Option<usize>; 4]>,
+    /// XY output port index from router `here` to `dst`, at
+    /// `here * routers + dst`.
+    routes: Vec<u8>,
+    /// Local port width of each router in flits per cycle.
+    local_width: Vec<usize>,
+    /// The L3 slice nearer to each router (the first on a tie).
+    nearest_l3: Vec<usize>,
+    /// The (input port, VC) of each router input channel index.
+    channels: Vec<(Port, usize)>,
+}
+
+impl Geometry {
+    fn new(config: &CmeshConfig, grid: Grid) -> Geometry {
+        let neighbors = grid
+            .nodes()
+            .map(|node| Direction::ALL.map(|dir| neighbor(grid, node, dir).map(NodeId::index)))
+            .collect();
+        let routes = grid
+            .nodes()
+            .flat_map(|here| grid.nodes().map(move |dst| xy_route(grid, here, dst).index() as u8))
+            .collect();
+        let local_width = grid
+            .nodes()
+            .map(|node| {
+                if config.l3_nodes.contains(&node.index()) {
+                    config.l3_local_width as usize
+                } else {
+                    1
+                }
+            })
+            .collect();
+        let [a, b] = config.l3_nodes;
+        let nearest_l3 = grid
+            .nodes()
+            .map(
+                |from| if grid.hops(from, NodeId(a)) <= grid.hops(from, NodeId(b)) { a } else { b },
+            )
+            .collect();
+        let vcs = config.vcs_per_port;
+        let channels =
+            Port::ALL.iter().flat_map(|&port| (0..vcs).map(move |vc| (port, vc))).collect();
+        Geometry { neighbors, routes, local_width, nearest_l3, channels }
+    }
 }
 
 /// Extra cycles a flit spends between switch traversal and becoming
@@ -144,9 +250,9 @@ const LINK_PIPELINE_CYCLES: u64 = 3;
 
 /// Per-packet milestones behind causal span emission (see
 /// [`CmeshNetwork::attach_probe`]). Purely derived observer state,
-/// keyed by packet id so the snapshotted [`InjectState`]/flit structures
-/// never grow; checkpointed so span streams resume bit-identically, but
-/// never hashed.
+/// keyed by packet id so the packet slab and flit slots never grow;
+/// checkpointed so span streams resume bit-identically, but never
+/// hashed.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CmeshSpanTracker {
     /// Cycles a chosen packet failed to claim a free local VC.
@@ -167,7 +273,7 @@ pub(crate) struct CmeshSpanTracker {
 #[derive(Debug)]
 pub struct CmeshNetwork {
     config: CmeshConfig,
-    grid: Grid,
+    geometry: Geometry,
     routers: Vec<CmeshRouter>,
     power: ElectricalPowerModel,
     traffic: Box<dyn TrafficSource>,
@@ -184,15 +290,21 @@ pub struct CmeshNetwork {
     backlogs: Vec<[VecDeque<Packet>; 2]>,
     outstanding: Vec<[u32; 2]>,
     pending_responses: Vec<VecDeque<(Cycle, Packet)>>,
-    inject_current: Vec<Vec<InjectState>>,
-    partial_eject: Vec<HashMap<u64, Packet>>,
+    /// Every packet between its stream's start and its tail's ejection.
+    packets: PacketSlab,
+    /// Per cluster, the packets streaming into its local VCs.
+    streams: Vec<Vec<InjectStream>>,
+    /// Per router, the slab indices of packets whose head has ejected
+    /// there and whose tail has not.
+    partial_eject: Vec<Vec<u32>>,
     /// Flits on the links, in launch order (hence due order).
-    links: VecDeque<LinkFlit>,
-    /// Emptied flit queues of finished injection streams, kept for
-    /// reuse so starting a stream does not allocate. Capacity only,
-    /// never state: not serialized, not hashed.
-    spare_streams: Vec<VecDeque<Flit>>,
-    cycle_seconds: f64,
+    links: VecDeque<LinkSlot>,
+    /// Static energy of the whole mesh per cycle at this link width (J).
+    static_energy_j: f64,
+    /// Dynamic energy of one 128-bit flit's hop (J).
+    hop_energy_j: f64,
+    /// Dynamic energy of one 128-bit flit's ejection (J).
+    eject_energy_j: f64,
     /// Telemetry sink (see [`CmeshNetwork::attach_probe`]); `None`
     /// while no live probe is attached.
     probe: Option<Box<dyn Probe>>,
@@ -212,23 +324,23 @@ impl CmeshNetwork {
         seed: u64,
     ) -> CmeshNetwork {
         let grid = Grid::new(config.width, config.width);
+        let geometry = Geometry::new(&config, grid);
         let routers = grid
             .nodes()
             .map(|node| {
-                let has_neighbor = [
-                    neighbor(grid, node, Direction::North).is_some(),
-                    neighbor(grid, node, Direction::East).is_some(),
-                    neighbor(grid, node, Direction::South).is_some(),
-                    neighbor(grid, node, Direction::West).is_some(),
-                ];
+                let has_neighbor = geometry.neighbors[node.index()].map(|n| n.is_some());
                 CmeshRouter::new(node, config.vcs_per_port, config.slots_per_vc, has_neighbor)
             })
             .collect();
         let n = config.clusters();
         let cycle_seconds = 1.0 / config.network_clock().as_hz();
         CmeshNetwork {
+            static_energy_j: power.static_energy_per_cycle_j(n, cycle_seconds)
+                * config.static_power_fraction(),
+            hop_energy_j: power.hop_energy_j(128),
+            eject_energy_j: power.ejection_energy_j(128),
             config,
-            grid,
+            geometry,
             routers,
             power,
             traffic,
@@ -240,11 +352,10 @@ impl CmeshNetwork {
             backlogs: (0..n).map(|_| [VecDeque::new(), VecDeque::new()]).collect(),
             outstanding: vec![[0, 0]; n],
             pending_responses: vec![VecDeque::new(); n],
-            inject_current: (0..n).map(|_| Vec::new()).collect(),
-            partial_eject: vec![HashMap::new(); n],
+            packets: PacketSlab::default(),
+            streams: vec![Vec::new(); n],
+            partial_eject: vec![Vec::new(); n],
             links: VecDeque::new(),
-            spare_streams: Vec::new(),
-            cycle_seconds,
             probe: None,
             span_tracker: None,
             profiler: None,
@@ -319,6 +430,18 @@ impl CmeshNetwork {
         &self.stats
     }
 
+    /// Packets injected and not yet delivered: the issue backlogs plus
+    /// every packet between its stream's start and its tail's ejection.
+    ///
+    /// `total_injected == total_delivered + in_network_packets()` holds
+    /// at every cycle. Requests count as injected when issued into a
+    /// backlog, responses when their stream starts, so responses still
+    /// pending service are on neither side.
+    pub fn in_network_packets(&self) -> u64 {
+        let backlogged: usize = self.backlogs.iter().flatten().map(VecDeque::len).sum();
+        (backlogged + self.packets.len()) as u64
+    }
+
     fn fresh_id(&mut self) -> u64 {
         let id = self.next_packet_id;
         self.next_packet_id += 1;
@@ -326,29 +449,18 @@ impl CmeshNetwork {
     }
 
     /// Width of a node's local port in flits per cycle.
+    #[inline]
     fn local_width(&self, node: usize) -> usize {
-        if self.config.l3_nodes.contains(&node) {
-            self.config.l3_local_width as usize
-        } else {
-            1
-        }
+        self.geometry.local_width[node]
     }
 
     /// Maps a workload destination onto a mesh node: clusters map
     /// directly; the L3 maps to the nearer of the two slices.
+    #[inline]
     fn destination_node(&self, from: usize, dst: Destination) -> usize {
         match dst {
             Destination::Cluster(c) => c,
-            Destination::L3 => {
-                let [a, b] = self.config.l3_nodes;
-                let ha = self.grid.hops(NodeId(from), NodeId(a));
-                let hb = self.grid.hops(NodeId(from), NodeId(b));
-                if ha <= hb {
-                    a
-                } else {
-                    b
-                }
-            }
+            Destination::L3 => self.geometry.nearest_l3[from],
         }
     }
 
@@ -368,9 +480,7 @@ impl CmeshNetwork {
             net.timed(SubSection::InjectSerialize, |net| net.inject_local_flits(now));
         });
         self.timed(Section::Accounting, |net| {
-            net.stats.electrical_energy_j +=
-                net.power.static_energy_per_cycle_j(net.routers.len(), net.cycle_seconds)
-                    * net.config.static_power_fraction();
+            net.stats.electrical_energy_j += net.static_energy_j;
             net.now += 1;
             net.stats.tick();
         });
@@ -462,7 +572,7 @@ impl CmeshNetwork {
         let mut landed = 0;
         while self.links.front().is_some_and(|lf| lf.deliver_at <= now) {
             let lf = self.links.pop_front().expect("front exists");
-            self.routers[lf.dst].accept_flit(lf.port, lf.vc, lf.flit);
+            self.routers[lf.dst].accept(lf.port, lf.vc, lf.flit);
             landed += 1;
         }
         if let Some(w) = self.work_mut() {
@@ -470,35 +580,26 @@ impl CmeshNetwork {
         }
     }
 
-    /// Routes the head packet of every occupied input VC that has no
-    /// route yet, and rebuilds each router's per-output candidate masks
-    /// from the occupied VCs' routes.
+    /// Routes the head packet of every input VC in a router's `unrouted`
+    /// mask, moving the VC into its output's candidate mask. The masks
+    /// are kept current as flits move, so only new head packets are
+    /// visited.
     fn compute_routes(&mut self) {
-        let vcs = self.config.vcs_per_port;
+        let n = self.routers.len();
         let mut visited = 0;
         for (i, router) in self.routers.iter_mut().enumerate() {
-            let mut routed = [0u64; 5];
-            let mut occupied = router.occupied;
-            while occupied != 0 {
-                let flat = occupied.trailing_zeros() as usize;
-                occupied &= occupied - 1;
+            let mut unrouted = router.inputs.unrouted();
+            while unrouted != 0 {
+                let ch = unrouted.trailing_zeros() as usize;
+                unrouted &= unrouted - 1;
                 visited += 1;
-                let channel = &mut router.inputs[flat / vcs][flat % vcs];
-                let route = match channel.route() {
-                    Some(out) => out,
-                    None => {
-                        let Some(packet) = channel.peek().and_then(|head| head.packet.as_ref())
-                        else {
-                            continue;
-                        };
-                        let out = xy_route(self.grid, NodeId(i), packet.dst).index();
-                        channel.set_route(out);
-                        out
-                    }
-                };
-                routed[route] |= 1 << flat;
+                let head = router.inputs.peek(ch).expect("unrouted VCs hold a flit");
+                if !head.kind.is_head() {
+                    continue;
+                }
+                let dst = self.packets.get(head.pkt).dst.index();
+                router.inputs.set_route(ch, usize::from(self.geometry.routes[i * n + dst]));
             }
-            router.routed = routed;
         }
         if let Some(w) = self.work_mut() {
             w.loop_iterations += visited;
@@ -513,12 +614,12 @@ impl CmeshNetwork {
         let n = Port::ALL.len() * vcs;
         let (mut with_work, mut candidates, mut grants) = (0u64, 0u64, 0u64);
         for i in 0..self.routers.len() {
-            if self.routers[i].occupied == 0 {
+            if self.routers[i].inputs.occupied() == 0 {
                 continue;
             }
             with_work += 1;
             for out in Port::ALL {
-                let mask = self.routers[i].routed[out.index()];
+                let mask = self.routers[i].inputs.routed(out.index());
                 if mask == 0 {
                     continue;
                 }
@@ -538,22 +639,21 @@ impl CmeshNetwork {
                 // slice and is perfectly valid; mesh U-turns never occur
                 // under XY routing, so no exclusion is needed.
                 let router = &self.routers[i];
+                let channels = &self.geometry.channels;
                 let (winners, rr) =
-                    round_robin_pick(mask, router.rr[out.index()], n, budget, |flat| {
+                    round_robin_pick(mask, router.rr[out.index()], n, budget, |ch| {
                         candidates += 1;
                         let Some(dir) = dir else { return true };
-                        let vc = flat % vcs;
-                        let head =
-                            router.inputs[flat / vcs][vc].peek().expect("candidate has a flit");
+                        let vc = channels[ch].1;
+                        let head = router.inputs.peek(ch).expect("candidate has a flit");
                         router.has_credit(dir, vc)
-                            && router.out_vc_usable(dir, vc, head.packet_id, head.kind.is_head())
+                            && router.out_vc_usable(dir, vc, head.pkt, head.kind.is_head())
                     });
                 self.routers[i].rr[out.index()] = rr;
-                for flat in winners {
-                    let (in_port, vc) = (Port::ALL[flat / vcs], flat % vcs);
+                for ch in winners {
                     match dir {
-                        Some(dir) => self.grant_mesh(i, in_port, vc, dir, now),
-                        None => self.grant_local(i, in_port, vc, now),
+                        Some(dir) => self.grant_mesh(i, ch, dir, now),
+                        None => self.grant_local(i, ch, now),
                     }
                     grants += 1;
                 }
@@ -569,39 +669,35 @@ impl CmeshNetwork {
         }
     }
 
-    /// Pops the winning flit and handles upstream credit return.
-    fn pop_and_credit(&mut self, i: usize, in_port: Port, vc: usize) -> Flit {
-        let flit = self.routers[i].pop_flit(in_port, vc);
-        if let Port::Mesh(dir) = in_port {
+    /// Pops the winning flit of input channel `ch` and handles upstream
+    /// credit return.
+    #[inline]
+    fn pop_and_credit(&mut self, i: usize, ch: usize) -> FlitSlot {
+        let flit = self.routers[i].pop(ch);
+        if let (Port::Mesh(dir), vc) = self.geometry.channels[ch] {
             // A slot freed on this input: the upstream neighbor (in
             // `dir`) gets a credit back on its opposite output.
             let upstream =
-                neighbor(self.grid, NodeId(i), dir).expect("mesh input implies a neighbor").index();
+                self.geometry.neighbors[i][dir as usize].expect("mesh input implies a neighbor");
             self.routers[upstream].replenish_credit(dir.opposite(), vc);
         }
         flit
     }
 
-    fn grant_mesh(&mut self, i: usize, in_port: Port, vc: usize, dir: Direction, now: Cycle) {
+    fn grant_mesh(&mut self, i: usize, ch: usize, dir: Direction, now: Cycle) {
         if let Some(w) = self.work_mut() {
             w.flits_moved += 1;
         }
         self.routers[i].link_free_at[dir as usize] =
             now.as_u64() + self.config.link_cycles_per_flit;
-        let flit = self.pop_and_credit(i, in_port, vc);
-        self.routers[i].update_out_vc_owner(
-            dir,
-            vc,
-            flit.packet_id,
-            flit.kind.is_head(),
-            flit.kind.is_tail(),
-        );
+        let flit = self.pop_and_credit(i, ch);
+        let vc = self.geometry.channels[ch].1;
+        self.routers[i].update_out_vc_owner(dir, vc, flit);
         self.routers[i].consume_credit(dir, vc);
-        let dst = neighbor(self.grid, NodeId(i), dir)
-            .expect("credit existed, so the neighbor does too")
-            .index();
-        self.stats.electrical_energy_j += self.power.hop_energy_j(128);
-        self.links.push_back(LinkFlit {
+        let dst = self.geometry.neighbors[i][dir as usize]
+            .expect("credit existed, so the neighbor does too");
+        self.stats.electrical_energy_j += self.hop_energy_j;
+        self.links.push_back(LinkSlot {
             deliver_at: now + LINK_PIPELINE_CYCLES,
             dst,
             port: Port::Mesh(dir.opposite()),
@@ -610,21 +706,30 @@ impl CmeshNetwork {
         });
     }
 
-    fn grant_local(&mut self, i: usize, in_port: Port, vc: usize, now: Cycle) {
+    fn grant_local(&mut self, i: usize, ch: usize, now: Cycle) {
         if let Some(w) = self.work_mut() {
             w.flits_moved += 1;
         }
-        let Flit { packet_id, kind, packet, .. } = self.pop_and_credit(i, in_port, vc);
-        self.stats.electrical_energy_j += self.power.ejection_energy_j(128);
-        if let Some(packet) = packet {
+        let flit = self.pop_and_credit(i, ch);
+        self.stats.electrical_energy_j += self.eject_energy_j;
+        if flit.kind.is_head() {
             if let Some(tracker) = self.span_tracker.as_mut() {
-                tracker.head_eject.insert(packet.id, now.as_u64());
+                tracker.head_eject.insert(self.packets.get(flit.pkt).id, now.as_u64());
             }
-            self.partial_eject[i].insert(packet.id, packet);
+            if !flit.kind.is_tail() {
+                self.partial_eject[i].push(flit.pkt);
+            }
         }
-        if kind.is_tail() {
-            let packet =
-                self.partial_eject[i].remove(&packet_id).expect("tail without a recorded head");
+        if flit.kind.is_tail() {
+            if !flit.kind.is_head() {
+                let partial = &mut self.partial_eject[i];
+                let at = partial
+                    .iter()
+                    .position(|&pkt| pkt == flit.pkt)
+                    .expect("tail without a recorded head");
+                partial.swap_remove(at);
+            }
+            let packet = self.packets.remove(flit.pkt);
             self.deliver(i, packet, now);
         }
     }
@@ -700,99 +805,87 @@ impl CmeshNetwork {
     fn inject_local_flits(&mut self, now: Cycle) {
         for i in 0..self.config.clusters() {
             let width = self.local_width(i);
-            while self.inject_current[i].len() < width && self.start_next_injection(i, now) {}
+            while self.streams[i].len() < width && self.start_next_injection(i, now) {}
+            if self.streams[i].is_empty() {
+                continue;
+            }
             // Each parallel stream pushes one flit per cycle, VC space
             // allowing; total local bandwidth = the port width.
-            let mut states = std::mem::take(&mut self.inject_current[i]);
-            states.retain_mut(|state| {
-                let vc = state.vc;
+            let mut streams = std::mem::take(&mut self.streams[i]);
+            streams.retain_mut(|stream| {
                 if let Some(w) = self.work_mut() {
                     // One visit per parallel stream, stalled or not.
                     w.loop_iterations += 1;
                 }
-                if self.routers[i].inputs[Port::Local.index()][vc].is_full() {
+                let router = &mut self.routers[i];
+                if router.inputs.is_full(router.channel(Port::Local, stream.vc)) {
                     if let Some(tracker) = self.span_tracker.as_mut() {
-                        if let Some(flit) = state.flits.front() {
-                            *tracker.stalls.entry(flit.packet_id).or_insert(0) += 1;
-                        }
+                        let id = self.packets.get(stream.pkt).id;
+                        *tracker.stalls.entry(id).or_insert(0) += 1;
                     }
                     return true;
                 }
-                let flit = state.flits.pop_front().expect("inject state holds flits");
-                let (packet_id, is_tail) = (flit.packet_id, flit.kind.is_tail());
-                self.routers[i].accept_flit(Port::Local, vc, flit);
+                let flit = stream.flit();
+                router.accept(Port::Local, stream.vc, flit);
+                stream.next += 1;
                 if let Some(w) = self.work_mut() {
                     w.flits_moved += 1;
                 }
-                if is_tail {
-                    if let Some(tracker) = self.span_tracker.as_mut() {
-                        tracker.tail_in.insert(packet_id, now.as_u64());
-                    }
+                if !flit.kind.is_tail() {
+                    return true;
                 }
-                if state.flits.is_empty() {
-                    // Keep the drained queue's buffer for the next stream.
-                    self.spare_streams.push(std::mem::take(&mut state.flits));
-                    return false;
+                if let Some(tracker) = self.span_tracker.as_mut() {
+                    tracker.tail_in.insert(self.packets.get(stream.pkt).id, now.as_u64());
                 }
-                true
+                false
             });
-            self.inject_current[i] = states;
+            self.streams[i] = streams;
         }
     }
 
-    /// Picks the next packet for the local port: due responses first
-    /// (they unblock remote cores), then backlogged requests whose
-    /// outstanding window has room. Returns true when a stream started.
+    /// Starts the next packet's stream on the local port: due responses
+    /// first (they unblock remote cores), then backlogged requests whose
+    /// outstanding window has room. The packet leaves its queue only once
+    /// a local VC is free for it. Returns true when a stream started.
     fn start_next_injection(&mut self, i: usize, now: Cycle) -> bool {
-        let packet = if self.pending_responses[i].front().is_some_and(|(ready, _)| *ready <= now) {
-            let (_, response) = self.pending_responses[i].pop_front().expect("peeked");
-            Some(response)
+        let response_due =
+            self.pending_responses[i].front().is_some_and(|(ready, _)| *ready <= now);
+        let lane = if response_due {
+            None
         } else {
-            let mut chosen = None;
-            for (lane, core) in CoreType::ALL.into_iter().enumerate() {
-                let limit = match core {
-                    CoreType::Cpu => self.config.cpu_outstanding_limit,
-                    CoreType::Gpu => self.config.gpu_outstanding_limit,
-                };
-                if self.outstanding[i][lane] < limit && !self.backlogs[i][lane].is_empty() {
-                    // Oldest request across lanes goes first.
-                    let ts = self.backlogs[i][lane].front().expect("non-empty").injected_at;
-                    if chosen.is_none_or(|(_, best)| ts < best) {
-                        chosen = Some((lane, ts));
-                    }
-                }
-            }
-            chosen.map(|(lane, _)| {
-                let packet = self.backlogs[i][lane].pop_front().expect("non-empty");
-                self.outstanding[i][lane] += 1;
-                packet
-            })
+            let Some(lane) = self.request_lane(i) else { return false };
+            Some(lane)
         };
-        let Some(packet) = packet else { return false };
         // A VC already claimed by a parallel stream is not free for us.
-        let claimed = self.inject_current[i].iter().fold(0u64, |mask, s| mask | 1 << s.vc);
-        let free_vc = self.routers[i].inputs[Port::Local.index()]
-            .iter()
-            .enumerate()
-            .position(|(vc, ch)| ch.is_free() && claimed & 1 << vc == 0);
+        let claimed = self.streams[i].iter().fold(0u64, |mask, s| mask | 1 << s.vc);
+        let router = &self.routers[i];
+        let free_vc = (0..self.config.vcs_per_port)
+            .find(|&vc| claimed & 1 << vc == 0 && router.is_free(Port::Local, vc));
         let Some(vc) = free_vc else {
+            // The packet stays queued. A due response is restamped ready
+            // `now`, as taking it and pushing it back always did.
+            let id = match lane {
+                None => {
+                    let (ready, response) =
+                        self.pending_responses[i].front_mut().expect("a response is due");
+                    *ready = now;
+                    response.id
+                }
+                Some(lane) => self.backlogs[i][lane].front().expect("lane has a request").id,
+            };
             if let Some(tracker) = self.span_tracker.as_mut() {
                 // The head of the injection queue lost this cycle's VC
                 // claim — charged to its `arbitration` span.
-                *tracker.vc_wait.entry(packet.id).or_insert(0) += 1;
-            }
-            // No free VC: put the packet back where it came from.
-            match packet.kind {
-                PacketKind::Response => {
-                    self.pending_responses[i].push_front((now, packet));
-                }
-                PacketKind::Request => {
-                    let lane = usize::from(packet.core == CoreType::Gpu);
-                    self.outstanding[i][lane] -= 1;
-                    self.backlogs[i][lane].push_front(packet);
-                }
+                *tracker.vc_wait.entry(id).or_insert(0) += 1;
             }
             return false;
+        };
+        let packet = match lane {
+            None => self.pending_responses[i].pop_front().expect("a response is due").1,
+            Some(lane) => {
+                self.outstanding[i][lane] += 1;
+                self.backlogs[i][lane].pop_front().expect("lane has a request")
+            }
         };
         if packet.kind == PacketKind::Response {
             // Responses are counted as injected once they actually claim
@@ -802,10 +895,31 @@ impl CmeshNetwork {
         if let Some(tracker) = self.span_tracker.as_mut() {
             tracker.stream_start.insert(packet.id, now.as_u64());
         }
-        let mut flits = self.spare_streams.pop().unwrap_or_default();
-        flits.extend(Flits::of(&packet));
-        self.inject_current[i].push(InjectState { vc, flits });
+        let n = u16::try_from(packet.flits()).expect("packets are at most 4 flits");
+        let pkt = self.packets.insert(packet);
+        self.streams[i].push(InjectStream { vc, pkt, next: 0, n });
         true
+    }
+
+    /// The request lane whose front request goes next: the oldest front
+    /// among lanes whose outstanding window has room.
+    fn request_lane(&self, i: usize) -> Option<usize> {
+        let mut chosen = None;
+        for (lane, core) in CoreType::ALL.into_iter().enumerate() {
+            let limit = match core {
+                CoreType::Cpu => self.config.cpu_outstanding_limit,
+                CoreType::Gpu => self.config.gpu_outstanding_limit,
+            };
+            if self.outstanding[i][lane] < limit {
+                if let Some(front) = self.backlogs[i][lane].front() {
+                    // Oldest request across lanes goes first.
+                    if chosen.is_none_or(|(_, best)| front.injected_at < best) {
+                        chosen = Some((lane, front.injected_at));
+                    }
+                }
+            }
+        }
+        chosen.map(|(lane, _)| lane)
     }
 }
 
@@ -1033,24 +1147,74 @@ mod tests {
         assert_eq!(next_rr, 3);
     }
 
+    /// The occupancy and route masks every router keeps current, derived
+    /// afresh from its VCs the way route computation once rebuilt them
+    /// every cycle: `(occupied, routed, unrouted)`.
+    fn derived_masks(router: &CmeshRouter) -> (u64, [u64; 5], u64) {
+        let (mut occupied, mut routed, mut unrouted) = (0, [0; 5], 0);
+        for ch in (0..router.inputs.channels()).filter(|&ch| !router.inputs.is_empty(ch)) {
+            occupied |= 1 << ch;
+            match router.inputs.route(ch) {
+                Some(out) => routed[out] |= 1 << ch,
+                None => unrouted |= 1 << ch,
+            }
+        }
+        (occupied, routed, unrouted)
+    }
+
     #[test]
     fn occupancy_masks_track_the_input_vcs() {
-        let mut n = net(5);
-        let vcs = n.config.vcs_per_port;
-        for _ in 0..3_000 {
-            n.step();
-            for router in &n.routers {
-                for (port, channels) in router.inputs.iter().enumerate() {
-                    for (vc, channel) in channels.iter().enumerate() {
-                        let bit = router.occupied >> (port * vcs + vc) & 1;
-                        assert_eq!(
-                            bit == 1,
-                            !channel.is_empty(),
-                            "{} port {port} vc {vc}",
-                            router.node()
-                        );
-                    }
+        for k in [1, 4] {
+            let mut n = CmeshBuilder::new()
+                .config(CmeshConfig::bandwidth_reduced(k))
+                .seed(5)
+                .build(BenchmarkPair::test_pairs()[0]);
+            for cycle in 0..3_000 {
+                n.step();
+                for router in &n.routers {
+                    let inputs = &router.inputs;
+                    let live = (inputs.occupied(), [0, 1, 2, 3, 4].map(|o| inputs.routed(o)));
+                    let (occupied, routed, unrouted) = derived_masks(router);
+                    assert_eq!(live, (occupied, routed), "{} at cycle {cycle}", router.node());
+                    assert_eq!(inputs.unrouted(), unrouted, "{} at cycle {cycle}", router.node());
                 }
+            }
+        }
+    }
+
+    /// Every injected packet is delivered or still in the network, at
+    /// every link rate, and a restored network counts the same packets.
+    #[test]
+    fn injected_packets_are_delivered_or_in_the_network() {
+        let balance = |net: &CmeshNetwork| {
+            let stats = net.stats();
+            (
+                stats.total_injected_packets(),
+                stats.total_delivered_packets(),
+                net.in_network_packets(),
+            )
+        };
+        for k in [1, 2, 4] {
+            let build = || {
+                CmeshBuilder::new()
+                    .config(CmeshConfig::bandwidth_reduced(k))
+                    .seed(40 + k)
+                    .build(BenchmarkPair::test_pairs()[3])
+            };
+            let mut net = build();
+            for _ in 0..20 {
+                net.run(500);
+                let (injected, delivered, in_network) = balance(&net);
+                assert_eq!(injected, delivered + in_network, "k {k} at {}", net.now);
+                assert!(in_network > 0 && delivered > 0);
+            }
+            let mut twin = build();
+            twin.restore(&net.snapshot()).unwrap();
+            assert_eq!(balance(&twin), balance(&net), "k {k}: restore moved the balance");
+            for _ in 0..4 {
+                twin.run(500);
+                let (injected, delivered, in_network) = balance(&twin);
+                assert_eq!(injected, delivered + in_network, "k {k} at {} after restore", twin.now);
             }
         }
     }

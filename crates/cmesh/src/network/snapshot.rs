@@ -14,9 +14,16 @@
 //! through [`Codec`] (DESIGN §4b). The span tracker is observer state:
 //! a checkpoint carries it, but the state hash writes it as `null`, as
 //! a bare run does.
+//!
+//! The live network names packets by packet-slab index, but a checkpoint
+//! keeps the layout of the per-flit design it replaced: each head flit
+//! carries its packet, every flit names its packet by id, and a packet
+//! whose head has ejected sits in `partial_eject`. Export rebuilds that
+//! layout from the slots; restore interns every payload into a new slab
+//! and resolves each flit, owner and inflow id against it.
 
 use super::*;
-use pearl_noc::{CreditCounter, StatsState, VcState, VirtualChannel};
+use pearl_noc::{Flit, StatsState, VcState};
 use pearl_telemetry::snapshot::get;
 use pearl_telemetry::{
     codec_array, codec_enum, codec_object, fingerprint, Checkpoint, Codec, JsonValue, SnapshotError,
@@ -59,7 +66,25 @@ impl CmeshNetwork {
     /// The checkpoint state; without `observers`, the span section is
     /// `null`, as a bare run writes it.
     fn state(&self, observers: bool) -> JsonValue {
-        let routers: Vec<_> = self.routers.iter().map(RouterState::export).collect();
+        let slab = &self.packets;
+        let routers: Vec<_> = self.routers.iter().map(|r| RouterState::export(r, slab)).collect();
+        let inject_current: Vec<Vec<_>> = self
+            .streams
+            .iter()
+            .map(|streams| streams.iter().map(|s| InjectState::export(s, slab)).collect())
+            .collect();
+        // Sorted by packet id: the order of the map this section once was.
+        let partial_eject: Vec<Vec<_>> = self
+            .partial_eject
+            .iter()
+            .map(|held| {
+                let mut entries: Vec<_> =
+                    held.iter().map(|&pkt| (slab.get(pkt).id, slab.get(pkt).clone())).collect();
+                entries.sort_unstable_by_key(|&(id, _)| id);
+                entries
+            })
+            .collect();
+        let links: Vec<_> = self.links.iter().map(|lf| LinkFlit::export(lf, slab)).collect();
         let spans = self.span_tracker.as_ref().filter(|_| observers);
         JsonValue::obj(vec![
             ("now", self.now.encode()),
@@ -70,9 +95,9 @@ impl CmeshNetwork {
             ("backlogs", self.backlogs.encode()),
             ("outstanding", self.outstanding.encode()),
             ("pending_responses", self.pending_responses.encode()),
-            ("inject_current", self.inject_current.encode()),
-            ("partial_eject", self.partial_eject.encode()),
-            ("links", self.links.encode()),
+            ("inject_current", inject_current.encode()),
+            ("partial_eject", partial_eject.encode()),
+            ("links", links.encode()),
             ("spans", spans.map_or(JsonValue::Null, CmeshSpanTracker::encode)),
         ])
     }
@@ -93,8 +118,12 @@ impl CmeshNetwork {
     /// [`SnapshotError::KindMismatch`] /
     /// [`SnapshotError::FingerprintMismatch`] when the checkpoint was
     /// taken by a different simulator or configuration, and
-    /// [`SnapshotError::BadShape`] on any structural decode mismatch or
-    /// index out of range.
+    /// [`SnapshotError::BadShape`] on any structural decode mismatch,
+    /// index out of range, or wormhole the live network could not carry
+    /// on: a flit whose packet has no payload, two payloads for one
+    /// packet, a payload without its tail, a VC over capacity, or an
+    /// injection stream that is not the rest of one packet streaming
+    /// into a VC of its own.
     pub fn restore(&mut self, checkpoint: &Checkpoint) -> Result<(), SnapshotError> {
         checkpoint.validate(CMESH_SNAPSHOT_KIND, self.config_fingerprint())?;
         let v = &checkpoint.state;
@@ -112,8 +141,8 @@ impl CmeshNetwork {
         let outstanding: Vec<[u32; 2]> = get(v, "outstanding")?;
         let pending_responses: Vec<VecDeque<(Cycle, Packet)>> = get(v, "pending_responses")?;
         let inject_current: Vec<Vec<InjectState>> = get(v, "inject_current")?;
-        let partial_eject: Vec<HashMap<u64, Packet>> = get(v, "partial_eject")?;
-        let links: VecDeque<LinkFlit> = get(v, "links")?;
+        let partial_eject: Vec<Vec<(u64, Packet)>> = get(v, "partial_eject")?;
+        let links: Vec<LinkFlit> = get(v, "links")?;
         // Span-tracker state is optional (absent in pre-span checkpoints).
         let span_tracker: Option<CmeshSpanTracker> =
             v.get("spans").map_or(Ok(None), |s| Codec::decode(s, "spans"))?;
@@ -139,13 +168,66 @@ impl CmeshNetwork {
             return Err(SnapshotError::BadShape { context: "inject_current" });
         }
         // Link flits land from the front of a launch-ordered queue, which
-        // is only correct while `deliver_at` never decreases along it.
-        let stray = |lf: &LinkFlit| lf.dst >= self.routers.len() || lf.vc >= vcs;
+        // is only correct while `deliver_at` never decreases along it. A
+        // link ends on the mesh input of an existing neighbour.
+        let stray = |lf: &LinkFlit| {
+            let lands = |dir| self.routers[lf.dst].credits.has_neighbor(dir);
+            lf.dst >= self.routers.len()
+                || lf.vc >= vcs
+                || !matches!(lf.port, Port::Mesh(dir) if lands(dir))
+        };
         let unordered =
             links.iter().zip(links.iter().skip(1)).any(|(a, b)| b.deliver_at < a.deliver_at);
         if links.iter().any(stray) || unordered {
             return Err(SnapshotError::BadShape { context: "links" });
         }
+
+        // Every payload first: head flits wherever they are, then the
+        // packets whose head has ejected.
+        let mut slab = Interned::default();
+        let heads = routers
+            .iter()
+            .flat_map(|r| r.inputs.iter().flatten().flat_map(|vc| &vc.flits))
+            .chain(links.iter().map(|lf| &lf.flit))
+            .chain(inject_current.iter().flatten().flat_map(|s| &s.flits));
+        for flit in heads {
+            slab.intern_head(flit)?;
+        }
+        for &(id, ref packet) in partial_eject.iter().flatten() {
+            if id != packet.id {
+                return Err(SnapshotError::BadShape { context: "partial_eject" });
+            }
+            slab.intern(packet)?;
+        }
+        // Then every flit, owner and inflow resolves to its packet.
+        let staged_routers = routers
+            .iter()
+            .zip(&self.routers)
+            .map(|(state, live)| state.stage(live, &mut slab))
+            .collect::<Result<Vec<_>, _>>()?;
+        let staged_links = links
+            .iter()
+            .map(|lf| {
+                let flit = slab.resolve(&lf.flit, "links")?;
+                Ok(LinkSlot {
+                    deliver_at: lf.deliver_at,
+                    dst: lf.dst,
+                    port: lf.port,
+                    vc: lf.vc,
+                    flit,
+                })
+            })
+            .collect::<Result<VecDeque<_>, SnapshotError>>()?;
+        let streams = inject_current
+            .iter()
+            .zip(&staged_routers)
+            .map(|(states, router)| InjectState::stage_all(states, router, &mut slab))
+            .collect::<Result<Vec<_>, _>>()?;
+        let partial: Vec<Vec<u32>> = partial_eject
+            .iter()
+            .map(|entries| entries.iter().map(|(id, _)| slab.by_id[id]).collect())
+            .collect();
+        let packets = slab.finish()?;
 
         // ---- apply phase ----
         self.traffic
@@ -154,22 +236,21 @@ impl CmeshNetwork {
         self.now = now;
         self.next_packet_id = next_packet_id;
         self.stats.import_state(&stats);
-        for (router, state) in self.routers.iter_mut().zip(routers) {
-            state.apply(router, self.config.slots_per_vc as u32);
-        }
+        self.routers = staged_routers;
         self.backlogs = backlogs;
         self.outstanding = outstanding;
         self.pending_responses = pending_responses;
-        self.inject_current = inject_current;
-        self.partial_eject = partial_eject;
-        self.links = links;
+        self.packets = packets;
+        self.streams = streams;
+        self.partial_eject = partial;
+        self.links = staged_links;
         self.span_tracker = self.tracks_spans_for_probe().then(|| span_tracker.unwrap_or_default());
         Ok(())
     }
 }
 
-/// Fully decoded dynamic state of one [`CmeshRouter`], staged between
-/// the parse and apply phases.
+/// Decoded dynamic state of one [`CmeshRouter`] in the checkpoint's
+/// layout, staged between the parse and apply phases.
 struct RouterState {
     inputs: Vec<Vec<VcState>>,
     out_credits: Vec<Option<Vec<u32>>>,
@@ -179,17 +260,28 @@ struct RouterState {
 }
 
 impl RouterState {
-    fn export(router: &CmeshRouter) -> RouterState {
-        let credits = |c: &Vec<CreditCounter>| c.iter().map(CreditCounter::available).collect();
+    fn export(router: &CmeshRouter, slab: &PacketSlab) -> RouterState {
+        let vcs = router.vcs();
+        let vc_state = |port, vc| {
+            let ch = router.channel(port, vc);
+            VcState {
+                flits: router.inputs.flits(ch).map(|flit| slab.flit(flit)).collect(),
+                inflow: router.inputs.inflow(ch).map(|pkt| slab.get(pkt).id),
+                route: router.inputs.route(ch),
+            }
+        };
+        let credits = |dir| {
+            let available = (0..vcs).map(|vc| u32::from(router.credits.available(dir, vc)));
+            router.credits.has_neighbor(dir).then(|| available.collect())
+        };
+        let owners = |dir| {
+            (0..vcs).map(|vc| router.out_vc_owner(dir, vc).map(|pkt| slab.get(pkt).id)).collect()
+        };
         RouterState {
-            inputs: router
-                .inputs
-                .iter()
-                .map(|port| port.iter().map(VirtualChannel::export_state).collect())
-                .collect(),
-            out_credits: router.out_credits.iter().map(|c| c.as_ref().map(credits)).collect(),
-            out_vc_owner: router.out_vc_owner.clone(),
-            rr: router.rr.clone(),
+            inputs: Port::ALL.map(|port| (0..vcs).map(|vc| vc_state(port, vc)).collect()).to_vec(),
+            out_credits: Direction::ALL.map(credits).to_vec(),
+            out_vc_owner: Direction::ALL.map(owners).to_vec(),
+            rr: router.rr.to_vec(),
             link_free_at: router.link_free_at,
         }
     }
@@ -201,9 +293,9 @@ impl RouterState {
         }
         // An output with a neighbor has `vcs` credit counters; an edge
         // output has none, in the checkpoint and the live router alike.
-        let credits_fit = self.out_credits.len() == live.out_credits.len()
-            && self.out_credits.iter().zip(&live.out_credits).all(|(saved, counters)| {
-                saved.as_ref().map(Vec::len) == counters.as_ref().map(|_| vcs)
+        let credits_fit = self.out_credits.len() == Direction::ALL.len()
+            && self.out_credits.iter().zip(Direction::ALL).all(|(saved, dir)| {
+                saved.as_ref().map(Vec::len) == live.credits.has_neighbor(dir).then_some(vcs)
             });
         if !credits_fit {
             return Err(SnapshotError::BadShape { context: "out_credits" });
@@ -219,23 +311,198 @@ impl RouterState {
         Ok(())
     }
 
-    fn apply(self, router: &mut CmeshRouter, slots: u32) {
-        for (port, states) in router.inputs.iter_mut().zip(&self.inputs) {
-            for (channel, vc_state) in port.iter_mut().zip(states) {
-                channel.import_state(vc_state);
-            }
-        }
-        for (live, restored) in router.out_credits.iter_mut().zip(self.out_credits) {
-            if let (Some(counters), Some(available)) = (live.as_mut(), restored) {
-                for (counter, avail) in counters.iter_mut().zip(available) {
-                    *counter = CreditCounter::from_parts(avail, slots);
+    /// The live router this state describes, its flits, inflows and
+    /// owners resolved against the interned packets. A VC may hold at
+    /// most its capacity, a route names an output port, an edge input
+    /// (which has no upstream to return credits to) holds nothing, and
+    /// credits stay within a VC's capacity.
+    fn stage(&self, live: &CmeshRouter, slab: &mut Interned) -> Result<CmeshRouter, SnapshotError> {
+        let bad = |context| SnapshotError::BadShape { context };
+        let mut router = live.clone();
+        let capacity = router.inputs.capacity();
+        for (port, states) in Port::ALL.into_iter().zip(&self.inputs) {
+            let edge = matches!(port, Port::Mesh(dir) if !live.credits.has_neighbor(dir));
+            for (vc, state) in states.iter().enumerate() {
+                let misrouted = state.route.is_some_and(|out| out >= Port::ALL.len());
+                if state.flits.len() > capacity || misrouted || edge && !state.flits.is_empty() {
+                    return Err(bad("inputs"));
                 }
+                let flits = state
+                    .flits
+                    .iter()
+                    .map(|flit| slab.resolve(flit, "inputs"))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let inflow = state.inflow.map(|id| slab.handle(id)).transpose()?;
+                router.inputs.load(router.channel(port, vc), &flits, inflow, state.route);
             }
         }
-        router.out_vc_owner = self.out_vc_owner;
-        router.rr = self.rr;
+        for (dir, saved) in Direction::ALL.into_iter().zip(&self.out_credits) {
+            for (vc, &available) in saved.iter().flatten().enumerate() {
+                let available = u16::try_from(available)
+                    .ok()
+                    .filter(|&a| usize::from(a) <= capacity)
+                    .ok_or(bad("out_credits"))?;
+                router.credits.set(dir, vc, available);
+            }
+        }
+        for (dir, owners) in Direction::ALL.into_iter().zip(&self.out_vc_owner) {
+            for (vc, owner) in owners.iter().enumerate() {
+                let owner = owner.map(|id| slab.handle(id)).transpose()?;
+                router.set_out_vc_owner(dir, vc, owner);
+            }
+        }
+        router.rr.copy_from_slice(&self.rr);
         router.link_free_at = self.link_free_at;
-        router.sync_occupancy();
+        Ok(router)
+    }
+}
+
+/// An injection stream as a checkpoint writes it: its local VC and the
+/// flits still to go.
+struct InjectState {
+    vc: usize,
+    flits: Vec<Flit>,
+}
+
+impl InjectState {
+    fn export(stream: &InjectStream, slab: &PacketSlab) -> InjectState {
+        let flit = |next| slab.flit(InjectStream { next, ..*stream }.flit());
+        InjectState { vc: stream.vc, flits: (stream.next..stream.n).map(flit).collect() }
+    }
+
+    /// One cluster's streams, checked against its staged router. Each
+    /// must be the rest of one packet, consecutive flits up to its tail,
+    /// on a local VC no other stream holds, whose inflow is that packet
+    /// once its head has entered and none before.
+    fn stage_all(
+        states: &[InjectState],
+        router: &CmeshRouter,
+        slab: &mut Interned,
+    ) -> Result<Vec<InjectStream>, SnapshotError> {
+        let bad = || SnapshotError::BadShape { context: "inject_current" };
+        let mut claimed = 0u64;
+        states
+            .iter()
+            .map(|state| {
+                let flits = state
+                    .flits
+                    .iter()
+                    .map(|flit| slab.resolve(flit, "inject_current"))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let (first, last) = (flits[0], flits[flits.len() - 1]);
+                let consecutive = flits
+                    .iter()
+                    .zip(first.index..)
+                    .all(|(f, index)| f.pkt == first.pkt && f.index == index);
+                let inflow = router.inputs.inflow(router.channel(Port::Local, state.vc));
+                let own_vc = claimed & 1 << state.vc == 0
+                    && inflow == (first.index > 0).then_some(first.pkt);
+                if !consecutive || !last.kind.is_tail() || !own_vc {
+                    return Err(bad());
+                }
+                claimed |= 1 << state.vc;
+                Ok(InjectStream {
+                    vc: state.vc,
+                    pkt: first.pkt,
+                    next: first.index,
+                    n: last.index + 1,
+                })
+            })
+            .collect()
+    }
+}
+
+/// A link flit as a checkpoint writes it.
+struct LinkFlit {
+    deliver_at: Cycle,
+    dst: usize,
+    port: Port,
+    vc: usize,
+    flit: Flit,
+}
+
+impl LinkFlit {
+    fn export(lf: &LinkSlot, slab: &PacketSlab) -> LinkFlit {
+        let LinkSlot { deliver_at, dst, port, vc, flit } = *lf;
+        LinkFlit { deliver_at, dst, port, vc, flit: slab.flit(flit) }
+    }
+}
+
+impl PacketSlab {
+    /// The checkpoint form of a flit slot: the head carries its packet.
+    fn flit(&self, slot: FlitSlot) -> Flit {
+        let packet = self.get(slot.pkt);
+        Flit {
+            packet_id: packet.id,
+            kind: slot.kind,
+            index: u32::from(slot.index),
+            packet: slot.kind.is_head().then(|| packet.clone()),
+        }
+    }
+}
+
+/// The packets of a checkpoint being restored, in the order restore
+/// meets their payloads; each becomes the slab entry of its index.
+#[derive(Default)]
+struct Interned {
+    packets: Vec<Packet>,
+    by_id: HashMap<u64, u32>,
+    /// Whether each packet's tail flit has been met.
+    tails: Vec<bool>,
+}
+
+impl Interned {
+    /// Interns a payload; a second payload for one id is refused.
+    fn intern(&mut self, packet: &Packet) -> Result<(), SnapshotError> {
+        let bad = || SnapshotError::BadShape { context: "packets" };
+        let pkt = u32::try_from(self.packets.len()).map_err(|_| bad())?;
+        if self.by_id.insert(packet.id, pkt).is_some() {
+            return Err(bad());
+        }
+        self.packets.push(packet.clone());
+        self.tails.push(false);
+        Ok(())
+    }
+
+    /// Interns the payload of a head flit. A flit carries a payload
+    /// exactly when it is a head, and that payload's id is the flit's.
+    fn intern_head(&mut self, flit: &Flit) -> Result<(), SnapshotError> {
+        match &flit.packet {
+            Some(packet) if flit.kind.is_head() && packet.id == flit.packet_id => {
+                self.intern(packet)
+            }
+            None if !flit.kind.is_head() => Ok(()),
+            _ => Err(SnapshotError::BadShape { context: "packets" }),
+        }
+    }
+
+    /// The slab index of packet `id`, which must have a payload.
+    fn handle(&self, id: u64) -> Result<u32, SnapshotError> {
+        self.by_id.get(&id).copied().ok_or(SnapshotError::BadShape { context: "packets" })
+    }
+
+    /// The slot of `flit`. Its packet must have a payload, its index and
+    /// kind must fit that packet's length, and each packet has one tail.
+    fn resolve(&mut self, flit: &Flit, context: &'static str) -> Result<FlitSlot, SnapshotError> {
+        let pkt = self.handle(flit.packet_id)?;
+        let n = self.packets[pkt as usize].flits();
+        let index = u16::try_from(flit.index)
+            .ok()
+            .filter(|_| flit.index < n && flit.kind == FlitKind::of(flit.index, n))
+            .ok_or(SnapshotError::BadShape { context })?;
+        if flit.kind.is_tail() && std::mem::replace(&mut self.tails[pkt as usize], true) {
+            return Err(SnapshotError::BadShape { context: "packets" });
+        }
+        Ok(FlitSlot { pkt, index, kind: flit.kind })
+    }
+
+    /// The packet slab, once every packet's tail has been met: a payload
+    /// whose tail is nowhere would never leave it.
+    fn finish(self) -> Result<PacketSlab, SnapshotError> {
+        if self.tails.contains(&false) {
+            return Err(SnapshotError::BadShape { context: "packets" });
+        }
+        Ok(PacketSlab { packets: self.packets, free: Vec::new() })
     }
 }
 
@@ -399,6 +666,94 @@ mod tests {
         };
         *field_mut(&mut routers[0], "rr") = [20usize; 5].encode();
         reject(&cp, "rr");
+    }
+
+    #[test]
+    fn inconsistent_wormholes_are_rejected_before_any_mutation() {
+        // A donor caught with parallel streams at a wide L3 port, a
+        // stream of three flits or more and a half-ejected packet.
+        let mut donor = build(1, 23);
+        donor.run(1_000);
+        while !(donor.streams.iter().any(|s| s.len() >= 2)
+            && donor.streams.iter().flatten().any(|s| s.n - s.next >= 3)
+            && donor.partial_eject.iter().any(|p| !p.is_empty()))
+        {
+            donor.step();
+            assert!(donor.now.as_u64() < 20_000, "no cycle shows every wormhole shape");
+        }
+        let reject = |cp: &Checkpoint, expected: &str| {
+            let mut twin = build(1, 23);
+            let before = twin.state_hash();
+            match twin.restore(cp) {
+                Err(SnapshotError::BadShape { context }) => assert_eq!(context, expected),
+                other => panic!("expected a {expected} shape error, got {other:?}"),
+            }
+            assert_eq!(twin.state_hash(), before, "failed restore must not mutate");
+        };
+        // The donor's checkpoint with one section decoded, edited and
+        // written back.
+        fn edited<T: Codec>(
+            donor: &CmeshNetwork,
+            section: &str,
+            edit: impl Fn(&mut T),
+        ) -> Checkpoint {
+            let mut cp = donor.snapshot();
+            let field = field_mut(&mut cp.state, section);
+            let mut value = T::decode(field, "test").unwrap();
+            edit(&mut value);
+            *field = value.encode();
+            cp
+        }
+
+        // Two injection streams on one local VC.
+        let cp = edited(&donor, "inject_current", |streams: &mut Vec<Vec<InjectState>>| {
+            let parallel = streams.iter_mut().find(|s| s.len() >= 2).unwrap();
+            parallel[1].vc = parallel[0].vc;
+        });
+        reject(&cp, "inject_current");
+
+        // A stream missing a middle flit, and one missing its tail.
+        for drop in [1, usize::MAX] {
+            let cp = edited(&donor, "inject_current", |streams: &mut Vec<Vec<InjectState>>| {
+                let long = streams.iter_mut().flatten().find(|s| s.flits.len() >= 3).unwrap();
+                long.flits.remove(drop.min(long.flits.len() - 1));
+            });
+            reject(&cp, "inject_current");
+        }
+
+        // A half-ejected packet's payload gone while its tail is still
+        // in the mesh, and the same payload held at two routers.
+        let cp = edited(&donor, "partial_eject", |partial: &mut Vec<Vec<(u64, Packet)>>| {
+            partial.iter_mut().find(|p| !p.is_empty()).unwrap().remove(0);
+        });
+        reject(&cp, "packets");
+        let cp = edited(&donor, "partial_eject", |partial: &mut Vec<Vec<(u64, Packet)>>| {
+            let i = partial.iter().position(|p| !p.is_empty()).unwrap();
+            let entry = partial[i][0].clone();
+            partial[(i + 1) % 16].push(entry);
+        });
+        reject(&cp, "packets");
+
+        // A flit naming a packet whose payload is nowhere.
+        let cp = edited(&donor, "routers", |routers: &mut Vec<RouterState>| {
+            let flits = routers.iter_mut().flat_map(|r| r.inputs.iter_mut().flatten());
+            let flit = flits.flat_map(|vc| &mut vc.flits).find(|f| !f.kind.is_head()).unwrap();
+            flit.packet_id = u64::MAX;
+        });
+        reject(&cp, "packets");
+
+        // A VC holding one flit more than its 4 slots.
+        let cp = edited(&donor, "routers", |routers: &mut Vec<RouterState>| {
+            let mut vcs = routers.iter_mut().flat_map(|r| r.inputs.iter_mut().flatten());
+            let vc = vcs.find(|vc| !vc.flits.is_empty()).unwrap();
+            while vc.flits.len() <= 4 {
+                vc.flits.push(vc.flits[0].clone());
+            }
+        });
+        reject(&cp, "inputs");
+
+        // The unedited checkpoint restores.
+        build(1, 23).restore(&donor.snapshot()).unwrap();
     }
 
     #[test]

@@ -1,40 +1,37 @@
 //! The CMESH wormhole router: 5 ports × 4 VCs × 4-slot buffers.
 
+use crate::credit::Credits;
 use crate::routing::{Direction, Port};
-use pearl_noc::{CreditCounter, Flit, NodeId, VirtualChannel};
+use crate::vc::{FlitSlot, InputVcs};
+use pearl_noc::NodeId;
+
+/// Marks a mesh output VC no packet owns.
+const UNOWNED: u32 = u32::MAX;
 
 /// One mesh router's buffering and flow-control state.
 ///
 /// Switch allocation itself is orchestrated by
 /// [`crate::network::CmeshNetwork`] because it touches two routers at
 /// once (credits travel upstream, flits downstream); the router owns the
-/// per-port virtual channels, the per-output credit counters and the
-/// round-robin pointers that keep arbitration fair.
-#[derive(Debug)]
+/// input VCs, the per-output credits and VC owners, and the round-robin
+/// pointers that keep arbitration fair.
+#[derive(Debug, Clone)]
 pub struct CmeshRouter {
     node: NodeId,
-    /// Input VCs, indexed `[Port::index()][vc]`.
-    pub(crate) inputs: Vec<Vec<VirtualChannel>>,
-    /// Credits towards the downstream input VC of each mesh output,
-    /// indexed `[Direction as usize][vc]`. `None` entries are chip-edge
-    /// outputs with no neighbor.
-    pub(crate) out_credits: Vec<Option<Vec<CreditCounter>>>,
-    /// Wormhole VC allocation: which packet currently owns each mesh
-    /// output VC (`[Direction as usize][vc]`). A downstream VC carries
-    /// one packet at a time, head to tail.
-    pub(crate) out_vc_owner: Vec<Vec<Option<u64>>>,
+    vcs: usize,
+    /// Input VCs, channel `Port::index() * vcs + vc`.
+    pub(crate) inputs: InputVcs,
+    /// Credits towards the downstream input VC of each mesh output.
+    pub(crate) credits: Credits,
+    /// Wormhole VC allocation: the handle of the packet that owns each
+    /// mesh output VC (`[dir * vcs + vc]`), or [`UNOWNED`]. A downstream
+    /// VC carries one packet at a time, head to tail.
+    out_vc_owner: Vec<u32>,
     /// Per-output round-robin pointer over flattened (input, vc) pairs.
-    pub(crate) rr: Vec<usize>,
+    pub(crate) rr: [usize; 5],
     /// Earliest cycle each mesh output link is free again (bandwidth-
     /// reduced links pace flits out more slowly).
     pub(crate) link_free_at: [u64; 4],
-    /// Occupancy mask: bit `port * vcs + vc` is set while that input VC
-    /// holds a flit. Derived from `inputs`; never serialized or hashed.
-    pub(crate) occupied: u64,
-    /// Per-output candidate masks: the occupied input VCs whose head
-    /// packet routes to each output (`[Port::index()]`, same bit layout
-    /// as `occupied`). Rebuilt by route computation every cycle.
-    pub(crate) routed: [u64; 5],
 }
 
 impl CmeshRouter {
@@ -46,33 +43,16 @@ impl CmeshRouter {
         slots: usize,
         has_neighbor: [bool; 4],
     ) -> CmeshRouter {
-        let inputs = Port::ALL
-            .iter()
-            .map(|_| (0..vcs).map(|_| VirtualChannel::new(slots)).collect())
-            .collect();
-        let out_credits = has_neighbor
-            .iter()
-            .map(|&exists| {
-                exists.then(|| (0..vcs).map(|_| CreditCounter::new(slots as u32)).collect())
-            })
-            .collect();
-        let out_vc_owner = (0..4).map(|_| vec![None; vcs]).collect();
+        let max = u16::try_from(slots).expect("CmeshConfig::validate caps slots_per_vc");
         CmeshRouter {
             node,
-            inputs,
-            out_credits,
-            out_vc_owner,
-            rr: vec![0; 5],
+            vcs,
+            inputs: InputVcs::new(Port::ALL.len() * vcs, slots),
+            credits: Credits::new(vcs, max, has_neighbor),
+            out_vc_owner: vec![UNOWNED; Direction::ALL.len() * vcs],
+            rr: [0; 5],
             link_free_at: [0; 4],
-            occupied: 0,
-            routed: [0; 5],
         }
-    }
-
-    /// Bit of input VC `(port, vc)` in the occupancy and candidate masks.
-    #[inline]
-    fn bit(&self, port: Port, vc: usize) -> u64 {
-        1 << (port.index() * self.vcs() + vc)
     }
 
     /// This router's node id.
@@ -84,67 +64,56 @@ impl CmeshRouter {
     /// Number of VCs per port.
     #[inline]
     pub fn vcs(&self) -> usize {
-        self.inputs[0].len()
+        self.vcs
     }
 
     /// Total buffered flits across all ports (for diagnostics).
     pub fn buffered_flits(&self) -> usize {
-        self.inputs.iter().flatten().map(VirtualChannel::len).sum()
+        (0..self.inputs.channels()).map(|ch| self.inputs.len(ch)).sum()
     }
 
-    /// A free VC on the local input port, if any.
-    ///
-    /// (The network's injection path additionally excludes VCs claimed
-    /// by parallel streams; this helper serves tests and diagnostics.)
-    #[allow(dead_code)]
-    pub(crate) fn free_local_vc(&self) -> Option<usize> {
-        self.inputs[Port::Local.index()].iter().position(VirtualChannel::is_free)
+    /// Channel index of input VC `(port, vc)`.
+    #[inline]
+    pub(crate) fn channel(&self, port: Port, vc: usize) -> usize {
+        port.index() * self.vcs + vc
+    }
+
+    /// Whether input VC `(port, vc)` is idle: no flit, no packet
+    /// streaming in.
+    #[inline]
+    pub(crate) fn is_free(&self, port: Port, vc: usize) -> bool {
+        self.inputs.is_free(self.channel(port, vc))
     }
 
     /// Pushes a flit into an input VC.
     ///
     /// # Panics
     ///
-    /// Panics if the VC rejects the flit — under credit flow control that
+    /// Panics if the VC refuses the flit — under credit flow control that
     /// is a protocol violation, not a runtime condition.
-    pub(crate) fn accept_flit(&mut self, port: Port, vc: usize, flit: Flit) {
-        self.inputs[port.index()][vc]
-            .push(flit)
-            .unwrap_or_else(|f| panic!("credit protocol violated at {}: {f}", self.node));
-        self.occupied |= self.bit(port, vc);
+    #[inline]
+    pub(crate) fn accept(&mut self, port: Port, vc: usize, flit: FlitSlot) {
+        let ch = self.channel(port, vc);
+        if let Err(why) = self.inputs.try_accept(ch, flit) {
+            panic!("credit protocol violated at {}: {why} ({flit})", self.node);
+        }
     }
 
-    /// Pops the head flit of an input VC, clearing its occupancy bit
-    /// when the VC empties.
+    /// Pops the head flit of input channel `ch`.
     ///
     /// # Panics
     ///
     /// Panics if the VC is empty: switch allocation only grants
     /// occupied VCs.
-    pub(crate) fn pop_flit(&mut self, port: Port, vc: usize) -> Flit {
-        let channel = &mut self.inputs[port.index()][vc];
-        let flit = channel.pop().expect("switch allocation granted an empty VC");
-        if channel.is_empty() {
-            self.occupied &= !self.bit(port, vc);
-        }
-        flit
-    }
-
-    /// Recomputes the occupancy mask from the input VCs (after their
-    /// state is restored from a checkpoint).
-    pub(crate) fn sync_occupancy(&mut self) {
-        self.occupied = self
-            .inputs
-            .iter()
-            .flatten()
-            .enumerate()
-            .filter(|(_, channel)| !channel.is_empty())
-            .fold(0, |mask, (flat, _)| mask | 1 << flat);
+    #[inline]
+    pub(crate) fn pop(&mut self, ch: usize) -> FlitSlot {
+        self.inputs.pop(ch).expect("switch allocation granted an empty VC")
     }
 
     /// Credit available towards the downstream VC of a mesh output.
+    #[inline]
     pub(crate) fn has_credit(&self, dir: Direction, vc: usize) -> bool {
-        self.out_credits[dir as usize].as_ref().is_some_and(|credits| credits[vc].has_credit())
+        self.credits.has_credit(dir, vc)
     }
 
     /// Consumes one downstream credit.
@@ -152,74 +121,75 @@ impl CmeshRouter {
     /// # Panics
     ///
     /// Panics when no credit is available (protocol violation).
+    #[inline]
     pub(crate) fn consume_credit(&mut self, dir: Direction, vc: usize) {
-        self.out_credits[dir as usize].as_mut().expect("edge output has no downstream")[vc]
-            .consume()
-            .expect("switch allocation granted without credit");
+        self.credits.consume(dir, vc);
     }
 
-    /// Whether `packet_id`'s flit may use mesh output VC `(dir, vc)`:
+    /// Returns one credit (called when the downstream VC drains).
+    #[inline]
+    pub(crate) fn replenish_credit(&mut self, dir: Direction, vc: usize) {
+        self.credits.replenish(dir, vc);
+    }
+
+    /// The packet owning mesh output VC `(dir, vc)`, if any.
+    #[inline]
+    pub(crate) fn out_vc_owner(&self, dir: Direction, vc: usize) -> Option<u32> {
+        Some(self.out_vc_owner[dir as usize * self.vcs + vc]).filter(|&p| p != UNOWNED)
+    }
+
+    /// Sets the owner of mesh output VC `(dir, vc)` (restoring a
+    /// checkpoint).
+    pub(crate) fn set_out_vc_owner(&mut self, dir: Direction, vc: usize, owner: Option<u32>) {
+        self.out_vc_owner[dir as usize * self.vcs + vc] = owner.unwrap_or(UNOWNED);
+    }
+
+    /// Whether packet `pkt`'s flit may use mesh output VC `(dir, vc)`:
     /// either the packet already owns it, or it is free and the flit is a
     /// head that can claim it.
-    pub(crate) fn out_vc_usable(
-        &self,
-        dir: Direction,
-        vc: usize,
-        packet_id: u64,
-        is_head: bool,
-    ) -> bool {
-        match self.out_vc_owner[dir as usize][vc] {
-            Some(owner) => owner == packet_id,
-            None => is_head,
+    #[inline]
+    pub(crate) fn out_vc_usable(&self, dir: Direction, vc: usize, pkt: u32, is_head: bool) -> bool {
+        match self.out_vc_owner[dir as usize * self.vcs + vc] {
+            UNOWNED => is_head,
+            owner => owner == pkt,
         }
     }
 
     /// Updates output-VC ownership around a granted flit: heads claim,
     /// tails release.
-    pub(crate) fn update_out_vc_owner(
-        &mut self,
-        dir: Direction,
-        vc: usize,
-        packet_id: u64,
-        is_head: bool,
-        is_tail: bool,
-    ) {
-        let slot = &mut self.out_vc_owner[dir as usize][vc];
-        if is_head {
-            debug_assert!(slot.is_none(), "claiming an owned output VC");
-            *slot = Some(packet_id);
+    #[inline]
+    pub(crate) fn update_out_vc_owner(&mut self, dir: Direction, vc: usize, flit: FlitSlot) {
+        let owner = &mut self.out_vc_owner[dir as usize * self.vcs + vc];
+        if flit.kind.is_head() {
+            debug_assert_eq!(*owner, UNOWNED, "claiming an owned output VC");
+            *owner = flit.pkt;
         }
-        if is_tail {
-            *slot = None;
+        if flit.kind.is_tail() {
+            *owner = UNOWNED;
         }
-    }
-
-    /// Returns one credit (called when the downstream VC drains).
-    pub(crate) fn replenish_credit(&mut self, dir: Direction, vc: usize) {
-        self.out_credits[dir as usize].as_mut().expect("credit returned for edge output")[vc]
-            .replenish();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pearl_noc::{CoreType, Cycle, Packet, TrafficClass};
+    use pearl_noc::FlitKind;
 
     fn router() -> CmeshRouter {
         CmeshRouter::new(NodeId(5), 4, 4, [true, true, true, true])
     }
 
-    fn flits() -> Vec<Flit> {
-        let p =
-            Packet::response(1, NodeId(0), NodeId(5), CoreType::Cpu, TrafficClass::L3, Cycle(0));
-        Flit::decompose(&p)
+    /// The four flits of a response with handle 1.
+    fn flits() -> Vec<FlitSlot> {
+        (0..4)
+            .map(|index| FlitSlot { pkt: 1, index, kind: FlitKind::of(index.into(), 4) })
+            .collect()
     }
 
     #[test]
     fn fresh_router_has_free_local_vc() {
         let r = router();
-        assert_eq!(r.free_local_vc(), Some(0));
+        assert!(r.is_free(Port::Local, 0));
         assert_eq!(r.vcs(), 4);
         assert_eq!(r.buffered_flits(), 0);
     }
@@ -228,8 +198,10 @@ mod tests {
     fn local_vc_allocation_skips_busy_channels() {
         let mut r = router();
         let f = flits();
-        r.accept_flit(Port::Local, 0, f[0].clone());
-        assert_eq!(r.free_local_vc(), Some(1));
+        r.accept(Port::Local, 0, f[0]);
+        assert!(!r.is_free(Port::Local, 0));
+        assert!(r.is_free(Port::Local, 1));
+        assert_eq!(r.buffered_flits(), 1);
     }
 
     #[test]
@@ -256,10 +228,10 @@ mod tests {
     fn overfull_vc_panics() {
         let mut r = router();
         let f = flits();
-        for flit in &f {
-            r.accept_flit(Port::Local, 0, flit.clone());
+        for &flit in &f {
+            r.accept(Port::Local, 0, flit);
         }
         // VC holds 4 slots; a 5th flit is a protocol violation.
-        r.accept_flit(Port::Local, 0, f[0].clone());
+        r.accept(Port::Local, 0, f[0]);
     }
 }

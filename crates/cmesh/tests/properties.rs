@@ -1,7 +1,7 @@
 //! Property-based tests for the CMESH baseline.
 
-use pearl_cmesh::{neighbor, xy_route, CmeshBuilder, Direction, Port};
-use pearl_noc::{Grid, NodeId};
+use pearl_cmesh::{neighbor, xy_route, CmeshBuilder, Direction, FlitSlot, InputVcs, Port};
+use pearl_noc::{FlitKind, Grid, NodeId, PacketKind, SimRng};
 use pearl_workloads::{BenchmarkPair, CpuBenchmark, GpuBenchmark};
 use proptest::prelude::*;
 
@@ -84,6 +84,11 @@ proptest! {
     fn cmesh_short_runs_are_sane(pair in any_pair(), seed in 0u64..300) {
         let mut net = CmeshBuilder::new().seed(seed).build(pair);
         let s = net.run(2_000);
+        let stats = net.stats();
+        prop_assert_eq!(
+            stats.total_injected_packets(),
+            stats.total_delivered_packets() + net.in_network_packets()
+        );
         prop_assert!(s.throughput_flits_per_cycle.is_finite());
         prop_assert!(s.delivered_bits % 128 == 0, "bits are whole flits");
         prop_assert!(s.avg_power_w > 0.0);
@@ -96,5 +101,60 @@ proptest! {
         let b = CmeshBuilder::new().seed(seed).build(pair).run(1_500);
         prop_assert_eq!(a.delivered_flits, b.delivered_flits);
         prop_assert_eq!(a.injection_stalls, b.injection_stalls);
+    }
+}
+
+proptest! {
+    /// A virtual channel never interleaves two packets' flits: replaying
+    /// its accepted stream must always parse as whole packets.
+    #[test]
+    fn vc_never_interleaves(seed in 0u64..1_000) {
+        let mut rng = SimRng::from_seed(seed);
+        let mut vc = InputVcs::new(1, 64);
+        let lengths: Vec<u16> = (0..6)
+            .map(|_| if rng.chance(0.5) { PacketKind::Request } else { PacketKind::Response })
+            .map(|kind| kind.flits() as u16)
+            .collect();
+        // Offer flits from all packets in random order; the VC must only
+        // accept non-interleaved sequences.
+        let mut streams: Vec<Vec<FlitSlot>> = lengths
+            .iter()
+            .zip(0..)
+            .map(|(&n, pkt)| {
+                let flit = |index: u16| FlitSlot { pkt, index, kind: FlitKind::of(index.into(), n.into()) };
+                (0..n).map(flit).collect()
+            })
+            .collect();
+        let mut accepted = Vec::new();
+        for _ in 0..200 {
+            let live: Vec<usize> =
+                (0..streams.len()).filter(|&s| !streams[s].is_empty()).collect();
+            if live.is_empty() {
+                break;
+            }
+            let s = *rng.choose(&live);
+            if vc.try_accept(0, streams[s][0]).is_ok() {
+                accepted.push(streams[s].remove(0));
+            }
+        }
+        // Replay: every accepted run must be head..tail of one packet.
+        let mut current: Option<u32> = None;
+        for f in &accepted {
+            match current {
+                None => {
+                    prop_assert!(f.kind.is_head());
+                    if !f.kind.is_tail() {
+                        current = Some(f.pkt);
+                    }
+                }
+                Some(pkt) => {
+                    prop_assert_eq!(f.pkt, pkt);
+                    prop_assert!(!f.kind.is_head());
+                    if f.kind.is_tail() {
+                        current = None;
+                    }
+                }
+            }
+        }
     }
 }

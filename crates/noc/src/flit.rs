@@ -37,6 +37,19 @@ impl FlitKind {
     pub fn is_tail(self) -> bool {
         matches!(self, FlitKind::Tail | FlitKind::HeadTail)
     }
+
+    /// The kind of flit `index` of a packet of `len` flits: a one-flit
+    /// packet is [`FlitKind::HeadTail`]; a longer one is `Head, Body…,
+    /// Tail`.
+    #[inline]
+    pub fn of(index: u32, len: u32) -> FlitKind {
+        match (len, index) {
+            (1, _) => FlitKind::HeadTail,
+            (_, 0) => FlitKind::Head,
+            (_, i) if i + 1 == len => FlitKind::Tail,
+            _ => FlitKind::Body,
+        }
+    }
 }
 
 impl fmt::Display for FlitKind {
@@ -90,7 +103,7 @@ impl Flit {
 }
 
 /// The flit sequence of one packet, produced one flit at a time without
-/// allocating (see [`Flit::decompose`] for the head/body/tail rule).
+/// allocating (see [`FlitKind::of`] for the head/body/tail rule).
 #[derive(Debug, Clone)]
 pub struct Flits<'a> {
     packet: &'a Packet,
@@ -114,12 +127,7 @@ impl Iterator for Flits<'_> {
             return None;
         }
         self.next += 1;
-        let kind = match (n, i) {
-            (1, _) => FlitKind::HeadTail,
-            (_, 0) => FlitKind::Head,
-            (_, i) if i == n - 1 => FlitKind::Tail,
-            _ => FlitKind::Body,
-        };
+        let kind = FlitKind::of(i, n);
         Some(Flit {
             packet_id: self.packet.id,
             kind,
@@ -127,6 +135,20 @@ impl Iterator for Flits<'_> {
             packet: kind.is_head().then(|| self.packet.clone()),
         })
     }
+}
+
+/// Checkpoint form of one virtual channel: its buffered flits, the
+/// packet streaming into it and the route of its head packet. Capacity
+/// is static configuration and is not part of the snapshot.
+#[derive(Debug, Clone, PartialEq)]
+pub struct VcState {
+    /// Buffered flits, head first.
+    pub flits: Vec<Flit>,
+    /// Packet currently streaming into the channel, if any: set by a
+    /// head flit, cleared by the matching tail.
+    pub inflow: Option<u64>,
+    /// Route-computation result for the head packet, if computed.
+    pub route: Option<usize>,
 }
 
 impl fmt::Display for Flit {
@@ -163,6 +185,14 @@ mod tests {
         // Only the head carries the payload.
         assert!(flits[0].packet.is_some());
         assert!(flits[1..].iter().all(|f| f.packet.is_none()));
+    }
+
+    #[test]
+    fn kind_of_index_follows_the_packet_length() {
+        assert_eq!(FlitKind::of(0, 1), FlitKind::HeadTail);
+        let four: Vec<_> = (0..4).map(|i| FlitKind::of(i, 4)).collect();
+        assert_eq!(four, [FlitKind::Head, FlitKind::Body, FlitKind::Body, FlitKind::Tail]);
+        assert_eq!([FlitKind::of(0, 2), FlitKind::of(1, 2)], [FlitKind::Head, FlitKind::Tail]);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! This crate is the substrate shared by the PEARL photonic network
 //! ([`pearl-core`]) and the electrical CMESH baseline ([`pearl-cmesh`]):
-//! packets, flits, bounded input buffers, virtual channels, credit-based
-//! flow control, deterministic random number generation and network-wide
-//! statistics.
+//! packets, flits, bounded input buffers, deterministic random number
+//! generation and network-wide statistics.
 //!
 //! The kernel is *cycle-driven*: networks built on top of it implement a
 //! `step()` that advances one network-clock cycle (2 GHz in the PEARL
@@ -32,7 +31,6 @@
 
 pub mod buffer;
 pub mod crc;
-pub mod credit;
 pub mod cycle;
 pub mod flit;
 pub mod histogram;
@@ -40,16 +38,13 @@ pub mod packet;
 pub mod rng;
 pub mod stats;
 pub mod topology;
-pub mod vc;
 
 pub use buffer::{BufferFullError, BufferState, PacketBuffer};
 pub use crc::{crc32, packet_checksum};
-pub use credit::CreditCounter;
 pub use cycle::{Cycle, Frequency};
-pub use flit::{Flit, FlitKind, Flits};
+pub use flit::{Flit, FlitKind, Flits, VcState};
 pub use histogram::LatencyHistogram;
 pub use packet::{CoreType, Packet, PacketId, PacketKind, TrafficClass};
 pub use rng::SimRng;
 pub use stats::{LatencyStats, NetworkStats, StatsState};
 pub use topology::{Coord, Grid, NodeId};
-pub use vc::{VcState, VirtualChannel};

@@ -1,8 +1,6 @@
 //! Property-based tests for the simulation kernel's data structures.
 
-use pearl_noc::{
-    Cycle, Flit, LatencyStats, Packet, PacketBuffer, PacketKind, SimRng, VirtualChannel,
-};
+use pearl_noc::{Cycle, Flit, LatencyStats, Packet, PacketBuffer, SimRng};
 use proptest::prelude::*;
 
 fn any_packet(id: u64) -> impl Strategy<Value = Packet> {
@@ -86,64 +84,6 @@ proptest! {
             prop_assert_eq!(f.packet_id, packet.id);
             if i > 0 {
                 prop_assert!(f.packet.is_none());
-            }
-        }
-    }
-
-    /// A virtual channel never interleaves two packets' flits: replaying
-    /// its accepted stream must always parse as whole packets.
-    #[test]
-    fn vc_never_interleaves(seed in 0u64..1_000) {
-        let mut rng = SimRng::from_seed(seed);
-        let mut vc = VirtualChannel::new(64);
-        let packets: Vec<Packet> = (0..6u64)
-            .map(|id| {
-                let kind = if rng.chance(0.5) { PacketKind::Request } else { PacketKind::Response };
-                let mut p = Packet::request(
-                    id,
-                    pearl_noc::NodeId(0),
-                    pearl_noc::NodeId(1),
-                    pearl_noc::CoreType::Cpu,
-                    pearl_noc::TrafficClass::L3,
-                    Cycle(0),
-                );
-                p.kind = kind;
-                p
-            })
-            .collect();
-        // Offer flits from all packets in random order; the VC must only
-        // accept non-interleaved sequences.
-        let mut streams: Vec<Vec<Flit>> = packets.iter().map(Flit::decompose).collect();
-        let mut accepted = Vec::new();
-        for _ in 0..200 {
-            let live: Vec<usize> =
-                (0..streams.len()).filter(|&s| !streams[s].is_empty()).collect();
-            if live.is_empty() {
-                break;
-            }
-            let s = *rng.choose(&live);
-            let flit = streams[s][0].clone();
-            if vc.push(flit).is_ok() {
-                accepted.push(streams[s].remove(0));
-            }
-        }
-        // Replay: every accepted run must be head..tail of one packet.
-        let mut current: Option<u64> = None;
-        for f in &accepted {
-            match current {
-                None => {
-                    prop_assert!(f.kind.is_head());
-                    if !f.kind.is_tail() {
-                        current = Some(f.packet_id);
-                    }
-                }
-                Some(id) => {
-                    prop_assert_eq!(f.packet_id, id);
-                    prop_assert!(!f.kind.is_head());
-                    if f.kind.is_tail() {
-                        current = None;
-                    }
-                }
             }
         }
     }
